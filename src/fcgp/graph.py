@@ -7,6 +7,7 @@ degrees restricted to an alive-mask) are cheap.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -23,6 +24,10 @@ class GraphFormatError(ValueError):
 
 class VcBudgetExceeded(RuntimeError):
     """Exact vertex cover search would exceed the configured budget."""
+
+
+class RuleInternalError(AssertionError):
+    """A verified postcondition or internal invariant failed; implementation bug."""
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -248,21 +253,28 @@ def _parse_dimacs(text: str) -> Graph:
 
 
 def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Min-degree peeling order and the degeneracy it witnesses."""
-    alive = mask_of(range(g.n))
+    """Min-degree peeling order and the degeneracy it witnesses.
+
+    Ties go to the smallest index: a heap keyed on (degree, index), whose
+    stale entries are skipped, gives the order in O(m log n).
+    """
     deg = [g.degree(v) for v in range(g.n)]
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapq.heapify(heap)
+    done = [False] * g.n
     order: list[int] = []
     d = 0
-    for _ in range(g.n):
-        best = -1
-        for v in iter_mask(alive):
-            if best < 0 or deg[v] < deg[best]:
-                best = v
-        d = max(d, deg[best])
-        order.append(best)
-        alive ^= 1 << best
-        for u in iter_mask(g.masks[best] & alive):
-            deg[u] -= 1
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if done[v] or dv != deg[v]:
+            continue
+        done[v] = True
+        d = max(d, dv)
+        order.append(v)
+        for u in g.adj[v]:
+            if not done[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     return tuple(order), d
 
 
@@ -276,11 +288,19 @@ def h_index(g: Graph) -> int:
 
 
 def c_closure(g: Graph) -> int:
+    """One more than the most common neighbors of a non-adjacent pair.
+
+    Only pairs at distance two share a neighbor, so for each u the pairs
+    (u, v) with v > u are taken from the wedges centred on u's neighbors.
+    """
     best = 0
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                best = max(best, (g.masks[u] & g.masks[v]).bit_count())
+        far = 0
+        for w in g.adj[u]:
+            far |= g.masks[w]
+        far &= ~g.masks[u] & -(1 << (u + 1))
+        for v in iter_mask(far):
+            best = max(best, (g.masks[u] & g.masks[v]).bit_count())
     return best + 1
 
 

@@ -11,17 +11,16 @@ floating point is involved in any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Graph, iter_mask, mask_of
+from .graph import Graph, RuleInternalError, iter_mask, mask_of
 
 MAX = "max"
 MIN = "min"
 
 ZERO = Fraction(0)
-THIRD = Fraction(1, 3)
 
 
 class GuardViolation(ValueError):
@@ -33,17 +32,6 @@ def check_alpha(alpha: Fraction) -> Fraction:
     if not ZERO <= alpha <= 1:
         raise GuardViolation(f"alpha must lie in [0,1], got {alpha}")
     return alpha
-
-
-def is_degrading(alpha: Fraction, variant: str) -> bool:
-    """Max with alpha > 1/3 or Min with alpha < 1/3."""
-    return alpha > THIRD if variant == MAX else alpha < THIRD
-
-
-def alpha_class(alpha: Fraction, variant: str) -> str:
-    if alpha == THIRD:
-        return "boundary"
-    return "degrading" if is_degrading(alpha, variant) else "non-degrading"
 
 
 @dataclass(frozen=True)
@@ -177,6 +165,8 @@ class AnnotatedInstance:
         """Exact increase of val when v joins the partial solution t_like."""
         tmask = self._as_mask(t_like)
         common = (self.graph.masks[v] & tmask).bit_count()
+        if not common:
+            return self.deg_bonus(v)
         return self.deg_bonus(v) + (1 - 3 * self.alpha) * common
 
     def t_prime(self) -> Fraction:
@@ -198,6 +188,16 @@ class AnnotatedInstance:
 
     # -- inclusion / exclusion ---------------------------------------------
 
+    def _derive(self, **changes) -> "AnnotatedInstance":
+        """Copy with ``changes``, skipping the O(n) checks of __post_init__.
+
+        include, exclude and shift_bonus keep every invariant those checks
+        test (T alive with zero bonus, no negative bonus) by construction.
+        """
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
     def include(self, v: int) -> "AnnotatedInstance":
         """Force v into the solution; its bonus is folded into t."""
         if not (self.alive >> v) & 1:
@@ -207,7 +207,7 @@ class AnnotatedInstance:
         bonus = list(self.bonus)
         new_t = self.t - bonus[v]
         bonus[v] = ZERO
-        return replace(self, tmask=self.tmask | (1 << v), bonus=tuple(bonus), t=new_t)
+        return self._derive(tmask=self.tmask | (1 << v), bonus=tuple(bonus), t=new_t)
 
     def exclude(self, v: int) -> "AnnotatedInstance":
         """Delete v; each surviving neighbor gains bonus alpha.
@@ -227,7 +227,7 @@ class AnnotatedInstance:
             else:
                 bonus[u] += self.alpha
         bonus[v] = ZERO
-        return replace(self, alive=self.alive ^ (1 << v), bonus=tuple(bonus), t=new_t)
+        return self._derive(alive=self.alive ^ (1 << v), bonus=tuple(bonus), t=new_t)
 
     def shift_bonus(self, amount: Fraction) -> "AnnotatedInstance":
         """Uniformly lower every non-T bonus by ``amount``; t drops by amount * k'."""
@@ -238,7 +238,7 @@ class AnnotatedInstance:
             if bonus[v] < amount:
                 raise GuardViolation(f"bonus of vertex {v} below shift amount")
             bonus[v] -= amount
-        return replace(self, bonus=tuple(bonus), t=self.t - amount * self.k_prime)
+        return self._derive(bonus=tuple(bonus), t=self.t - amount * self.k_prime)
 
     # -- serialization -------------------------------------------------------
 
@@ -431,7 +431,8 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         if (inst.tmask >> old_v) & 1:
             continue
         wires = ell + counters[old_v]
-        assert wires <= csize, "clique too small for counter wiring"
+        if wires > csize:
+            raise RuleInternalError("clique too small for counter wiring")
         edges.extend((index[old_v], clique[j]) for j in range(wires))
     new_t = inst.t + inst.alpha * ell * inst.k_prime
     plain = PlainInstance(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, RuleInternalError
 
 CLIQUE = "clique"
 INDEPENDENT_SET = "independent_set"
@@ -79,7 +79,8 @@ def _classic(g: Graph, pool: tuple[int, ...], p: int, q: int) -> tuple[str, list
         if kind == CLIQUE:
             verts.append(v)
         return kind, verts
-    assert len(rest) >= classic_bound(p, q - 1), "Pascal identity violated"
+    if len(rest) < classic_bound(p, q - 1):
+        raise RuleInternalError("Pascal identity violated")
     kind, verts = _classic(g, rest, p, q - 1)
     if kind == INDEPENDENT_SET:
         verts.append(v)

@@ -12,11 +12,14 @@ identical traces.
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ramsey
-from .graph import iter_mask
+from .graph import RuleInternalError, iter_mask
 from .instance import (
     MAX,
     MIN,
@@ -34,10 +37,6 @@ ZERO = Fraction(0)
 KERNELIZED = "kernelized"
 DECIDED_YES = "decided_yes"
 DECIDED_NO = "decided_no"
-
-
-class RuleInternalError(AssertionError):
-    """A rule's verified postcondition failed; implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,9 @@ def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: boo
 
 def _shortcircuit(inst: AnnotatedInstance):
     """Decision forced by cardinality: the solution set is over- or fully
-    determined (too few vertices, T full, or every survivor needed)."""
-    if inst.n_alive < inst.k or inst.k < inst.t_size:
+    determined (too few vertices, T full, or every survivor needed).  A Min
+    instance with t < 0 is a no-instance outright: every value is >= 0."""
+    if inst.n_alive < inst.k or inst.k < inst.t_size or (inst.variant == MIN and inst.t < 0):
         return (DECIDED_NO, None)
     if inst.t_size == inst.k or inst.n_alive == inst.k:
         forced = inst.tmask if inst.t_size == inst.k else inst.alive
@@ -174,33 +174,105 @@ def _shortcircuit(inst: AnnotatedInstance):
 # Degree-bounded rules (maximum-degree kernel machinery)
 # ---------------------------------------------------------------------------
 
+class _Ranking:
+    """The free vertices of an instance ranked by score, kept exact under
+    exclusion (and, for deg-bonus scores, inclusion).
+
+    The score of a free vertex is its contribution w.r.t. T (``wrt_t``) or
+    its deg-bonus, negated for Min so that higher is better, and kept as an
+    integer multiple of 1/``scale``.  Excluding u
+    changes neither for any other free vertex (a neighbor loses a degree and
+    gains alpha of bonus; a T-neighbor's credit goes into t), nor t'.
+    Including u leaves every deg-bonus alone.  A counter shift lowers every
+    free deg-bonus by the same amount; it is not applied, so deg-bonus
+    scores stay exact up to one common offset.  ``degrees`` is the histogram
+    of free degrees, so Delta_Tbar only moves down a pointer.
+    """
+
+    def __init__(self, inst: AnnotatedInstance, wrt_t: bool):
+        self.inst = inst
+        free = inst.free_vertices()
+        score = {v: inst.contribution(v, inst.tmask) if wrt_t else inst.deg_bonus(v) for v in free}
+        # with alpha's denominator in the scale every margin |(1-3a)k| is whole too
+        self.scale = math.lcm(inst.alpha.denominator, *(s.denominator for s in score.values()))
+        sign = 1 if inst.variant == MAX else -1
+        self.score = {v: sign * s.numerator * (self.scale // s.denominator) for v, s in score.items()}
+        self.ranked = sorted(self.score.values())
+        self.degrees = [0] * (inst.graph.n + 1)
+        for v in free:
+            self.degrees[inst.degree(v)] += 1
+        self.top = inst.graph.n
+
+    def at_least(self, v: int, margin: Fraction = ZERO) -> int:
+        """Free vertices other than v scoring >= score(v) + margin."""
+        s = self.score[v] + int(margin * self.scale)
+        return len(self.ranked) - bisect_left(self.ranked, s) - (margin == 0)
+
+    def above(self, v: int, margin: Fraction) -> int:
+        """Free vertices other than v scoring > score(v) - margin."""
+        s = self.score[v] - int(margin * self.scale)
+        return len(self.ranked) - bisect_right(self.ranked, s) - (margin > 0)
+
+    def delta_tbar(self) -> int:
+        while self.top > 0 and not self.degrees[self.top]:
+            self.top -= 1
+        return self.top
+
+    def _forget(self, v: int) -> None:
+        self.degrees[self.inst.degree(v)] -= 1
+        del self.ranked[bisect_left(self.ranked, self.score.pop(v))]
+
+    def exclude(self, v: int) -> Fraction:
+        """Exclude v; returns the change of t."""
+        inst = self.inst
+        for u in iter_mask(inst.graph.masks[v] & inst.alive & ~inst.tmask):
+            d = inst.degree(u)
+            self.degrees[d] -= 1
+            self.degrees[d - 1] += 1
+        self._forget(v)
+        self.inst = inst.exclude(v)
+        return self.inst.t - inst.t
+
+    def include(self, v: int) -> Fraction:
+        """Include v (deg-bonus scores only); returns the change of t."""
+        inst = self.inst
+        self._forget(v)
+        self.inst = inst.include(v)
+        return self.inst.t - inst.t
+
+
 def rr_delta_better(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
     """Exclude any vertex dominated by (Delta_Tbar+1)(k-1)+1 better vertices.
 
     "Better" is contribution w.r.t. T in the variant's direction; ties count,
-    the vertex itself does not.  Contributions are recomputed after every
-    single exclusion since exclusions shift bonuses.
+    the vertex itself does not.  Exclusions change no other contribution, so
+    contributions are ranked once and better-counts and the bound only fall:
+    the lowest qualifying index is found by one scan in index order, which
+    restarts only when the bound drops (at most Delta_Tbar times).
     """
     _require_degrading(inst, "rr_delta_better")
-    while True:
-        free = inst.free_vertices()
-        bound = (inst.delta_tbar() + 1) * (inst.k - 1) + 1
-        contrib = {v: inst.contribution(v, inst.tmask) for v in free}
-        excluded = False
-        for v in free:
-            better = sum(1 for u in free if u != v and inst.better_cmp(contrib[u], contrib[v]))
-            if better >= bound:
-                before = inst.t
-                inst = inst.exclude(v)
-                if trace is not None:
-                    trace.log("delta:better", "exclude", (v,), inst.t - before, f"better={better} bound={bound}")
-                excluded = True
-                break
-        if not excluded:
-            if trace is not None:
-                trace.audit("delta_better_free", len(free))
-                trace.audit("delta_better_bound", bound)
-            return inst
+    rank = _Ranking(inst, wrt_t=True)
+    free = inst.free_vertices()
+    bound = (rank.delta_tbar() + 1) * (inst.k - 1) + 1
+    i = 0
+    while i < len(free):
+        v = free[i]
+        i += 1
+        if v not in rank.score:
+            continue
+        better = rank.at_least(v)
+        if better < bound:
+            continue
+        dt = rank.exclude(v)
+        if trace is not None:
+            trace.log("delta:better", "exclude", (v,), dt, f"better={better} bound={bound}")
+        lowered = (rank.delta_tbar() + 1) * (inst.k - 1) + 1
+        if lowered < bound:
+            bound, i = lowered, 0
+    if trace is not None:
+        trace.audit("delta_better_free", len(rank.score))
+        trace.audit("delta_better_bound", bound)
+    return rank.inst
 
 
 def _satisfactory_threshold(inst: AnnotatedInstance) -> Fraction:
@@ -239,32 +311,31 @@ def rr_include_satisfactory(inst: AnnotatedInstance, trace: RuleTrace | None = N
 def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
     """Exclude vertices far below t'/k' (above, for Min).
 
-    Must start at the satisfactory fixpoint; stops early as soon as an
-    exclusion creates a satisfactory vertex so the caller can alternate.
+    Must start at the satisfactory fixpoint.  An exclusion changes neither
+    t' nor any other contribution, so the threshold and the targets are
+    fixed: one pass in index order, stopping once fewer than k vertices
+    remain.  No exclusion can create a satisfactory vertex; that is checked.
     """
     _require_degrading(inst, "rr_exclude_needless")
     if inst.k_prime <= 0:
         return inst
-    if _find_satisfactory(inst) is not None:
+    contrib = {v: inst.contribution(v, inst.tmask) for v in inst.free_vertices()}
+    satisfactory = _satisfactory_threshold(inst)
+    if any(inst.better_cmp(c, satisfactory) for c in contrib.values()):
         raise GuardViolation("rr_exclude_needless requires the satisfactory-rule fixpoint")
-    while True:
+    thr = inst.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2
+    for v, c in contrib.items():
         if inst.n_alive < inst.k:
-            return inst
-        thr = inst.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2
-        target = None
-        for v in inst.free_vertices():
-            c = inst.contribution(v, inst.tmask)
-            if (c < thr) if inst.variant == MAX else (c > thr):
-                target = v
-                break
-        if target is None:
-            return inst
+            break
+        if (c >= thr) if inst.variant == MAX else (c <= thr):
+            continue
         before = inst.t
-        inst = inst.exclude(target)
+        inst = inst.exclude(v)
         if trace is not None:
-            trace.log("general:exclude-low", "exclude", (target,), inst.t - before, "needless")
-        if _find_satisfactory(inst) is not None:
-            return inst
+            trace.log("general:exclude-low", "exclude", (v,), inst.t - before, "needless")
+    if _find_satisfactory(inst) is not None:
+        raise RuleInternalError("a needless exclusion created a satisfactory vertex")
+    return inst
 
 
 def rr_counter_shift(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
@@ -310,29 +381,43 @@ def _closure_better_threshold(c: int, k: int) -> int:
 
 
 def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> AnnotatedInstance:
-    """Exclude v once too many of its neighbors are better (w.r.t. the empty set)."""
+    """Exclude v once too many of its neighbors are better (w.r.t. the empty set).
+
+    x_v counts the alive neighbors, T included, whose deg-bonus is at least
+    as good as v's.  Excluding w leaves every free deg-bonus alone and
+    lowers each T-neighbor's by alpha, so x is recounted only on N(w) and on
+    the neighborhoods of w's T-neighbors; a heap yields the lowest
+    qualifying index.
+    """
     _require_degrading(inst, "rr_closure_better", allow_alpha_zero=True)
     if c < 1:
         raise GuardViolation("c must be >= 1")
     thr = _closure_better_threshold(c, inst.k)
-    while True:
-        excluded = False
-        for v in inst.free_vertices():
-            mine = inst.deg_bonus(v)
-            x_v = sum(
-                1
-                for u in iter_mask(inst.graph.masks[v] & inst.alive)
-                if inst.better_cmp(inst.deg_bonus(u), mine)
-            )
-            if x_v > thr:
-                before = inst.t
-                inst = inst.exclude(v)
-                if trace is not None:
-                    trace.log("closure:better", "exclude", (v,), inst.t - before, f"xv={x_v} thr={thr}")
-                excluded = True
-                break
-        if not excluded:
-            return inst
+    masks = inst.graph.masks
+
+    def count(v: int) -> int:
+        mine = inst.deg_bonus(v)
+        return sum(1 for u in iter_mask(masks[v] & inst.alive) if inst.better_cmp(inst.deg_bonus(u), mine))
+
+    x = {v: count(v) for v in inst.free_vertices()}
+    heap = [v for v, xv in x.items() if xv > thr]
+    while heap:
+        v = heapq.heappop(heap)
+        if x.get(v, thr) <= thr:
+            continue
+        touched = masks[v]
+        for u in iter_mask(masks[v] & inst.tmask):
+            touched |= masks[u]
+        x_v = x.pop(v)
+        before = inst.t
+        inst = inst.exclude(v)
+        if trace is not None:
+            trace.log("closure:better", "exclude", (v,), inst.t - before, f"xv={x_v} thr={thr}")
+        for u in iter_mask(touched & inst.alive & ~inst.tmask):
+            x[u] = count(u)
+            if x[u] > thr:
+                heapq.heappush(heap, u)
+    return inst
 
 
 def closure_xi_degree_bound(c: int, k: int) -> int:
@@ -521,22 +606,18 @@ def _decided(trace: RuleTrace, inst: AnnotatedInstance, status: str, witness=Non
 
 def _finish_degrading(inst: AnnotatedInstance, trace: RuleTrace) -> KernelOutcome:
     """Shared tail: satisfactory/needless to a joint fixpoint, counter shift,
-    counter audit, the degree-bounded better rule, then de-annotation."""
-    while True:
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
-        got = rr_include_satisfactory(inst, trace)
-        if isinstance(got, tuple):
-            status, witness, final = got
-            return _decided(trace, final, status, witness)
-        inst = got
-        nxt = rr_exclude_needless(inst, trace)
-        if nxt is inst:
-            break
-        inst = nxt
-        if _find_satisfactory(inst) is None and _shortcircuit(inst) is None:
-            break
+    counter audit, the degree-bounded better rule, then de-annotation.
+
+    One round of satisfactory then needless reaches the joint fixpoint, as
+    needless exclusions create no satisfactory vertex."""
+    sc = _shortcircuit(inst)
+    if sc is not None:
+        return _decided(trace, inst, *sc)
+    got = rr_include_satisfactory(inst, trace)
+    if isinstance(got, tuple):
+        status, witness, final = got
+        return _decided(trace, final, status, witness)
+    inst = rr_exclude_needless(got, trace)
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
@@ -656,27 +737,42 @@ def kernel_degeneracy_min(inst: AnnotatedInstance, d: int, trace: RuleTrace | No
             return _decided(trace, inst, DECIDED_YES, witness)
         return _emit_kernel(trace, inst, deannotate_identity(inst))
 
-    # alpha in (0, 1/3): high deg+ vertices cannot appear in any solution
-    while True:
-        target = None
-        for v in inst.free_vertices():
-            if inst.deg_bonus(v) >= inst.t + inst.k:
-                target = v
-                break
-        if target is None:
-            break
-        before = inst.t
-        inst = inst.exclude(target)
-        if trace is not None:
-            trace.log("min:high-degplus", "exclude", (target,), inst.t - before, "t+k bound")
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
+    got = _exclude_high_degplus(inst, trace)
+    if isinstance(got, tuple):
+        status, witness, final = got
+        return _decided(trace, final, status, witness)
+    inst = got
     inst = rr_delta_better(inst, trace)
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
     return _emit_kernel(trace, inst, deannotate_min(inst))
+
+
+def _exclude_high_degplus(inst: AnnotatedInstance, trace: RuleTrace):
+    """For Min with alpha in (0, 1/3): vertices of deg-bonus >= t + k are in
+    no solution.  Returns the instance, or a ``(status, witness, instance)``
+    triple once a decision is forced.
+
+    Exclusions leave free deg-bonuses alone and can only lower t, so the
+    scan restarts from the lowest index only when t drops.
+    """
+    free = inst.free_vertices()
+    i = 0
+    while i < len(free):
+        v = free[i]
+        i += 1
+        if not (inst.alive >> v) & 1 or inst.deg_bonus(v) < inst.t + inst.k:
+            continue
+        before = inst.t
+        inst = inst.exclude(v)
+        trace.log("min:high-degplus", "exclude", (v,), inst.t - before, "t+k bound")
+        sc = _shortcircuit(inst)
+        if sc is not None:
+            return sc + (inst,)
+        if inst.t != before:
+            i = 0
+    return inst
 
 
 def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
@@ -693,42 +789,41 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
     Exclude u once k-|T| vertices are strictly better than it; include u once
     all but at most k-|T|-1 others are strictly worse.  Interleaved with the
     counter shift this caps every bonus near the zero-counter degree level.
+
+    None of the three moves changes the deg-bonus order of the remaining free
+    vertices, so they are ranked once.  Exclusion counts only fall while k'
+    stays, so one scan in index order finds every exclusion.  No exclusion
+    follows an include of v: a vertex w that v does not strictly beat is
+    among the at most k'-1 vertices not strictly worse than v, and so are
+    all vertices strictly better than w, which leaves w below the new k'.
     """
     margin = abs((1 - 3 * inst.alpha) * inst.k)
+    rank = _Ranking(inst, wrt_t=False)
+    free = inst.free_vertices()
+    i = 0
     while True:
-        sc = _shortcircuit(inst)
+        sc = _shortcircuit(rank.inst)
         if sc is not None:
-            return sc + (inst,)
-        inst = rr_counter_shift(inst, trace)
-        free = inst.free_vertices()
-        slots = inst.k_prime
-        db = {v: inst.deg_bonus(v) for v in free}
-
-        def strictly_better(w: int, v: int) -> bool:
-            if inst.variant == MAX:
-                return db[w] >= db[v] + margin
-            return db[w] <= db[v] - margin
-
-        acted = False
-        for v in free:
-            if sum(1 for w in free if w != v and strictly_better(w, v)) >= slots:
-                before = inst.t
-                inst = inst.exclude(v)
-                trace.log("hindex:counter-trim", "exclude", (v,), inst.t - before, "dominated")
-                acted = True
-                break
-        if acted:
+            return sc + (rank.inst,)
+        rank.inst = rr_counter_shift(rank.inst, trace)
+        slots = rank.inst.k_prime
+        target = None
+        while target is None and i < len(free):
+            v = free[i]
+            i += 1
+            # w strictly better than v: score(w) >= score(v) + margin
+            if v in rank.score and rank.at_least(v, margin) >= slots:
+                target = v
+        if target is not None:
+            trace.log("hindex:counter-trim", "exclude", (target,), rank.exclude(target), "dominated")
             continue
         for v in free:
-            not_worse = sum(1 for w in free if w != v and not strictly_better(v, w))
-            if not_worse <= slots - 1:
-                before = inst.t
-                inst = inst.include(v)
-                trace.log("hindex:counter-trim", "include", (v,), inst.t - before, "dominating")
-                acted = True
+            # w not strictly worse than v: score(w) > score(v) - margin
+            if v in rank.score and rank.above(v, margin) <= slots - 1:
+                trace.log("hindex:counter-trim", "include", (v,), rank.include(v), "dominating")
                 break
-        if not acted:
-            return inst
+        else:
+            return rank.inst
 
 
 def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None = None) -> KernelOutcome:
@@ -916,21 +1011,17 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
     margin = abs((1 - 3 * inst.alpha) * inst.k)
     x = vc + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
     trace.audit("vc_x", x)
-    while True:
-        free = inst.free_vertices()
-        db = {v: inst.deg_bonus(v) for v in free}
-        target = None
-        for v in free:
-            if db[v] >= inst.alpha * x:
-                better = sum(1 for w in free if w != v and db[w] <= db[v] - margin)
-                if better >= inst.k_prime:
-                    target = v
-                    break
-        if target is None:
-            break
-        before = inst.t
-        inst = inst.exclude(target)
-        trace.log("vc:exclude-vx", "exclude", (target,), inst.t - before, "I beats V_x")
+    # Exclusions keep every free deg-bonus and k', so better-counts only
+    # fall and one pass in index order finds every target.
+    rank = _Ranking(inst, wrt_t=False)
+    for v in inst.free_vertices():
+        if inst.deg_bonus(v) < inst.alpha * x:
+            continue
+        # w better than v: deg_bonus(w) <= deg_bonus(v) - margin
+        if rank.at_least(v, margin) < inst.k_prime:
+            continue
+        trace.log("vc:exclude-vx", "exclude", (v,), rank.exclude(v), "I beats V_x")
+        inst = rank.inst
         sc = _shortcircuit(inst)
         if sc is not None:
             return _decided(trace, inst, *sc)

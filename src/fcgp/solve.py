@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import degeneracy_ordering, iter_mask
+from .graph import RuleInternalError, degeneracy_ordering, iter_mask
 from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -219,7 +219,8 @@ def branch_degrading(
     best: dict = {"value": None, "witness": None}
     _branch_optimum(rerun, inst, d, state, best)
     value, witness = best["value"], best["witness"]
-    assert value is not None, "optimum rerun lost the certified solution"
+    if value is None:
+        raise RuleInternalError("optimum rerun lost the certified solution")
     return SolveResult(True, witness, value, "branch", state["nodes"])
 
 

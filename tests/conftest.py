@@ -6,10 +6,15 @@ oracle-equivalence tests draw from.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fcgp
 from fcgp.graph import Graph
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import AnnotatedInstance, PlainInstance
@@ -78,6 +83,15 @@ def seeded_instances(count, alpha, variant, *, base_seed=0, allow_t=True, counte
             continue
         made += 1
         yield seed, inst
+
+
+def run_optimized(code: str) -> str:
+    """Run ``code`` under ``python -O`` (asserts stripped) and return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fcgp.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout
 
 
 @pytest.fixture

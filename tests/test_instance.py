@@ -21,7 +21,7 @@ from fcgp.instance import (
 )
 from fcgp.solve import brute_force
 
-from conftest import annotated, complete_graph, path_graph, plain, star_graph
+from conftest import annotated, complete_graph, path_graph, plain, run_optimized, star_graph
 
 
 # -- val ------------------------------------------------------------------------
@@ -332,3 +332,21 @@ def test_snapshot_remaps_alive_vertices():
     back = AnnotatedInstance.from_text(inst.to_text())
     assert back.graph.n == 3
     assert brute_force(back).best_value == brute_force(inst).best_value
+
+
+def test_clique_wiring_check_survives_optimize():
+    # a gamma below the true counter ceiling makes the clique too small
+    out = run_optimized(
+        "from fractions import Fraction as F\n"
+        "from fcgp.graph import Graph, RuleInternalError\n"
+        "from fcgp.instance import MIN, AnnotatedInstance, deannotate_min\n"
+        "class Lying(AnnotatedInstance):\n"
+        "    def gamma(self):\n"
+        "        return 1\n"
+        "inst = Lying(Graph.from_edges(1, []), 1, 0, (F(6),), 1, F(0), F(1), MIN)\n"
+        "try:\n"
+        "    deannotate_min(inst)\n"
+        "except RuleInternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "clique too small for counter wiring\n"

@@ -6,7 +6,7 @@ from fcgp import ramsey
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import gen_degenerate, gen_gnp
 
-from conftest import complete_graph, cycle_graph, empty_graph, path_graph
+from conftest import complete_graph, cycle_graph, empty_graph, path_graph, run_optimized
 
 
 def verify(g, witness):
@@ -158,3 +158,16 @@ def test_degenerate_random_trees():
 def test_degenerate_too_few():
     with pytest.raises(ramsey.TooFewVertices):
         ramsey.degenerate_independent_set(path_graph(5), 1, 3)
+
+
+def test_pascal_check_survives_optimize():
+    # a pool below the Ramsey bound leaves neither side enough vertices
+    out = run_optimized(
+        "from fcgp.graph import Graph, RuleInternalError\n"
+        "from fcgp.ramsey import _classic\n"
+        "try:\n"
+        "    _classic(Graph.from_edges(1, []), (0,), 2, 2)\n"
+        "except RuleInternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "Pascal identity violated\n"

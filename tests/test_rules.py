@@ -1,15 +1,20 @@
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import check_equivalence, gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, MIN, GuardViolation, deannotate_max
+from fcgp.instance import MAX, MIN, GuardViolation, PlainInstance, deannotate_max
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     DECIDED_NO,
     DECIDED_YES,
     KERNELIZED,
+    _Ranking,
     counter_bound_audit,
     find_bcfree_XI,
     find_closure_XI,
@@ -493,3 +498,51 @@ def test_select_pipeline_routes():
     inst_zero = plain(g, 2, 1, F(0), MAX)
     with pytest.raises(GuardViolation):
         select_pipeline(inst_zero, prof)
+
+
+# -- incremental ranking ------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    alpha=st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(1))),
+    variant=st.sampled_from((MAX, MIN)),
+    wrt_t=st.booleans(),
+    moves=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), max_size=8),
+)
+def test_ranking_matches_fresh_recount(seed, alpha, variant, wrt_t, moves):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    g = gen_gnp(n, 1, 2, seed) if seed % 2 else gen_degenerate(n, 2, seed)
+    tset = rng.sample(range(n), rng.randint(0, min(2, n)))
+    # bonuses need not be multiples of alpha here
+    bonus = tuple(F(0) if v in tset else F(rng.randint(0, 12), rng.choice((1, 2, 3, 5))) for v in range(n))
+    inst = replace(annotated(g, tset, {}, 3, 0, alpha, variant), bonus=bonus)
+    rank = _Ranking(inst, wrt_t)
+    for include, pick in moves:
+        free = rank.inst.free_vertices()
+        if not free:
+            break
+        v = free[pick % len(free)]
+        before = rank.inst
+        # contribution scores are kept under exclusion only
+        dt = rank.include(v) if include and not wrt_t else rank.exclude(v)
+        assert dt == rank.inst.t - before.t
+        fresh = _Ranking(rank.inst, wrt_t)
+        assert {v: F(s, rank.scale) for v, s in rank.score.items()} == {
+            v: F(s, fresh.scale) for v, s in fresh.score.items()
+        }
+        assert [F(s, rank.scale) for s in rank.ranked] == [F(s, fresh.scale) for s in fresh.ranked]
+        assert rank.degrees == fresh.degrees
+        assert rank.delta_tbar() == rank.inst.delta_tbar()
+
+
+# -- min with t < 0 -------------------------------------------------------------
+
+def test_min_negative_threshold_decided_at_once():
+    # every value is >= 0, so no exclusion is needed to see the answer
+    inst = PlainInstance(gen_degenerate(800, 2, seed=800), 5, F(-1, 4), F(1, 4), MIN).annotate()
+    for name in ("degeneracy", "delta", "closure"):
+        out = run_pipeline(inst, name)
+        assert out.status == DECIDED_NO
+        assert [(e.rule, e.op) for e in out.trace.entries] == [("pipeline", "decide")]

@@ -18,7 +18,7 @@ from fcgp.solve import (
     solve_third,
 )
 
-from conftest import annotated, complete_graph, path_graph, plain, seeded_instances, star_graph
+from conftest import annotated, complete_graph, path_graph, plain, run_optimized, seeded_instances, star_graph
 
 
 # -- brute force ----------------------------------------------------------------
@@ -279,3 +279,21 @@ def test_auto_undecided_within_budget():
     inst = plain(g, 13, 40, F(5, 12), MAX)
     with pytest.raises(UndecidedWithinBudget):
         solve_auto(inst, budget=500)
+
+
+def test_optimum_rerun_check_survives_optimize():
+    # an optimum rerun that finds nothing must not pass as a result
+    out = run_optimized(
+        "from fractions import Fraction as F\n"
+        "from fcgp import solve\n"
+        "from fcgp.graph import Graph, RuleInternalError\n"
+        "from fcgp.instance import MAX, PlainInstance\n"
+        "solve._branch_optimum = lambda *args: None\n"
+        "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])\n"
+        "inst = PlainInstance(g, 2, F(0), F(1, 2), MAX).annotate()\n"
+        "try:\n"
+        "    solve.branch_degrading(inst, 1)\n"
+        "except RuleInternalError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "optimum rerun lost the certified solution\n"

@@ -1,0 +1,174 @@
+"""Golden digest of rule traces, statuses and kernel files.
+
+Every pipeline runs on seeded plain instances of 60-150 vertices (the
+families ``gen_degenerate`` with d = 2, 3, sparse ``gen_gnp`` and a forest
+with three hubs) and on seeded annotated instances with T and counters on at
+most 10 vertices; the maximum-degree, closure and needless rules also run on
+their own.  One
+SHA-256 digest covers, per case, the status, ``trace.to_text()``, the kernel
+file text (or the error raised) and the structural profile of the graph.
+
+Min instances with t < 0 are left out: they are decided NO at once.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+from fcgp.cli import kernel_file_text
+from fcgp.graph import Graph, compute_profile
+from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
+from fcgp.instance import MAX, MIN, GuardViolation, PlainInstance
+from fcgp.ramsey import ExtractionPreconditionError
+from fcgp.rules import (
+    RuleTrace,
+    rr_closure_better,
+    rr_delta_better,
+    rr_exclude_needless,
+    rr_include_satisfactory,
+    run_pipeline,
+)
+
+GOLDEN = "158b802a92bac83fec594004dbe416cc8659dc61fbb1f98f6c1d73e5fc04a4c9"
+
+ALL = ("delta", "closure", "degeneracy", "hindex", "vc", "auto")
+
+# (variant, alpha, pipelines); pipelines a variant's guards reject are
+# recorded as errors, which pins the guards as well.
+PLAIN_ROWS = [
+    (MAX, F(1, 4), ("hindex", "vc", "auto")),
+    (MAX, F(1, 3), ("hindex", "vc")),
+    (MAX, F(1, 2), ALL),
+    (MAX, F(2, 3), ALL),
+    (MAX, F(1), ALL),
+    (MIN, F(0), ("degeneracy", "vc")),
+    (MIN, F(1, 4), ("delta", "closure", "degeneracy", "vc", "auto")),
+    (MIN, F(1, 2), ("vc",)),
+]
+PLAIN_FAMILIES = ("deg2", "deg3", "gnp", "hub")
+PLAIN_SIZES = (60, 90, 120, 150)
+
+ANNOTATED_ALPHAS = {
+    MAX: (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)),
+    MIN: (F(0), F(1, 4), F(1, 3), F(1, 2)),
+}
+ANNOTATED_GRAPHS = 24
+
+
+def _graph(family: str, n: int, seed: int):
+    if family == "deg2":
+        return gen_degenerate(n, 2, seed)
+    if family == "deg3":
+        return gen_degenerate(n, 3, seed)
+    if family == "gnp":
+        return gen_gnp(n, 3, n, seed)
+    rng = random.Random(seed)
+    edges = set(gen_degenerate(n, 1, seed).edges())
+    for hub in rng.sample(range(n), 3):
+        edges.update((min(hub, v), max(hub, v)) for v in rng.sample(range(n), n // 4) if v != hub)
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _greedy_cover(g) -> tuple[int, ...]:
+    """Both ends of a greedy maximal matching: a cover, not a minimum one."""
+    cover: set[int] = set()
+    for u, v in g.edges():
+        if u not in cover and v not in cover:
+            cover.update((u, v))
+    return tuple(sorted(cover))
+
+
+def _profile(g):
+    cover = _greedy_cover(g)
+    return replace(compute_profile(g), vertex_cover=cover, vc=len(cover))
+
+
+def _profile_text(profile) -> str:
+    order = ",".join(map(str, profile.degeneracy_ordering))
+    return (
+        f"profile delta={profile.max_degree} d={profile.degeneracy} h={profile.h_index} "
+        f"c={profile.c_closure} order={order}"
+    )
+
+
+def _plain_threshold(g, k: int, alpha: F, variant: str, i: int) -> F:
+    degs = sorted(g.degree(v) for v in range(g.n))
+    if variant == MAX:
+        return alpha * sum(degs[-k:]) * (2 + i % 3) / 4
+    return alpha * sum(degs[:k]) * (1 + i % 3) / 2
+
+
+def _run(label: str, inst, name: str, profile=None) -> str:
+    try:
+        out = run_pipeline(inst, name, profile=profile)
+    except (GuardViolation, ExtractionPreconditionError) as exc:
+        return f"case {label} {name}\nerror {type(exc).__name__}: {exc}\n"
+    kernel = kernel_file_text(out.plain) if out.plain is not None else "-\n"
+    return f"case {label} {name}\nstatus {out.status}\n{out.trace.to_text()}{kernel}"
+
+
+def _run_rule(label: str, inst, rule: str) -> str:
+    trace = RuleTrace(pipeline=rule)
+    try:
+        if rule == "delta-better":
+            out = rr_delta_better(inst, trace).to_text()
+        elif rule == "closure-better":
+            sub, _ = inst.graph.induced(inst.alive_vertices())
+            out = rr_closure_better(inst, compute_profile(sub).c_closure, trace).to_text()
+        else:
+            got = rr_include_satisfactory(inst, trace)
+            if isinstance(got, tuple):
+                out = f"decided {got[0]}\n"
+            else:
+                out = rr_exclude_needless(got, trace).to_text()
+    except GuardViolation as exc:
+        return f"case {label} {rule}\nerror {type(exc).__name__}: {exc}\n"
+    return f"case {label} {rule}\n{trace.to_text()}{out}"
+
+
+def plain_records():
+    for i, (variant, alpha, pipelines) in enumerate(PLAIN_ROWS):
+        for j, family in enumerate(PLAIN_FAMILIES):
+            n = PLAIN_SIZES[(i + j) % len(PLAIN_SIZES)]
+            seed = 1000 * i + 100 * j + n
+            g = _graph(family, n, seed)
+            profile = _profile(g)
+            k = 3 + (i + 2 * j) % 4
+            t = _plain_threshold(g, k, alpha, variant, i + j)
+            inst = PlainInstance(g, k, t, alpha, variant).annotate()
+            label = f"{family}/n={n}/seed={seed}/{variant}/{alpha}/k={k}/t={t}"
+            yield f"case {label}\n{_profile_text(profile)}\n"
+            for name in pipelines:
+                yield _run(label, inst, name, profile)
+
+
+def annotated_records():
+    for i in range(ANNOTATED_GRAPHS):
+        n = 6 + i % 5
+        g = gen_gnp(n, 1, 2, 7 * i + 1) if i % 2 else gen_degenerate(n, 1 + (i // 2) % 3, 7 * i + 1)
+        k = 2 + (i // 5) % 2
+        for variant, alphas in ANNOTATED_ALPHAS.items():
+            for alpha in alphas:
+                inst = gen_annotated(g, 31 * i + 3, alpha, variant, (k, k), (0, 2), allow_t=True)
+                if variant == MIN and inst.t < 0:
+                    continue
+                label = f"annotated/{i}/{variant}/{alpha}/k={k}/T={inst.tmask.bit_count()}"
+                for name in ALL:
+                    yield _run(label, inst, name)
+                for rule in ("delta-better", "closure-better", "satisfactory-needless"):
+                    yield _run_rule(label, inst, rule)
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for records in (plain_records(), annotated_records()):
+        for rec in records:
+            h.update(rec.encode())
+    return h.hexdigest()
+
+
+def test_trace_golden():
+    assert golden_digest() == GOLDEN
