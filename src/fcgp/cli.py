@@ -3,9 +3,10 @@
 Every numeric value printed is an exact integer or fraction ``p/q``; alpha
 and t are accepted only in that form.  Exit codes are a stable contract:
 
-    0  decided and consistent          3  guard violation
+    0  decided and consistent          3  guard or extraction precondition violated
     1  decided no (solve mode)         4  budget exceeded
-    2  usage or parse error            5  verification mismatch
+    2  usage, parse or file error      5  verification mismatch
+                                       6  internal error (an invariant failed)
 """
 
 from __future__ import annotations
@@ -18,17 +19,17 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .graph import GraphFormatError, compute_profile, parse_graph, sniff_format
+from .graph import GraphFormatError, RuleInternalError, compute_profile, parse_graph, sniff_format
 from .harness import parse_manifest, run_battery
 from .instance import (
     MAX,
     MIN,
-    AnnotatedInstance,
     GuardViolation,
     PlainInstance,
     lift_witness,
     LiftError,
 )
+from .ramsey import ExtractionPreconditionError, WitnessVerificationError
 from .rules import DECIDED_NO, DECIDED_YES, PIPELINES, run_pipeline
 from .solve import (
     BudgetExceeded,
@@ -47,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
+EXIT_INTERNAL = 6
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -62,11 +64,15 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _read_graph(path: str, fmt: str):
+def _read_text(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read graph file {path}: {exc}") from None
+        raise UsageError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _read_graph(path: str, fmt: str):
+    text = _read_text(path, "graph file")
     if text.startswith("fcgp "):
         # kernel files are self-describing: drop the header, keep the edge list
         text = text.split("\n", 1)[1] if "\n" in text else ""
@@ -83,11 +89,15 @@ def _value_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", default="auto", choices=("auto", "edgelist", "dimacs"))
 
 
-def _plain_from_args(args) -> PlainInstance:
+def _instance_from_args(args):
+    """The plain instance the flags describe, its annotated form and the
+    structural profile of its graph (exact cover within --vc-budget)."""
     g = _read_graph(args.graph, args.format)
-    return PlainInstance(
+    plain = PlainInstance(
         graph=g, k=args.k, t=parse_fraction(args.t), alpha=parse_fraction(args.alpha), variant=args.variant
     )
+    inst = plain.annotate()
+    return plain, inst, compute_profile(g, want_vc=True, vc_budget=args.vc_budget)
 
 
 def _profile_dict(profile) -> dict:
@@ -118,9 +128,12 @@ def parse_kernel_file(text: str) -> PlainInstance:
     if not lines or not lines[0].startswith("fcgp "):
         raise UsageError("kernel file must start with an 'fcgp ...' header line")
     toks = lines[0].split()
-    if len(toks) != 5 or toks[1] not in (MAX, MIN):
+    if len(toks) != 5 or toks[1] not in (MAX, MIN) or not all("=" in tok for tok in toks[2:]):
         raise UsageError(f"malformed kernel header {lines[0]!r}")
     fields = dict(tok.split("=", 1) for tok in toks[2:])
+    missing = [key for key in ("k", "t", "alpha") if key not in fields]
+    if missing:
+        raise UsageError(f"kernel header {lines[0]!r} lacks {', '.join(missing)}")
     g = parse_graph("\n".join(lines[1:]), "edgelist")
     return PlainInstance(
         graph=g,
@@ -150,9 +163,7 @@ def cmd_params(args) -> int:
 
 def cmd_kernelize(args) -> int:
     started = time.monotonic()
-    plain = _plain_from_args(args)
-    inst = plain.annotate()
-    profile = compute_profile(plain.graph, want_vc=True, vc_budget=args.vc_budget)
+    plain, inst, profile = _instance_from_args(args)
     outcome = run_pipeline(inst, args.pipeline, profile=profile, param_override=args.param)
     trace_text = outcome.trace.to_text()
     if args.trace:
@@ -205,9 +216,7 @@ def cmd_kernelize(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    plain = _plain_from_args(args)
-    inst = plain.annotate()
-    profile = compute_profile(plain.graph, want_vc=True, vc_budget=args.vc_budget)
+    plain, inst, profile = _instance_from_args(args)
     solver = args.solver
     if solver == "auto":
         res = solve_auto(inst, profile=profile, budget=args.budget)
@@ -257,9 +266,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    plain = _plain_from_args(args)
-    inst = plain.annotate()
-    profile = compute_profile(plain.graph, want_vc=True, vc_budget=args.vc_budget)
+    plain, inst, profile = _instance_from_args(args)
     outcome = run_pipeline(inst, args.pipeline, profile=profile, param_override=args.param)
 
     def fail(msg: str) -> int:
@@ -270,13 +277,12 @@ def cmd_verify(args) -> int:
         my_decision = outcome.status == DECIDED_YES
         if my_decision:
             value = inst.val(outcome.witness)
-            meets = value >= inst.t if inst.variant == MAX else value <= inst.t
-            if not meets or len(outcome.witness) != inst.k:
+            if not inst.better_cmp(value, inst.t) or len(outcome.witness) != inst.k:
                 return fail(f"decided witness evaluates to {value} vs t {inst.t}")
         lifted = outcome.witness
     else:
         regenerated = kernel_file_text(outcome.plain)
-        kernel_text = Path(args.kernel).read_text() if args.kernel else regenerated
+        kernel_text = _read_text(args.kernel, "kernel file") if args.kernel else regenerated
         file_plain = parse_kernel_file(kernel_text)
         res_file = brute_force(file_plain.annotate(), budget=args.budget)
         res_mine = (
@@ -289,18 +295,17 @@ def cmd_verify(args) -> int:
                 f"kernel file decision {res_file.decision} != regenerated kernel decision {res_mine.decision}"
             )
         if args.trace:
-            if Path(args.trace).read_text() != outcome.trace.to_text():
+            if _read_text(args.trace, "trace file") != outcome.trace.to_text():
                 return fail("trace file does not match the regenerated trace")
         my_decision = res_mine.decision
         lifted = None
         if my_decision:
             try:
-                lifted = lift_witness(outcome.trace.deann, _final_annotated(inst, outcome), res_mine.witness)
+                lifted = lift_witness(outcome.trace.deann, outcome.trace.replay(inst), res_mine.witness)
             except LiftError as exc:
                 return fail(f"witness lifting failed: {exc}")
             value = inst.val(lifted)
-            meets = value >= inst.t if inst.variant == MAX else value <= inst.t
-            if not meets:
+            if not inst.better_cmp(value, inst.t):
                 return fail(f"lifted witness evaluates to {value} vs t {inst.t}")
 
     if args.oracle:
@@ -324,16 +329,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _final_annotated(initial: AnnotatedInstance, outcome) -> AnnotatedInstance:
-    return outcome.trace.replay(initial)
-
-
 def cmd_battery(args) -> int:
     started = time.monotonic()
-    try:
-        rows = parse_manifest(Path(args.manifest).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from None
+    rows = parse_manifest(_read_text(args.manifest, "manifest"))
     summary = run_battery(rows, budget=args.budget)
     print(f"pass={summary.passed} fail={summary.failed} skip={summary.skipped}")
     if summary.failures:
@@ -434,15 +432,21 @@ def main(argv=None) -> int:
     except GuardViolation as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ExtractionPreconditionError as exc:
+        print(f"extraction precondition failed: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except UndecidedWithinBudget as exc:
         print(f"undecided within budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, GraphFormatError, ValueError) as exc:
+    except (UsageError, GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuleInternalError, WitnessVerificationError, LiftError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
-from .instance import MAX, AnnotatedInstance, GuardViolation, PlainInstance
+from .graph import Graph, mask_of
+from .instance import AnnotatedInstance, GuardViolation, PlainInstance
 from .rules import DECIDED_NO, DECIDED_YES, KERNELIZED, KernelOutcome
 from .solve import BudgetExceeded, brute_force
 
@@ -131,8 +131,8 @@ def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000)
             witness = after.witness
             if witness is not None:
                 value = before.val(witness)
-                meets = value >= before.t if before.variant == MAX else value <= before.t
-                contains_t = not (before.tmask & ~_as_mask(witness))
+                meets = before.better_cmp(value, before.t)
+                contains_t = not (before.tmask & ~mask_of(witness))
                 if not (meets and len(witness) == before.k and contains_t):
                     return EquivalenceReport(
                         "mismatch",
@@ -175,13 +175,6 @@ def _plain_decision(plain: PlainInstance, budget: int) -> bool | None:
         return brute_force(plain.annotate(), budget=budget).decision
     except BudgetExceeded:
         return None
-
-
-def _as_mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ class PlainInstance:
     alpha: Fraction
     variant: str
 
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+
     def annotate(self) -> "AnnotatedInstance":
         return AnnotatedInstance(
             graph=self.graph,
@@ -116,9 +120,6 @@ class AnnotatedInstance:
     def delta_tbar(self) -> int:
         return max((self.degree(v) for v in iter_mask(self.alive & ~self.tmask)), default=0)
 
-    def max_bonus(self) -> Fraction:
-        return max((self.bonus[v] for v in iter_mask(self.alive & ~self.tmask)), default=ZERO)
-
     def counters(self) -> dict[int, int]:
         """Integer counters of standard-counter mode; raises when not integral."""
         out: dict[int, int] = {}
@@ -168,6 +169,15 @@ class AnnotatedInstance:
         if not common:
             return self.deg_bonus(v)
         return self.deg_bonus(v) + (1 - 3 * self.alpha) * common
+
+    def check_cover(self, cover: Iterable[int]) -> tuple[int, ...]:
+        """The alive members of ``cover``; they must cover every alive edge."""
+        cover = tuple(v for v in cover if (self.alive >> v) & 1)
+        cmask = mask_of(cover)
+        for v in iter_mask(self.alive & ~cmask):
+            if self.graph.masks[v] & self.alive & ~cmask:
+                raise GuardViolation(f"vertex cover leaves an edge at vertex {v} uncovered")
+        return cover
 
     def t_prime(self) -> Fraction:
         return self.t - self.val(self.tmask)
@@ -372,24 +382,19 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     # ceil keeps the strictly-better margin when |1/alpha - 3| * k is fractional
     ell = dtb + gamma + ceil_frac(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
 
-    keep = inst.alive_vertices()
-    index = {old: new for new, old in enumerate(keep)}
-    edges: list[tuple[int, int]] = []
-    for old_u in keep:
-        for old_v in inst.graph.adj[old_u]:
-            if old_v > old_u and (inst.alive >> old_v) & 1:
-                edges.append((index[old_u], index[old_v]))
+    sub, keep = inst.graph.induced(inst.alive_vertices())
+    edges = list(sub.edges())
     origin = list(keep)
     anchor = [-1] * len(keep)
     nxt = len(keep)
-    for old_v in keep:
+    for i, old_v in enumerate(keep):
         leaves = counters[old_v] + inv_floor + pad
         if (inst.tmask >> old_v) & 1:
             leaves += ell
         for _ in range(leaves):
-            edges.append((index[old_v], nxt))
+            edges.append((i, nxt))
             origin.append(-1)
-            anchor.append(index[old_v])
+            anchor.append(i)
             nxt += 1
     new_t = inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
     plain = PlainInstance(
@@ -416,24 +421,19 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
     delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
     ell = floor_frac((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
 
-    keep = inst.alive_vertices()
-    index = {old: new for new, old in enumerate(keep)}
-    edges: list[tuple[int, int]] = []
-    for old_u in keep:
-        for old_v in inst.graph.adj[old_u]:
-            if old_v > old_u and (inst.alive >> old_v) & 1:
-                edges.append((index[old_u], index[old_v]))
+    sub, keep = inst.graph.induced(inst.alive_vertices())
+    edges = list(sub.edges())
     base = len(keep)
     csize = 2 * ell + 1
     clique = list(range(base, base + csize))
     edges.extend((clique[i], clique[j]) for i in range(csize) for j in range(i + 1, csize))
-    for old_v in keep:
+    for i, old_v in enumerate(keep):
         if (inst.tmask >> old_v) & 1:
             continue
         wires = ell + counters[old_v]
         if wires > csize:
             raise RuleInternalError("clique too small for counter wiring")
-        edges.extend((index[old_v], clique[j]) for j in range(wires))
+        edges.extend((i, clique[j]) for j in range(wires))
     new_t = inst.t + inst.alpha * ell * inst.k_prime
     plain = PlainInstance(
         graph=Graph.from_edges(base + csize, edges), k=inst.k, t=new_t, alpha=inst.alpha, variant=MIN
@@ -512,6 +512,6 @@ def lift_witness(deann: Deannotation, inst: AnnotatedInstance, witness: Iterable
     if len(lifted) != inst.k or any(o < 0 for o in lifted):
         raise LiftError("repair left gadget vertices in the witness")
     value = inst.val(lifted)
-    if not (value >= inst.t if inst.variant == MAX else value <= inst.t):
+    if not inst.better_cmp(value, inst.t):
         raise LiftError(f"lifted witness value {value} misses threshold {inst.t}")
     return lifted

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ramsey
-from .graph import RuleInternalError, iter_mask
+from .graph import RuleInternalError, iter_mask, mask_of
 from .instance import (
     MAX,
     MIN,
@@ -163,10 +163,9 @@ def _shortcircuit(inst: AnnotatedInstance):
         return (DECIDED_NO, None)
     if inst.t_size == inst.k or inst.n_alive == inst.k:
         forced = inst.tmask if inst.t_size == inst.k else inst.alive
-        value = inst.val(forced)
-        ok = value >= inst.t if inst.variant == MAX else value <= inst.t
-        witness = tuple(iter_mask(forced))
-        return ((DECIDED_YES, witness) if ok else (DECIDED_NO, None))
+        if inst.better_cmp(inst.val(forced), inst.t):
+            return (DECIDED_YES, tuple(iter_mask(forced)))
+        return (DECIDED_NO, None)
     return None
 
 
@@ -327,7 +326,7 @@ def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None)
     for v, c in contrib.items():
         if inst.n_alive < inst.k:
             break
-        if (c >= thr) if inst.variant == MAX else (c <= thr):
+        if inst.better_cmp(c, thr):
             continue
         before = inst.t
         inst = inst.exclude(v)
@@ -425,6 +424,86 @@ def closure_xi_degree_bound(c: int, k: int) -> int:
     return ramsey.rc_bound((c - 1) * k + 1, (k + 1) * k ** (c - 1), c)
 
 
+def _max_degree_neighborhood(inst: AnnotatedInstance, need: int):
+    """The free vertex v of largest degree (lowest index on ties) and the
+    graph induced by its alive neighbors, with the map back; v needs degree
+    >= ``need``."""
+    free = inst.free_vertices()
+    v = max(free, key=lambda u: (inst.degree(u), -u), default=None)
+    if v is None or inst.degree(v) < need:
+        raise ExtractionPreconditionError(f"no free vertex of degree >= {need}")
+    sub, back = inst.graph.induced(iter_mask(inst.graph.masks[v] & inst.alive))
+    return v, sub, back
+
+
+def _descend_XI(
+    inst: AnnotatedInstance,
+    v: int,
+    start,
+    depth: int,
+    base: int,
+    slack: int,
+    growth_error: str,
+    audit_key: str,
+    trace: RuleTrace | None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Common-neighborhood descent shared by the c-closed (depth c, base k+1,
+    slack 0) and the K_{a,b}-free (depth a, base b, slack 1) extractions.
+
+    Starts from X = {v} and I = ``start``, an independent set inside N(v).  While some
+    vertex outside X sees more than base*k^(depth-i-1) of I, i = |X|, the
+    lowest-indexed one joins X and I shrinks to its neighbors; a growth past
+    depth-1 disproves the structural precondition.  The result has
+    |I| >= base*k^(depth-i) + slack, every vertex outside X seeing at most
+    base*k^(depth-i-1) of I, I independent and inside the common
+    neighborhood of X; all four are verified.
+    """
+    k = inst.k
+    masks = inst.graph.masks
+    xs = [v]
+    imask = mask_of(start)
+    while True:
+        tau = base * k ** (depth - len(xs) - 1)
+        outside = inst.alive & ~mask_of(xs)
+        cand = next((u for u in iter_mask(outside) if (masks[u] & imask).bit_count() > tau), None)
+        if cand is None:
+            break
+        if len(xs) == depth - 1:
+            raise ExtractionPreconditionError(growth_error)
+        xs.append(cand)
+        imask &= masks[cand]
+    i = len(xs)
+    if imask.bit_count() < base * k ** (depth - i) + slack:
+        raise RuleInternalError("extracted I below its size property")
+    if any((masks[u] & imask).bit_count() > tau for u in iter_mask(outside)):
+        raise RuleInternalError("a vertex outside X sees too much of I")
+    iset = tuple(iter_mask(imask))
+    if not inst.graph.is_independent_set(iset):
+        raise RuleInternalError("extracted I is not independent")
+    if any(imask & ~masks[x] for x in xs):
+        raise RuleInternalError("I is not in the common neighborhood of X")
+    if trace is not None:
+        trace.audit(audit_key, f"x={i} i={len(iset)}")
+    return tuple(xs), iset
+
+
+def _exclude_worst_of(inst: AnnotatedInstance, iset: tuple[int, ...], rule: str, trace: RuleTrace | None):
+    """Exclude the vertex of I outside T that every other one is better than:
+    min deg-bonus for Max, max for Min, lowest index on ties."""
+    candidates = [v for v in iset if not (inst.tmask >> v) & 1]
+    if not candidates:
+        raise GuardViolation("independent set lies inside T")
+    if inst.variant == MAX:
+        v = min(candidates, key=lambda u: (inst.deg_bonus(u), u))
+    else:
+        v = max(candidates, key=lambda u: (inst.deg_bonus(u), -u))
+    before = inst.t
+    inst = inst.exclude(v)
+    if trace is not None:
+        trace.log(rule, "exclude", (v,), inst.t - before, f"|I|={len(iset)}")
+    return inst
+
+
 def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy common-neighborhood descent around a max-degree vertex.
 
@@ -438,58 +517,14 @@ def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = N
         raise GuardViolation("X/I extraction needs c >= 2")
     if k < 1:
         raise GuardViolation("X/I extraction needs k >= 1")
-    need = closure_xi_degree_bound(c, k)
-    free = inst.free_vertices()
-    v = max(free, key=lambda u: (inst.degree(u), -u), default=None)
-    if v is None or inst.degree(v) < need:
-        raise ExtractionPreconditionError(f"no free vertex of degree >= {need}")
-    sub, back = inst.graph.induced(iter_mask(inst.graph.masks[v] & inst.alive))
+    v, sub, back = _max_degree_neighborhood(inst, closure_xi_degree_bound(c, k))
     witness = ramsey.cclosed_ramsey(sub, (c - 1) * k + 1, (k + 1) * k ** (c - 1), c)
     if witness.kind == ramsey.CLIQUE:
         raise ExtractionPreconditionError(
             f"clique of size {(c - 1) * k + 1} in a neighborhood; closure-better rule not at fixpoint"
         )
-    i_cur = set(back[i] for i in witness.vertices)
-    xs = [v]
-    while True:
-        i = len(xs)
-        tau = (k + 1) * k ** (c - i - 1)
-        cand = None
-        for u in inst.alive_vertices():
-            if u in xs:
-                continue
-            hits = sum(1 for w in i_cur if inst.graph.has_edge(u, w))
-            if hits > tau:
-                cand = u
-                break
-        if cand is None:
-            break
-        if i == c - 1:
-            raise ExtractionPreconditionError("common-neighborhood growth exceeds c-1; graph not c-closed for this c")
-        xs.append(cand)
-        i_cur = {w for w in i_cur if inst.graph.has_edge(cand, w)}
-    i = len(xs)
-    iset = tuple(sorted(i_cur))
-    if len(iset) < (k + 1) * k ** (c - i):
-        raise RuleInternalError("extracted I below its size property")
-    tau = (k + 1) * k ** (c - i - 1)
-    for u in inst.alive_vertices():
-        if u not in xs and sum(1 for w in iset if inst.graph.has_edge(u, w)) > tau:
-            raise RuleInternalError("a vertex outside X sees too much of I")
-    if not inst.graph.is_independent_set(iset):
-        raise RuleInternalError("extracted I is not independent")
-    if any(not inst.graph.has_edge(x, w) for x in xs for w in iset):
-        raise RuleInternalError("I is not in the common neighborhood of X")
-    if trace is not None:
-        trace.audit("closure_xi", f"x={len(xs)} i={len(iset)}")
-    return tuple(xs), iset
-
-
-def _worst_of(inst: AnnotatedInstance, vertices) -> int:
-    """Vertex every other one is better than: min deg-bonus for Max, max for Min."""
-    if inst.variant == MAX:
-        return min(vertices, key=lambda v: (inst.deg_bonus(v), v))
-    return max(vertices, key=lambda v: (inst.deg_bonus(v), -v))
+    growth = "common-neighborhood growth exceeds c-1; graph not c-closed for this c"
+    return _descend_XI(inst, v, (back[i] for i in witness.vertices), c, k + 1, 0, growth, "closure_xi", trace)
 
 
 def rr_closure_independent_set(
@@ -498,15 +533,7 @@ def rr_closure_independent_set(
     """Exclude the worst vertex of the extracted independent set (k >= 2)."""
     if inst.k < 2:
         raise GuardViolation("closure independent-set rule needs k >= 2")
-    candidates = [v for v in iset if not (inst.tmask >> v) & 1]
-    if not candidates:
-        raise GuardViolation("independent set lies inside T")
-    v = _worst_of(inst, candidates)
-    before = inst.t
-    inst = inst.exclude(v)
-    if trace is not None:
-        trace.log("closure:independent-set", "exclude", (v,), inst.t - before, f"|I|={len(iset)}")
-    return inst
+    return _exclude_worst_of(inst, iset, "closure:independent-set", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -536,62 +563,20 @@ def find_bcfree_XI(
     if a < 2:
         raise GuardViolation("X/I extraction needs a >= 2")
     target = b * k ** (a - 1) + 1
-    need = bcfree_xi_degree_bound(a, b, k, degeneracy)
-    free = inst.free_vertices()
-    v = max(free, key=lambda u: (inst.degree(u), -u), default=None)
-    if v is None or inst.degree(v) < need:
-        raise ExtractionPreconditionError(f"no free vertex of degree >= {need}")
-    sub, back = inst.graph.induced(iter_mask(inst.graph.masks[v] & inst.alive))
+    v, sub, back = _max_degree_neighborhood(inst, bcfree_xi_degree_bound(a, b, k, degeneracy))
     if degeneracy is not None:
         picked = ramsey.degenerate_independent_set(sub, degeneracy, target)
     else:
         picked = ramsey.bcfree_independent_set(sub, a, b, target)
-    i_cur = set(back[i] for i in picked)
-    xs = [v]
-    while True:
-        i = len(xs)
-        tau = b * k ** (a - i - 1)
-        cand = None
-        for u in inst.alive_vertices():
-            if u in xs:
-                continue
-            hits = sum(1 for w in i_cur if inst.graph.has_edge(u, w))
-            if hits > tau:
-                cand = u
-                break
-        if cand is None:
-            break
-        if i == a - 1:
-            raise ExtractionPreconditionError("growth exceeds a-1; graph contains K_{a,b}")
-        xs.append(cand)
-        i_cur = {w for w in i_cur if inst.graph.has_edge(cand, w)}
-    i = len(xs)
-    iset = tuple(sorted(i_cur))
-    if len(iset) < b * k ** (a - i) + 1:
-        raise RuleInternalError("extracted I below its size property")
-    tau = b * k ** (a - i - 1)
-    for u in inst.alive_vertices():
-        if u not in xs and sum(1 for w in iset if inst.graph.has_edge(u, w)) > tau:
-            raise RuleInternalError("a vertex outside X sees too much of I")
-    if not inst.graph.is_independent_set(iset):
-        raise RuleInternalError("extracted I is not independent")
-    if trace is not None:
-        trace.audit("bcfree_xi", f"x={len(xs)} i={len(iset)}")
-    return tuple(xs), iset
+    growth = "growth exceeds a-1; graph contains K_{a,b}"
+    return _descend_XI(inst, v, (back[i] for i in picked), a, b, 1, growth, "bcfree_xi", trace)
 
 
 def rr_bcfree_independent_set(
     inst: AnnotatedInstance, xs: tuple[int, ...], iset: tuple[int, ...], trace: RuleTrace | None = None
 ) -> AnnotatedInstance:
-    candidates = [v for v in iset if not (inst.tmask >> v) & 1]
-    if not candidates:
-        raise GuardViolation("independent set lies inside T")
-    v = _worst_of(inst, candidates)
-    before = inst.t
-    inst = inst.exclude(v)
-    if trace is not None:
-        trace.log("bc-free:independent-set", "exclude", (v,), inst.t - before, f"|I|={len(iset)}")
-    return inst
+    """Exclude the worst vertex of the extracted independent set."""
+    return _exclude_worst_of(inst, iset, "bc-free:independent-set", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +586,7 @@ def rr_bcfree_independent_set(
 def _decided(trace: RuleTrace, inst: AnnotatedInstance, status: str, witness=None) -> KernelOutcome:
     trace.log("pipeline", "decide", tuple(witness) if witness else (), ZERO, status)
     trace.final = summarize(inst)
-    return KernelOutcome(status=status, plain=None, witness=tuple(witness) if witness else None, trace=trace)
+    return KernelOutcome(status=status, plain=None, witness=None if witness is None else tuple(witness), trace=trace)
 
 
 def _finish_degrading(inst: AnnotatedInstance, trace: RuleTrace) -> KernelOutcome:
@@ -826,6 +811,59 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
             return rank.inst
 
 
+def _vx_window(inst: AnnotatedInstance, base: int) -> tuple[Fraction, Fraction, int]:
+    """Margin M = |(1-3a)k|, x = base + |(1-3a)k/a| and |V_x| of the
+    h-index and vertex-cover kernels; V_x holds the alive vertices of
+    deg-bonus >= alpha*x (alpha > 0)."""
+    margin = abs((1 - 3 * inst.alpha) * inst.k)
+    x = base + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
+    vx = sum(1 for v in inst.alive_vertices() if inst.deg_bonus(v) >= inst.alpha * x)
+    return margin, x, vx
+
+
+def _audit_window(inst: AnnotatedInstance, base: int, tag: str, trace: RuleTrace):
+    """The V_x window of a Max kernel, audited under ``tag``; case 1 when
+    at least k vertices lie in V_x."""
+    margin, x, vx = _vx_window(inst, base)
+    trace.audit(f"{tag}_x", x)
+    trace.audit(f"{tag}_vx", vx)
+    trace.audit(f"{tag}_case", 1 if vx >= inst.k else 2)
+    return margin, x, vx >= inst.k
+
+
+def _window_exclude_low(inst: AnnotatedInstance, cutoff: Fraction, tag: str, trace: RuleTrace) -> KernelOutcome:
+    """Case 1: every free vertex of deg-bonus below alpha*x - M can be
+    excluded; then counters are trimmed by exchanges and the rest de-annotated."""
+    for v in [u for u in inst.free_vertices() if inst.deg_bonus(u) < cutoff]:
+        before = inst.t
+        inst = inst.exclude(v)
+        trace.log(f"{tag}:exclude-low", "exclude", (v,), inst.t - before, "below V_x window")
+    got = _margin_trim_counters(inst, trace)
+    if isinstance(got, tuple):
+        status, witness, final = got
+        return _decided(trace, final, status, witness)
+    sc = _shortcircuit(got)
+    if sc is not None:
+        return _decided(trace, got, *sc)
+    return _emit_kernel(trace, got, deannotate_max(got))
+
+
+def _window_include_high(inst: AnnotatedInstance, cutoff: Fraction, tag: str, trace: RuleTrace):
+    """Case 2: include free vertices of deg-bonus >= alpha*x + M, lowest index
+    first.  Returns the instance once none is left, or the outcome once the
+    cardinality decides."""
+    while True:
+        sc = _shortcircuit(inst)
+        if sc is not None:
+            return _decided(trace, inst, *sc)
+        target = next((v for v in inst.free_vertices() if inst.deg_bonus(v) >= cutoff), None)
+        if target is None:
+            return inst
+        before = inst.t
+        inst = inst.include(target)
+        trace.log(f"{tag}:include-high", "include", (target,), inst.t - before, "above V_{x+M}")
+
+
 def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None = None) -> KernelOutcome:
     """Two-case h-index kernel for Max with alpha > 0.
 
@@ -844,64 +882,15 @@ def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None =
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
-    margin = abs((1 - 3 * inst.alpha) * inst.k)  # alpha-scaled
-    x = h + 1 + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
-    vx = [v for v in inst.alive_vertices() if inst.deg_bonus(v) >= inst.alpha * x]
-    trace.audit("hindex_x", x)
-    trace.audit("hindex_vx", len(vx))
-
-    if len(vx) >= inst.k:
-        trace.audit("hindex_case", 1)
-        cutoff = inst.alpha * x - margin
-        for v in [u for u in inst.free_vertices() if inst.deg_bonus(u) < cutoff]:
-            before = inst.t
-            inst = inst.exclude(v)
-            trace.log("hindex:exclude-low", "exclude", (v,), inst.t - before, "below V_x window")
-        got = _margin_trim_counters(inst, trace)
-        if isinstance(got, tuple):
-            status, witness, final = got
-            return _decided(trace, final, status, witness)
-        inst = got
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
-        return _emit_kernel(trace, inst, deannotate_max(inst))
-
-    trace.audit("hindex_case", 2)
+    margin, x, case1 = _audit_window(inst, h + 1, "hindex", trace)
+    if case1:
+        return _window_exclude_low(inst, inst.alpha * x - margin, "hindex", trace)
     if not inst.alpha > Fraction(1, 3):
         raise GuardViolation(
             f"pipeline=hindex case 2 requires alpha>1/3, got {inst.alpha} (fewer than k high-degree vertices)"
         )
-    cutoff = inst.alpha * x + margin
-    while True:
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
-        target = None
-        for v in inst.free_vertices():
-            if inst.deg_bonus(v) >= cutoff:
-                target = v
-                break
-        if target is None:
-            break
-        before = inst.t
-        inst = inst.include(target)
-        trace.log("hindex:include-high", "include", (target,), inst.t - before, "above V_{x+M}")
-    return _finish_degrading(inst, trace)
-
-
-def _check_cover(inst: AnnotatedInstance, cover: tuple[int, ...]) -> tuple[int, ...]:
-    cmask = 0
-    for v in cover:
-        if not (inst.alive >> v) & 1:
-            continue
-        cmask |= 1 << v
-    for v in inst.alive_vertices():
-        if (cmask >> v) & 1:
-            continue
-        if inst.graph.masks[v] & inst.alive & ~cmask:
-            raise GuardViolation(f"vertex cover leaves an edge at vertex {v} uncovered")
-    return tuple(v for v in cover if (inst.alive >> v) & 1)
+    got = _window_include_high(inst, inst.alpha * x + margin, "hindex", trace)
+    return got if isinstance(got, KernelOutcome) else _finish_degrading(got, trace)
 
 
 def kernel_vc_max(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTrace | None = None) -> KernelOutcome:
@@ -914,53 +903,16 @@ def kernel_vc_max(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
         raise GuardViolation("pipeline=vc starts from an empty partial solution")
     if trace is None:
         trace = _start(inst, "vc-max")
-    cover = _check_cover(inst, cover)
+    cover = inst.check_cover(cover)
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
-    vc = len(cover)
-    margin = abs((1 - 3 * inst.alpha) * inst.k)
-    x = vc + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
-    vx = [v for v in inst.alive_vertices() if inst.deg_bonus(v) >= inst.alpha * x]
-    trace.audit("vc_x", x)
-    trace.audit("vc_vx", len(vx))
-
-    if len(vx) >= inst.k:
-        trace.audit("vc_case", 1)
-        cutoff = inst.alpha * x - margin
-        for v in [u for u in inst.free_vertices() if inst.deg_bonus(u) < cutoff]:
-            before = inst.t
-            inst = inst.exclude(v)
-            trace.log("vc:exclude-low", "exclude", (v,), inst.t - before, "below V_x window")
-        got = _margin_trim_counters(inst, trace)
-        if isinstance(got, tuple):
-            status, witness, final = got
-            return _decided(trace, final, status, witness)
-        inst = got
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
-        return _emit_kernel(trace, inst, deannotate_max(inst))
-
-    trace.audit("vc_case", 2)
-    cutoff = inst.alpha * x + margin
-    while True:
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
-        target = None
-        for v in inst.free_vertices():
-            if inst.deg_bonus(v) >= cutoff:
-                target = v
-                break
-        if target is None:
-            break
-        before = inst.t
-        inst = inst.include(target)
-        trace.log("vc:include-high", "include", (target,), inst.t - before, "above V_{x+M}")
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
+    margin, x, case1 = _audit_window(inst, len(cover), "vc", trace)
+    if case1:
+        return _window_exclude_low(inst, inst.alpha * x - margin, "vc", trace)
+    inst = _window_include_high(inst, inst.alpha * x + margin, "vc", trace)
+    if isinstance(inst, KernelOutcome):
+        return inst
     cset = set(cover)
     # independent-set vertices whose every alive neighbor already sits in T
     fixed = [
@@ -988,7 +940,7 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
         raise GuardViolation("pipeline=vc starts from an empty partial solution")
     if trace is None:
         trace = _start(inst, "vc-min")
-    cover = _check_cover(inst, cover)
+    cover = inst.check_cover(cover)
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
@@ -1007,9 +959,7 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
             return _decided(trace, inst, DECIDED_YES, witness)
         return _emit_kernel(trace, inst, deannotate_identity(inst))
 
-    vc = len(cover)
-    margin = abs((1 - 3 * inst.alpha) * inst.k)
-    x = vc + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
+    margin, x, _ = _vx_window(inst, len(cover))
     trace.audit("vc_x", x)
     # Exclusions keep every free deg-bonus and k', so better-counts only
     # fall and one pass in index order finds every target.
@@ -1059,9 +1009,7 @@ def select_pipeline(inst: AnnotatedInstance, profile) -> str:
             candidates.append((profile.max_degree, 4, "delta"))
             return min(candidates)[2]
         # 0 < alpha <= 1/3: only the h-index case-1 route or the vc route apply
-        margin = abs((1 - 3 * inst.alpha) * inst.k)
-        x = profile.h_index + 1 + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
-        vx = sum(1 for v in inst.alive_vertices() if inst.deg_bonus(v) >= inst.alpha * x)
+        _, _, vx = _vx_window(inst, profile.h_index + 1)
         if vx >= inst.k and (profile.vc is None or profile.h_index <= profile.vc):
             return "hindex"
         if profile.vc is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import RuleInternalError, degeneracy_ordering, iter_mask
+from .graph import RuleInternalError, degeneracy_ordering, iter_mask, mask_of
 from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -41,17 +41,9 @@ class SolveResult:
         if not self.decision:
             return self.witness is None
         w = self.witness
-        if w is None or len(w) != inst.k or (inst.tmask & ~_mask(w)):
+        if w is None or len(w) != inst.k or (inst.tmask & ~mask_of(w)):
             return False
-        value = inst.val(w)
-        return value >= inst.t if inst.variant == MAX else value <= inst.t
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+        return inst.better_cmp(inst.val(w), inst.t)
 
 
 class _ScaledEval:
@@ -180,7 +172,7 @@ def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
     if best is None:
         return SolveResult(False, None, None, "brute", nodes)
     best_value = ev.frac(sign * best)
-    decision = best_value >= inst.t if inst.variant == MAX else best_value <= inst.t
+    decision = inst.better_cmp(best_value, inst.t)
     witness = tuple(sorted(best_set + inst.t_vertices())) if decision else None
     return SolveResult(decision, witness, best_value, "brute", nodes)
 
@@ -193,7 +185,6 @@ def branch_degrading(
     inst: AnnotatedInstance,
     d: int,
     node_budget: int = 500_000,
-    use_shortcut: bool = True,
 ) -> SolveResult:
     """Search tree over L = {v : contribution(v, T) meets t'/k'}; depth <= k.
 
@@ -209,9 +200,8 @@ def branch_degrading(
     else:
         if not (0 < inst.alpha < THIRD):
             raise GuardViolation("branch_degrading (min) needs alpha in (0, 1/3)")
-    state = {"nodes": 0, "budget": node_budget, "decision_nodes": 0}
-    found = _branch_decide(inst, d, state, use_shortcut)
-    state["decision_nodes"] = state["nodes"]
+    state = {"nodes": 0, "budget": node_budget}
+    found = _branch_decide(inst, d, state)
     if found is None:
         return SolveResult(False, None, None, "branch", state["nodes"])
     value0 = inst.val(found)
@@ -227,7 +217,7 @@ def branch_degrading(
 def branch_decision_nodes(inst: AnnotatedInstance, d: int, node_budget: int = 500_000) -> int:
     """Node count of the decision phase alone (for the search-tree bound)."""
     state = {"nodes": 0, "budget": node_budget}
-    _branch_decide(inst, d, state, True)
+    _branch_decide(inst, d, state)
     return state["nodes"]
 
 
@@ -240,29 +230,25 @@ def _branch_candidates(inst: AnnotatedInstance) -> list[int]:
     ]
 
 
-def _meets(inst: AnnotatedInstance, value: Fraction) -> bool:
-    return value >= inst.t if inst.variant == MAX else value <= inst.t
-
-
-def _branch_decide(inst, d, state, use_shortcut) -> tuple[int, ...] | None:
+def _branch_decide(inst, d, state) -> tuple[int, ...] | None:
     state["nodes"] += 1
     if state["nodes"] > state["budget"]:
         raise BudgetExceeded("branching node budget exceeded")
     if inst.n_alive < inst.k:
         return None
     if inst.t_size == inst.k:
-        return inst.t_vertices() if _meets(inst, inst.val(inst.tmask)) else None
+        return inst.t_vertices() if inst.better_cmp(inst.val(inst.tmask), inst.t) else None
     cand = _branch_candidates(inst)
     if not cand:
         return None
-    if use_shortcut and len(cand) >= d * inst.k:
+    if len(cand) >= d * inst.k:
         picked = _independent_inside(inst, cand, inst.k_prime)
         if picked is not None:
             witness = tuple(sorted(inst.t_vertices() + picked))
-            if _meets(inst, inst.val(witness)):
+            if inst.better_cmp(inst.val(witness), inst.t):
                 return witness
     for v in cand:
-        got = _branch_decide(inst.include(v), d, state, use_shortcut)
+        got = _branch_decide(inst.include(v), d, state)
         if got is not None:
             return got
     return None
@@ -275,7 +261,7 @@ def _branch_optimum(cur, orig, d, state, best) -> None:
     if cur.n_alive < cur.k:
         return
     if cur.t_size == cur.k:
-        if not _meets(cur, cur.val(cur.tmask)):
+        if not cur.better_cmp(cur.val(cur.tmask), cur.t):
             return
         witness = cur.t_vertices()
         value = orig.val(witness)
@@ -326,7 +312,7 @@ def solve_third(inst: AnnotatedInstance) -> SolveResult:
         ranked = sorted(free, key=lambda v: (inst.deg_bonus(v), v))
     witness = tuple(sorted(inst.t_vertices() + tuple(ranked[:need])))
     value = inst.val(witness)
-    decision = _meets(inst, value)
+    decision = inst.better_cmp(value, inst.t)
     return SolveResult(decision, witness if decision else None, value, "third", len(free))
 
 
@@ -388,7 +374,7 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     if inst.k not in acc:
         return SolveResult(False, None, None, "bounded-degree", nodes)
     value, witness = acc[inst.k]
-    decision = _meets(inst, value)
+    decision = inst.better_cmp(value, inst.t)
     return SolveResult(decision, witness if decision else None, value, "bounded-degree", nodes)
 
 
@@ -485,7 +471,7 @@ def _fold_hubs(inst: AnnotatedInstance, high: list[int], chosen: tuple[int, ...]
     credit = 1 - 2 * alpha
     for u in chosen:
         remaining.remove(u)
-        rem_mask = _mask(remaining)
+        rem_mask = mask_of(remaining)
         nbrs = cur.graph.masks[u] & cur.alive
         hub_nbrs = (nbrs & rem_mask).bit_count()
         low_nbrs = list(iter_mask(nbrs & ~rem_mask))
@@ -527,11 +513,8 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
         raise GuardViolation("densest_vc requires max variant with alpha = 0")
     if inst.tmask != 0 or any(inst.bonus[v] != 0 for v in inst.alive_vertices()):
         raise GuardViolation("densest_vc needs a plain instance")
-    cover = tuple(v for v in cover if (inst.alive >> v) & 1)
-    cmask = _mask(cover)
-    for v in inst.alive_vertices():
-        if not (cmask >> v) & 1 and inst.graph.masks[v] & inst.alive & ~cmask:
-            raise GuardViolation("invalid vertex cover: an edge is uncovered")
+    cover = inst.check_cover(cover)
+    cmask = mask_of(cover)
     if 2 ** len(cover) > budget:
         raise BudgetExceeded(f"2^{len(cover)} cover subsets exceed the budget")
     iset = [v for v in inst.alive_vertices() if not (cmask >> v) & 1]
@@ -544,7 +527,7 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
             continue
         for sub in combinations(cover, r):
             nodes += 1
-            amask = _mask(sub)
+            amask = mask_of(sub)
             inner, _ = inst.graph.edge_counts(amask)
             ranked = sorted(iset, key=lambda v: (-(inst.graph.masks[v] & amask).bit_count(), v))
             chosen = ranked[:fill]

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fcgp.cli as cli_mod
 from fcgp.cli import (
     EXIT_BUDGET,
     EXIT_GUARD,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_NO,
     EXIT_OK,
@@ -14,6 +20,10 @@ from fcgp.cli import (
     parse_fraction,
     parse_kernel_file,
 )
+from fcgp.graph import RuleInternalError
+from fcgp.instance import LiftError
+from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
+from fcgp.rules import PIPELINES
 
 
 @pytest.fixture
@@ -263,3 +273,146 @@ def test_byte_identical_outputs(graph_file, tmp_path):
         ])
         outs.append((kern.read_bytes(), trace.read_bytes()))
     assert outs[0] == outs[1]
+
+
+# -- exit-code contract ---------------------------------------------------------------------
+
+VERIFY_DELTA = ["--alpha", "1/2", "--k", "2", "--t", "5/2", "--variant", "max", "--pipeline", "delta"]
+
+
+def test_verify_missing_kernel_file_is_usage_error(graph_file, tmp_path, capsys):
+    code = main(["verify", graph_file, *VERIFY_DELTA, "--kernel", str(tmp_path / "absent.txt")])
+    assert code == EXIT_USAGE
+    assert "cannot read kernel file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["k", "t", "alpha"])
+def test_verify_kernel_header_without_field_is_usage_error(graph_file, tmp_path, capsys, field):
+    kern = tmp_path / "k.txt"
+    main(["kernelize", graph_file, *VERIFY_DELTA, "--out", str(kern)])
+    lines = kern.read_text().splitlines()
+    head = " ".join("x=0" if tok.startswith(f"{field}=") else tok for tok in lines[0].split())
+    kern.write_text("\n".join([head] + lines[1:]) + "\n")
+    code = main(["verify", graph_file, *VERIFY_DELTA, "--kernel", str(kern)])
+    assert code == EXIT_USAGE
+    assert f"lacks {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "kernelize", "verify"])
+def test_negative_k_is_usage_error(tmp_path, capsys, command):
+    # the branching solver used to spend its whole node budget on k = -1
+    from fcgp.harness import gen_degenerate
+
+    g = gen_degenerate(12, 2, 1)
+    p = tmp_path / "d.el"
+    p.write_text("\n".join([f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]) + "\n")
+    code = main([command, str(p), "--k", "-1", "--alpha", "1/2", "--t", "4", "--variant", "max"])
+    assert code == EXIT_USAGE
+    assert "k must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_empty_witness(graph_file, capsys):
+    # k = 0 is decided YES by the empty set, which verify must evaluate
+    code = main(["verify", graph_file, "--alpha", "1/2", "--k", "0", "--t", "-1", "--variant", "max"])
+    assert code == EXIT_OK
+    assert "verified: decision=YES witness=" in capsys.readouterr().out
+
+
+def test_disproved_extraction_precondition_is_guard_exit(tmp_path, capsys):
+    p = tmp_path / "k12.el"
+    p.write_text("12 66\n" + "".join(f"{u} {v}\n" for u in range(12) for v in range(u + 1, 12)))
+    code = main([
+        "kernelize", str(p), "--pipeline", "degeneracy", "--param", "1",
+        "--alpha", "1/2", "--k", "2", "--t", "10", "--variant", "max",
+    ])
+    assert code == EXIT_GUARD
+    assert "not 1-degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,code", [
+    (ExtractionPreconditionError("precondition disproved"), EXIT_GUARD),
+    (RuleInternalError("invariant failed"), EXIT_INTERNAL),
+    (WitnessVerificationError("bad witness"), EXIT_INTERNAL),
+    (LiftError("cannot lift"), EXIT_INTERNAL),
+])
+def test_exception_exit_codes(graph_file, monkeypatch, capsys, exc, code):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", failing)
+    assert main(["kernelize", graph_file, *VERIFY_DELTA]) == code
+    assert str(exc) in capsys.readouterr().err
+
+
+FUZZ_GRAPHS = {
+    "tri.el": "6 7\n0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n",
+    "star.el": "7 6\n" + "".join(f"0 {i}\n" for i in range(1, 7)),
+    "k4.el": "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "empty.el": "3 0\n",
+    "c4.col": "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n",
+}
+
+_header = st.builds(
+    lambda variant, toks: " ".join(["fcgp", variant, *toks]),
+    st.sampled_from(["max", "min", "mid"]),
+    st.lists(st.sampled_from(["alpha=1/2", "alpha=2/3", "k=2", "k=-1", "k=x", "t=3", "t=1.5", "q=1", "junk"]),
+             max_size=4),
+)
+_kernel_text = st.one_of(
+    st.text(max_size=40),
+    st.builds(lambda head, body: head + "\n" + body, _header,
+              st.sampled_from(["", "2 1\n0 1\n", "3 0\n", "2 1\n0 0\n", "1 1\n0 5\n", "x y\n"])),
+)
+
+
+@st.composite
+def _argv(draw, files: Path):
+    command = draw(st.sampled_from(["params", "kernelize", "solve", "verify"]))
+    graph = draw(st.sampled_from([*FUZZ_GRAPHS, "absent.el"]))
+    argv = [command, str(files / graph), "--vc-budget", draw(st.sampled_from(["0", "2", "25"]))]
+    if command == "params":
+        return argv + draw(st.sampled_from([[], ["--no-vc"], ["--json"]]))
+    argv += [
+        "--alpha", draw(st.sampled_from(["0", "1/4", "1/3", "1/2", "2/3", "1", "3/2", "-1/2", "0.5"])),
+        "--k", str(draw(st.integers(-1, 4))),
+        "--t", draw(st.sampled_from(["-1", "0", "1", "5/2", "4", "9", "x"])),
+        "--variant", draw(st.sampled_from(["max", "min"])),
+    ]
+    if command == "solve":
+        argv += ["--solver", draw(st.sampled_from(["auto", "brute", "branch", "third", "hindex", "densest-vc"]))]
+    else:
+        argv += ["--pipeline", draw(st.sampled_from(PIPELINES))]
+        param = draw(st.none() | st.integers(0, 3))
+        if param is not None:
+            argv += ["--param", str(param)]
+    if command != "kernelize":
+        argv += ["--budget", draw(st.sampled_from(["50", "3000", "30000"]))]
+    if command == "verify":
+        for flag, name in (("--kernel", "kernel.txt"), ("--trace", "trace.txt")):
+            text = draw(st.none() | _kernel_text)
+            if text is not None:
+                (files / name).write_text(text)
+                argv += [flag, str(files / name)]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+    elif command == "kernelize" and draw(st.booleans()):
+        argv += ["--out", str(files / "out.txt"), "--trace", str(files / "trace-out.txt")]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_GRAPHS.items():
+        (files / name).write_text(text)
+    return files
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files), label="argv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(7)
+    assert code != EXIT_NO or argv[0] == "solve"

@@ -9,6 +9,11 @@ SHA-256 digest covers, per case, the status, ``trace.to_text()``, the kernel
 file text (or the error raised) and the structural profile of the graph.
 
 Min instances with t < 0 are left out: they are decided NO at once.
+
+A second digest, ``XI_GOLDEN``, covers the X/I extractions, the
+independent-set rules and the V_x windows of the h-index and vertex-cover
+kernels, which the first never reaches.  It was generated before the two
+extractions and the two windows were merged into shared code.
 """
 
 from __future__ import annotations
@@ -25,12 +30,18 @@ from fcgp.instance import MAX, MIN, GuardViolation, PlainInstance
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     RuleTrace,
+    find_bcfree_XI,
+    find_closure_XI,
+    rr_bcfree_independent_set,
     rr_closure_better,
+    rr_closure_independent_set,
     rr_delta_better,
     rr_exclude_needless,
     rr_include_satisfactory,
     run_pipeline,
 )
+
+from conftest import star_graph
 
 GOLDEN = "158b802a92bac83fec594004dbe416cc8659dc61fbb1f98f6c1d73e5fc04a4c9"
 
@@ -101,9 +112,9 @@ def _plain_threshold(g, k: int, alpha: F, variant: str, i: int) -> F:
     return alpha * sum(degs[:k]) * (1 + i % 3) / 2
 
 
-def _run(label: str, inst, name: str, profile=None) -> str:
+def _run(label: str, inst, name: str, profile=None, param=None) -> str:
     try:
-        out = run_pipeline(inst, name, profile=profile)
+        out = run_pipeline(inst, name, profile=profile, param_override=param)
     except (GuardViolation, ExtractionPreconditionError) as exc:
         return f"case {label} {name}\nerror {type(exc).__name__}: {exc}\n"
     kernel = kernel_file_text(out.plain) if out.plain is not None else "-\n"
@@ -172,3 +183,129 @@ def golden_digest() -> str:
 
 def test_trace_golden():
     assert golden_digest() == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# X/I extraction and V_x window digest
+# ---------------------------------------------------------------------------
+#
+# The plain and annotated families above never reach the X/I extractions,
+# the independent-set rules or the include loops of the V_x windows.  The
+# graphs below are built so that they do: stars and books (two adjacent hubs
+# sharing their leaves) for the closure and biclique-free extractions, and
+# caterpillars (a path of hubs, each with its own leaves) where several
+# vertices sit far above the h-index or the vertex cover number.
+
+XI_GOLDEN = "2116e8a2110fccf1a3a538aaba8567e21e4e3831772b1d71412cad089c2d7479"
+
+
+def _book(pages: int):
+    pairs = [(0, 1)] + [(h, i) for h in (0, 1) for i in range(2, pages + 2)]
+    return Graph.from_edges(pages + 2, pairs)
+
+
+def _caterpillar(leaves: tuple[int, ...]):
+    hubs = len(leaves)
+    pairs = [(h, h + 1) for h in range(hubs - 1)]
+    nxt = hubs
+    for h, count in enumerate(leaves):
+        pairs.extend((h, nxt + i) for i in range(count))
+        nxt += count
+    return Graph.from_edges(nxt, pairs)
+
+
+XI_GRAPHS = {
+    "star40": star_graph(40),
+    "star90": star_graph(90),
+    "book30": _book(30),
+    "book170": _book(170),
+    "hub3": _caterpillar((40, 30, 25)),
+    "hub4": _caterpillar((12, 35, 9, 28)),
+}
+
+# (graph, k, alpha, pipeline, parameter override or None)
+XI_ROWS = [
+    ("star90", 2, F(1, 2), "closure", 2),
+    ("star90", 3, F(2, 3), "closure", 2),
+    ("book170", 2, F(1, 2), "closure", 3),
+    ("book170", 2, F(1), "closure", 2),
+    ("hub3", 2, F(1, 2), "closure", 2),
+    ("hub4", 2, F(2, 3), "closure", 2),
+    ("star40", 2, F(1, 2), "degeneracy", 1),
+    ("star40", 3, F(1), "degeneracy", 1),
+    ("book30", 2, F(1, 2), "degeneracy", 2),
+    ("book170", 3, F(2, 3), "degeneracy", 2),
+    ("hub3", 2, F(1, 2), "degeneracy", 1),
+    ("hub4", 3, F(2, 3), "degeneracy", 1),
+    ("hub4", 2, F(1, 2), "degeneracy", 0),
+]
+for _name in ("star40", "book30", "hub3", "hub4"):
+    for _k in (2, 3, 4, 5):
+        for _alpha in (F(1, 4), F(1, 3), F(1, 2), F(1)):
+            XI_ROWS.append((_name, _k, _alpha, "hindex", None))
+            XI_ROWS.append((_name, _k, _alpha, "vc", None))
+
+
+# direct extractions: closure with c = param; bcfree with a = b = param + 1
+# and degeneracy param; ramsey with a = b = param and no degeneracy bound
+XI_EXTRACTIONS = (
+    ("closure", 1), ("closure", 2), ("closure", 3),
+    ("bcfree", 0), ("bcfree", 1), ("bcfree", 2),
+    ("ramsey", 2), ("ramsey", 3),
+)
+
+
+def _xi_threshold(g, k: int, alpha: F, i: int) -> F:
+    degs = sorted(g.degree(v) for v in range(g.n))
+    return alpha * sum(degs[-k:]) * (1 + i % 3) / 3
+
+
+def _extract(label: str, inst, how: str, param: int) -> str:
+    """One direct extraction plus the independent-set rule, or its error."""
+    trace = RuleTrace(pipeline=how)
+    try:
+        if how == "closure":
+            xs, iset = find_closure_XI(inst, param, trace)
+            out = rr_closure_independent_set(inst, xs, iset, trace)
+        else:
+            if how == "bcfree":
+                xs, iset = find_bcfree_XI(inst, param + 1, param + 1, degeneracy=param, trace=trace)
+            else:
+                xs, iset = find_bcfree_XI(inst, param, param, trace=trace)
+            out = rr_bcfree_independent_set(inst, xs, iset, trace)
+    except (GuardViolation, ExtractionPreconditionError) as exc:
+        return f"extract {label} {how} {param}\nerror {type(exc).__name__}: {exc}\n"
+    return f"extract {label} {how} {param}\nX {xs}\nI {iset}\n{trace.to_text()}{out.to_text()}"
+
+
+def xi_records():
+    for i, (name, k, alpha, pipeline, param) in enumerate(XI_ROWS):
+        g = XI_GRAPHS[name]
+        profile = _profile(g)
+        t = _xi_threshold(g, k, alpha, i)
+        inst = PlainInstance(g, k, t, alpha, MAX).annotate()
+        label = f"{name}/{MAX}/{alpha}/k={k}/t={t}/param={param}"
+        yield _run(label, inst, pipeline, profile, param)
+    for name in ("star40", "star90", "book30", "hub3", "hub4"):
+        g = XI_GRAPHS[name]
+        for k in (1, 2, 3):
+            for variant in (MAX, MIN):
+                inst = PlainInstance(g, k, F(0), F(1, 2), variant).annotate()
+                if k == 3:
+                    # a leaf in T and counters on the last leaves
+                    bonus = tuple(F(1, 2) * (v % 3) if v > g.n - 6 else F(0) for v in range(g.n))
+                    inst = replace(inst, tmask=1 << (g.n - 7), bonus=bonus)
+                label = f"{name}/{variant}/k={k}/T={inst.tmask.bit_count()}"
+                for how, param in XI_EXTRACTIONS:
+                    yield _extract(label, inst, how, param)
+
+
+def xi_digest() -> str:
+    h = hashlib.sha256()
+    for rec in xi_records():
+        h.update(rec.encode())
+    return h.hexdigest()
+
+
+def test_extraction_window_golden():
+    assert xi_digest() == XI_GOLDEN
