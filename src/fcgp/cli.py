@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .graph import GraphFormatError, RuleInternalError, compute_profile, parse_graph, sniff_format
+from .graph import GraphFormatError, ParameterProfile, RuleInternalError, compute_profile, parse_graph, sniff_format
 from .harness import parse_manifest, run_battery
 from .instance import (
     MAX,
@@ -91,13 +91,13 @@ def _value_flags(sub: argparse.ArgumentParser) -> None:
 
 def _instance_from_args(args):
     """The plain instance the flags describe, its annotated form and the
-    structural profile of its graph (exact cover within --vc-budget)."""
+    structural profile of its graph (exact cover within --vc-budget, on read)."""
     g = _read_graph(args.graph, args.format)
     plain = PlainInstance(
         graph=g, k=args.k, t=parse_fraction(args.t), alpha=parse_fraction(args.alpha), variant=args.variant
     )
     inst = plain.annotate()
-    return plain, inst, compute_profile(g, want_vc=True, vc_budget=args.vc_budget)
+    return plain, inst, compute_profile(g, vc_budget=args.vc_budget)
 
 
 def _profile_dict(profile) -> dict:
@@ -110,11 +110,16 @@ def _profile_dict(profile) -> dict:
     }
 
 
+def _json_value(obj):
+    # profiles take their report form here only: a run without --json never searches a cover
+    return _profile_dict(obj) if isinstance(obj, ParameterProfile) else str(obj)
+
+
 def _emit_report(args, report: dict, started: float) -> None:
     if getattr(args, "timings", False):
         report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}
     if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(report, indent=2, default=_json_value))
 
 
 def kernel_file_text(plain: PlainInstance) -> str:
@@ -151,7 +156,7 @@ def parse_kernel_file(text: str) -> PlainInstance:
 def cmd_params(args) -> int:
     started = time.monotonic()
     g = _read_graph(args.graph, args.format)
-    profile = compute_profile(g, want_vc=not args.no_vc, vc_budget=args.vc_budget)
+    profile = compute_profile(g, vc_budget=-1 if args.no_vc else args.vc_budget)
     d = _profile_dict(profile)
     print(" ".join(f"{key}={val}" for key, val in d.items()))
     if profile.vertex_cover is not None:
@@ -178,7 +183,7 @@ def cmd_kernelize(args) -> int:
             "variant": plain.variant,
             "pipeline": args.pipeline,
         },
-        "profile": _profile_dict(profile),
+        "profile": profile,
         "trace_summary": {
             "pipeline": outcome.trace.pipeline,
             "entries": len(outcome.trace.entries),
@@ -250,7 +255,7 @@ def cmd_solve(args) -> int:
                 "variant": plain.variant,
                 "solver": solver,
             },
-            "profile": _profile_dict(profile),
+            "profile": profile,
             "result": {
                 "decision": decision,
                 "value": value,
@@ -320,7 +325,7 @@ def cmd_verify(args) -> int:
         {
             "command": "verify",
             "inputs": {"graph": args.graph, "pipeline": args.pipeline},
-            "profile": _profile_dict(profile),
+            "profile": profile,
             "trace_summary": {"entries": len(outcome.trace.entries), "audits": outcome.trace.audits},
             "result": {"decision": "YES" if my_decision else "NO", "witness": witness},
         },

@@ -8,7 +8,8 @@ degrees restricted to an alive-mask) are cheap.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -125,21 +126,35 @@ class Graph:
 
 @dataclass(frozen=True)
 class ParameterProfile:
-    """Structural parameters with witnesses.
+    """Structural parameters of ``graph`` with witnesses.
 
     ``degeneracy_ordering`` is the min-degree peeling order (ties broken by
     smallest index); every vertex has at most ``degeneracy`` neighbors among
-    its successors.  ``vertex_cover`` is an exact minimum cover when the
-    bounded search succeeded, else ``None``.
+    its successors.  ``vertex_cover``, the one NP-hard parameter, is searched
+    for on first read and kept: a minimum cover if one of at most
+    ``vc_budget`` vertices exists, else ``None`` (a negative budget never searches).
     """
 
+    graph: Graph = field(repr=False, compare=False)
+    vc_budget: int
     max_degree: int
     degeneracy: int
     degeneracy_ordering: tuple[int, ...]
     h_index: int
     c_closure: int
-    vertex_cover: tuple[int, ...] | None
-    vc: int | None
+
+    @cached_property
+    def vertex_cover(self) -> tuple[int, ...] | None:
+        if self.vc_budget < 0:
+            return None
+        try:
+            return minimum_vertex_cover(self.graph, budget=self.vc_budget)
+        except VcBudgetExceeded:
+            return None
+
+    @property
+    def vc(self) -> int | None:
+        return None if self.vertex_cover is None else len(self.vertex_cover)
 
 
 def parse_graph(text: str, fmt: str = "edgelist") -> Graph:
@@ -337,26 +352,16 @@ def _vc_decide(g: Graph, cover: int, remaining: int) -> int | None:
     return _vc_decide(g, cover | (1 << v), remaining - 1)
 
 
-def compute_profile(g: Graph, want_vc: bool = False, vc_budget: int = 25) -> ParameterProfile:
-    """Compute all structural parameters; the exact cover only on request.
-
-    When the cover search would exceed ``vc_budget`` the profile is returned
-    with ``vertex_cover=None`` instead of failing.
-    """
+def compute_profile(g: Graph, vc_budget: int = 25) -> ParameterProfile:
+    """Compute the polynomial parameters now; the exact cover waits for its
+    first read (see :class:`ParameterProfile`)."""
     order, d = degeneracy_ordering(g)
-    delta = max((g.degree(v) for v in range(g.n)), default=0)
-    cover: tuple[int, ...] | None = None
-    if want_vc:
-        try:
-            cover = minimum_vertex_cover(g, budget=vc_budget)
-        except VcBudgetExceeded:
-            cover = None
     return ParameterProfile(
-        max_degree=delta,
+        graph=g,
+        vc_budget=vc_budget,
+        max_degree=max((g.degree(v) for v in range(g.n)), default=0),
         degeneracy=d,
         degeneracy_ordering=order,
         h_index=h_index(g),
         c_closure=c_closure(g),
-        vertex_cover=cover,
-        vc=None if cover is None else len(cover),
     )

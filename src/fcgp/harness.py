@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graph import Graph, mask_of
 from .instance import AnnotatedInstance, GuardViolation, PlainInstance
-from .rules import DECIDED_NO, DECIDED_YES, KERNELIZED, KernelOutcome
+from .rules import DECIDED_NO, DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
 from .solve import BudgetExceeded, brute_force
 
 
@@ -268,8 +268,6 @@ class BatterySummary:
 
 def run_battery(rows: list[ManifestRow], budget: int = 2_000_000) -> BatterySummary:
     """Run every manifest row through its pipeline and the equivalence oracle."""
-    from .rules import run_pipeline
-
     summary = BatterySummary()
     for row in rows:
         for seed, inst in row.instances():

@@ -21,6 +21,7 @@ MAX = "max"
 MIN = "min"
 
 ZERO = Fraction(0)
+THIRD = Fraction(1, 3)
 
 
 class GuardViolation(ValueError):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graph import Graph, RuleInternalError
+from .graph import Graph, RuleInternalError, degeneracy_ordering
 
 CLIQUE = "clique"
 INDEPENDENT_SET = "independent_set"
@@ -230,8 +231,6 @@ def contains_biclique(g: Graph, a: int, b: int) -> bool:
     Checks every a-subset for at least b common neighbors outside the subset;
     sides of a subgraph biclique may themselves contain edges.
     """
-    from itertools import combinations
-
     if a > b:
         a, b = b, a
     if a < 1:
@@ -255,8 +254,6 @@ def degenerate_independent_set(g: Graph, d: int, k: int) -> tuple[int, ...]:
     """
     if g.n < (d + 1) * k:
         raise TooFewVertices(f"need {(d + 1) * k} vertices, have {g.n}")
-    from .graph import degeneracy_ordering
-
     order, _ = degeneracy_ordering(g)
     alive = set(range(g.n))
     picked: list[int] = []

@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ramsey
-from .graph import RuleInternalError, iter_mask, mask_of
+from .graph import Graph, ParameterProfile, RuleInternalError, compute_profile, degeneracy_ordering, iter_mask, mask_of
 from .instance import (
     MAX,
     MIN,
+    THIRD,
+    ZERO,
     AnnotatedInstance,
     Deannotation,
     GuardViolation,
@@ -31,8 +33,6 @@ from .instance import (
     deannotate_min,
 )
 from .ramsey import ExtractionPreconditionError
-
-ZERO = Fraction(0)
 
 KERNELIZED = "kernelized"
 DECIDED_YES = "decided_yes"
@@ -146,10 +146,10 @@ class KernelOutcome:
 
 def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: bool = False) -> None:
     if inst.variant == MAX:
-        if not inst.alpha > Fraction(1, 3):
+        if not inst.alpha > THIRD:
             raise GuardViolation(f"{rule} requires degrading variant: max needs alpha>1/3, got {inst.alpha}")
     else:
-        if not inst.alpha < Fraction(1, 3):
+        if not inst.alpha < THIRD:
             raise GuardViolation(f"{rule} requires degrading variant: min needs alpha<1/3, got {inst.alpha}")
         if not allow_alpha_zero and inst.alpha == 0:
             raise GuardViolation(f"{rule} requires alpha > 0")
@@ -694,7 +694,7 @@ def kernel_degeneracy_min(inst: AnnotatedInstance, d: int, trace: RuleTrace | No
     """(d + k)-polynomial kernel for Min with alpha < 1/3 (alpha = 0 included)."""
     if inst.variant != MIN:
         raise GuardViolation("pipeline=degeneracy (min) requires the minimization variant")
-    if inst.alpha >= Fraction(1, 3):
+    if inst.alpha >= THIRD:
         raise GuardViolation(f"pipeline=degeneracy (min) needs alpha<1/3, got {inst.alpha}")
     if trace is None:
         trace = _start(inst, "degeneracy-min")
@@ -761,8 +761,6 @@ def _exclude_high_degplus(inst: AnnotatedInstance, trace: RuleTrace):
 
 
 def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
-    from .graph import degeneracy_ordering
-
     sub, back = inst.graph.induced(inst.alive_vertices())
     order, _ = degeneracy_ordering(sub)
     return tuple(sorted(back[i] for i in order[:k]))
@@ -885,7 +883,7 @@ def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None =
     margin, x, case1 = _audit_window(inst, h + 1, "hindex", trace)
     if case1:
         return _window_exclude_low(inst, inst.alpha * x - margin, "hindex", trace)
-    if not inst.alpha > Fraction(1, 3):
+    if not inst.alpha > THIRD:
         raise GuardViolation(
             f"pipeline=hindex case 2 requires alpha>1/3, got {inst.alpha} (fewer than k high-degree vertices)"
         )
@@ -992,50 +990,46 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
 # Pipeline selection
 # ---------------------------------------------------------------------------
 
-def select_pipeline(inst: AnnotatedInstance, profile) -> str:
-    """Degrading/non-degrading dispatch on the smallest applicable parameter."""
-    third = Fraction(1, 3)
+def select_pipeline(inst: AnnotatedInstance, profile: ParameterProfile) -> str:
+    """The smallest applicable parameter, ties toward degeneracy; the cover is read only where it can win.
+
+    - degeneracy <= h-index h: a subgraph of min degree h+1 has h+2 vertices of degree >= h+1.
+    - h <= |C| for any vertex cover C: with |C| < h, some vertex of degree >= h is outside C.
+    - degeneracy <= max degree: no vertex is peeled with more neighbors than it has.
+    """
     if inst.variant == MAX:
         if inst.alpha == 0:
             raise GuardViolation("pipeline=auto: no kernelization route for max with alpha=0")
-        if inst.alpha > third:
-            candidates = [
-                (profile.degeneracy, 0, "degeneracy"),
-                (profile.c_closure, 1, "closure"),
-                (profile.h_index, 2, "hindex"),
-            ]
-            if profile.vc is not None:
-                candidates.append((profile.vc, 3, "vc"))
-            candidates.append((profile.max_degree, 4, "delta"))
-            return min(candidates)[2]
+        if inst.alpha > THIRD:
+            return "closure" if profile.c_closure < profile.degeneracy else "degeneracy"
         # 0 < alpha <= 1/3: only the h-index case-1 route or the vc route apply
         _, _, vx = _vx_window(inst, profile.h_index + 1)
-        if vx >= inst.k and (profile.vc is None or profile.h_index <= profile.vc):
+        if vx >= inst.k:
             return "hindex"
         if profile.vc is not None:
             return "vc"
-        if vx >= inst.k:
-            return "hindex"
         raise GuardViolation(
             "pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover"
         )
-    if inst.alpha < third:
-        candidates = [(profile.degeneracy, 0, "degeneracy")]
-        if inst.alpha > 0 and profile.vc is not None:
-            candidates.append((profile.vc, 1, "vc"))
-        return min(candidates)[2]
+    if inst.alpha < THIRD:
+        return "degeneracy"
     if profile.vc is None:
         raise GuardViolation("pipeline=auto: min with alpha>=1/3 needs an exact vertex cover")
     return "vc"
 
 
+def alive_profile(inst: AnnotatedInstance) -> ParameterProfile:
+    """Profile of the alive part of ``inst`` in its own indices; dead vertices
+    stay as isolated ones, which change no parameter and join no cover."""
+    alive = inst.alive
+    edges = [(u, v) for u, v in inst.graph.edges() if (alive >> u) & 1 and (alive >> v) & 1]
+    return compute_profile(Graph.from_edges(inst.graph.n, edges))
+
+
 def run_pipeline(inst: AnnotatedInstance, name: str, profile=None, param_override: int | None = None) -> KernelOutcome:
     """Run one named pipeline; parameters come from the profile unless overridden."""
-    from .graph import compute_profile
-
     if profile is None:
-        sub, _ = inst.graph.induced(inst.alive_vertices())
-        profile = compute_profile(sub, want_vc=(name in ("vc", "auto")))
+        profile = alive_profile(inst)
     if name == "auto":
         name = select_pipeline(inst, profile)
     if name == "delta":

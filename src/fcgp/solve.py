@@ -13,11 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graph import RuleInternalError, degeneracy_ordering, iter_mask, mask_of
-from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
+from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
+from .rules import DECIDED_YES, alive_profile, kernel_degeneracy_min
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
-
-THIRD = Fraction(1, 3)
 
 
 class BudgetExceeded(RuntimeError):
@@ -552,12 +551,8 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
     Raises :class:`UndecidedWithinBudget` when every applicable route blows
     its budget; a wrong answer is never returned.
     """
-    from .graph import compute_profile
-    from .rules import DECIDED_YES, kernel_degeneracy_min
-
     if profile is None:
-        sub, _ = inst.graph.induced(inst.alive_vertices())
-        profile = compute_profile(sub, want_vc=(inst.alpha == 0 and inst.variant == MAX))
+        profile = alive_profile(inst)
 
     plainish = inst.tmask == 0 and all(inst.bonus[v] == 0 for v in inst.alive_vertices())
     route = "brute"

@@ -9,13 +9,15 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import fcgp
-from fcgp.graph import Graph
+from fcgp.graph import Graph, ParameterProfile, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import AnnotatedInstance, PlainInstance
 
@@ -38,6 +40,28 @@ def star_graph(leaves: int) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph.from_edges(n, [])
+
+
+def greedy_cover(g: Graph) -> tuple[int, ...]:
+    """Both ends of a greedy maximal matching: a cover, not a minimum one."""
+    cover: set[int] = set()
+    for u, v in g.edges():
+        if u not in cover and v not in cover:
+            cover.update((u, v))
+    return tuple(sorted(cover))
+
+
+class GreedyCoverProfile(ParameterProfile):
+    """A profile whose cover is :func:`greedy_cover` instead of a minimum one."""
+
+    @cached_property
+    def vertex_cover(self):
+        return greedy_cover(self.graph)
+
+
+def greedy_cover_profile(g: Graph) -> GreedyCoverProfile:
+    exact = compute_profile(g)
+    return GreedyCoverProfile(**{f.name: getattr(exact, f.name) for f in fields(exact)})
 
 
 def plain(g: Graph, k: int, t, alpha, variant: str) -> AnnotatedInstance:

@@ -239,7 +239,7 @@ def test_criterion_4_solver_agreement():
     run("third-min", solve_third, MIN, (F(1, 3),), 150)
     run("hindex", with_profile(lambda i, s: hindex_fpt_max(i, compute_profile(s).h_index)),
         MAX, (F(0), F(1, 4)), 300)
-    run("densest-vc", with_profile(lambda i, s: densest_vc(i, compute_profile(s, want_vc=True).vertex_cover)),
+    run("densest-vc", with_profile(lambda i, s: densest_vc(i, compute_profile(s).vertex_cover)),
         MAX, (F(0),), 300, allow_t=False, counters=(0, 0))
     run("bounded-degree", solve_bounded_degree, MAX, (F(1, 4), F(2, 3)), 150)
     done_max = counts.pop("bounded-degree")

@@ -20,7 +20,9 @@ from fcgp.cli import (
     parse_fraction,
     parse_kernel_file,
 )
-from fcgp.graph import RuleInternalError
+import fcgp.graph as graph_mod
+from fcgp.graph import RuleInternalError, minimum_vertex_cover
+from fcgp.harness import gen_degenerate
 from fcgp.instance import LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
 from fcgp.rules import PIPELINES
@@ -206,13 +208,13 @@ def test_solve_accepts_kernel_files(graph_file, tmp_path, capsys):
 
 def test_battery_failure_dump(tmp_path, capsys, monkeypatch):
     # force a wrong outcome to exercise the failure-file path
-    import fcgp.rules as rules_mod
+    import fcgp.harness as harness_mod
     from fcgp.rules import DECIDED_NO, KernelOutcome, RuleTrace
 
     def broken(inst, name, profile=None, param_override=None):
         return KernelOutcome(DECIDED_NO, None, None, RuleTrace(pipeline="broken"))
 
-    monkeypatch.setattr(rules_mod, "run_pipeline", broken)
+    monkeypatch.setattr(harness_mod, "run_pipeline", broken)
     man = tmp_path / "man.txt"
     man.write_text("gnp n=6 p=1 seed=1 count=2 alpha=1/2 variant=max pipeline=delta k=2\n")
     code = main(["battery", str(man), "--fail-dir", str(tmp_path / "fails")])
@@ -278,6 +280,82 @@ def test_byte_identical_outputs(graph_file, tmp_path):
 # -- exit-code contract ---------------------------------------------------------------------
 
 VERIFY_DELTA = ["--alpha", "1/2", "--k", "2", "--t", "5/2", "--variant", "max", "--pipeline", "delta"]
+
+
+class _HiddenSearch(Exception):
+    pass
+
+
+def _search_forbidden(g, budget=25):
+    raise _HiddenSearch("exact vertex cover searched")
+
+
+def _graph_text(g) -> str:
+    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
+@pytest.fixture
+def sparse_file(tmp_path):
+    path = tmp_path / "d14.el"
+    path.write_text(_graph_text(gen_degenerate(14, 2, 3)))
+    return str(path)
+
+
+def _value(alpha, variant):
+    return ["--alpha", alpha, "--k", "3", "--t", "4", "--variant", variant]
+
+
+# routes that read no vertex cover, and their exit codes
+NO_COVER_RUNS = [
+    *[[cmd, *_value("1/2", "max"), "--pipeline", pipe]
+      for cmd in ("kernelize", "verify") for pipe in ("delta", "degeneracy", "closure", "auto")],
+    *[[cmd, *_value("1/4", "min"), "--pipeline", "auto"] for cmd in ("kernelize", "verify")],
+    ["solve", *_value("1/2", "max"), "--solver", "auto"],
+    ["solve", *_value("1/4", "min"), "--solver", "auto"],
+    ["solve", *_value("1/2", "max"), "--solver", "branch"],
+    ["solve", *_value("1/3", "min"), "--solver", "third"],
+    ["params", "--no-vc"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_COVER_RUNS, ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")))
+def test_no_hidden_cover_search(sparse_file, monkeypatch, capsys, argv):
+    monkeypatch.setattr(graph_mod, "minimum_vertex_cover", _search_forbidden)
+    assert main([argv[0], sparse_file, *argv[1:]]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_delta_kernel_of_a_large_cover_graph_runs_no_search(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d60.el"
+    path.write_text(_graph_text(gen_degenerate(60, 2, seed=60)))
+    monkeypatch.setattr(graph_mod, "minimum_vertex_cover", _search_forbidden)
+    argv = ["kernelize", str(path), "--pipeline", "delta", "--alpha", "1/2", "--k", "5", "--t", "10", "--variant", "max"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("fcgp max alpha=1/2 k=5 t=15\n")
+
+
+def test_json_report_reads_the_cover_on_demand(sparse_file, monkeypatch, capsys):
+    vc = len(minimum_vertex_cover(gen_degenerate(14, 2, 3)))
+    searches = []
+    search = graph_mod.minimum_vertex_cover
+
+    def counting(g, budget=25):
+        searches.append(budget)
+        return search(g, budget=budget)
+
+    monkeypatch.setattr(graph_mod, "minimum_vertex_cover", counting)
+    for argv in (
+        ["kernelize", sparse_file, *_value("1/2", "max"), "--pipeline", "delta"],
+        ["solve", sparse_file, *_value("1/2", "max"), "--solver", "branch"],
+        ["verify", sparse_file, *_value("1/4", "min"), "--pipeline", "auto"],
+    ):
+        assert main(argv) == EXIT_OK
+        assert searches == []
+        assert main([*argv, "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):])["profile"]["vc"] == vc
+        assert searches == [25]
+        searches.clear()
 
 
 def test_verify_missing_kernel_file_is_usage_error(graph_file, tmp_path, capsys):

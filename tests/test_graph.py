@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcgp.graph as graph_mod
 from fcgp.graph import (
     Graph,
     GraphFormatError,
@@ -15,7 +16,7 @@ from fcgp.graph import (
     sniff_format,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, greedy_cover, path_graph, star_graph
 
 
 # -- parsing -----------------------------------------------------------------
@@ -100,17 +101,17 @@ def test_edge_partition_invariant(n, bits):
 # -- profiles -----------------------------------------------------------------
 
 def test_profile_c4():
-    prof = compute_profile(cycle_graph(4), want_vc=True)
+    prof = compute_profile(cycle_graph(4))
     assert (prof.max_degree, prof.degeneracy, prof.h_index, prof.c_closure, prof.vc) == (2, 2, 2, 3, 2)
 
 
 def test_profile_k4():
-    prof = compute_profile(complete_graph(4), want_vc=True)
+    prof = compute_profile(complete_graph(4))
     assert (prof.max_degree, prof.degeneracy, prof.h_index, prof.c_closure, prof.vc) == (3, 3, 3, 1, 3)
 
 
 def test_profile_star5():
-    prof = compute_profile(star_graph(5), want_vc=True)
+    prof = compute_profile(star_graph(5))
     assert (prof.max_degree, prof.degeneracy, prof.h_index, prof.c_closure, prof.vc) == (5, 1, 1, 2, 1)
 
 
@@ -171,8 +172,36 @@ def test_vertex_cover_minimality_exhaustive():
 def test_vertex_cover_budget():
     with pytest.raises(VcBudgetExceeded):
         minimum_vertex_cover(complete_graph(8), budget=3)
-    prof = compute_profile(complete_graph(8), want_vc=True, vc_budget=3)
+    prof = compute_profile(complete_graph(8), vc_budget=3)
     assert prof.vertex_cover is None and prof.vc is None
+
+
+def test_cover_is_searched_on_first_read_only(monkeypatch):
+    budgets = []
+    search = graph_mod.minimum_vertex_cover
+
+    def counting(g, budget=25):
+        budgets.append(budget)
+        return search(g, budget=budget)
+
+    monkeypatch.setattr(graph_mod, "minimum_vertex_cover", counting)
+    prof = compute_profile(cycle_graph(6), vc_budget=5)
+    assert budgets == []
+    assert prof.vc == 3 and len(prof.vertex_cover) == 3
+    assert budgets == [5]
+    assert compute_profile(cycle_graph(6), vc_budget=-1).vc is None
+    assert budgets == [5]
+
+
+@given(st.integers(0, 9), st.integers(0, 2**81 - 1))
+@settings(max_examples=150, deadline=None)
+def test_parameter_inequalities(n, bits):
+    # the inequalities pipeline selection relies on, for minimum and greedy covers
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (bits >> (i * n + j)) & 1]
+    g = Graph.from_edges(n, edges)
+    prof = compute_profile(g)
+    assert prof.degeneracy <= prof.h_index <= prof.vc <= len(greedy_cover(g))
+    assert prof.degeneracy <= prof.max_degree
 
 
 def test_graph_from_edges_validation():

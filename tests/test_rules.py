@@ -15,6 +15,8 @@ from fcgp.rules import (
     DECIDED_YES,
     KERNELIZED,
     _Ranking,
+    _vx_window,
+    alive_profile,
     counter_bound_audit,
     find_bcfree_XI,
     find_closure_XI,
@@ -37,7 +39,15 @@ from fcgp.rules import (
 )
 from fcgp.solve import brute_force
 
-from conftest import annotated, complete_graph, path_graph, plain, seeded_instances, star_graph
+from conftest import (
+    annotated,
+    complete_graph,
+    greedy_cover_profile,
+    path_graph,
+    plain,
+    seeded_instances,
+    star_graph,
+)
 
 
 def equivalent(before, after):
@@ -450,10 +460,10 @@ def test_rules_idempotent_at_fixpoint():
 def test_parameters_never_increase_under_rules():
     for _, inst in seeded_instances(8, F(1, 2), MAX, base_seed=9000):
         sub, _ = inst.graph.induced(inst.alive_vertices())
-        before = compute_profile(sub, want_vc=True)
+        before = compute_profile(sub)
         out = rr_delta_better(inst)
         sub2, _ = out.graph.induced(out.alive_vertices())
-        after = compute_profile(sub2, want_vc=True)
+        after = compute_profile(sub2)
         assert after.max_degree <= before.max_degree
         assert after.degeneracy <= before.degeneracy
         assert after.h_index <= before.h_index
@@ -490,7 +500,7 @@ def test_trace_determinism():
 
 def test_select_pipeline_routes():
     g = gen_gnp(8, 1, 2, 5)
-    prof = compute_profile(g, want_vc=True)
+    prof = compute_profile(g)
     inst_max = plain(g, 2, 1, F(1, 2), MAX)
     assert select_pipeline(inst_max, prof) in ("degeneracy", "closure", "hindex", "vc", "delta")
     inst_min = plain(g, 2, 1, F(1, 4), MIN)
@@ -498,6 +508,81 @@ def test_select_pipeline_routes():
     inst_zero = plain(g, 2, 1, F(0), MAX)
     with pytest.raises(GuardViolation):
         select_pipeline(inst_zero, prof)
+
+
+def _candidate_list_rule(inst, profile) -> str:
+    """The selection rule as it stood before the unreachable candidates
+    were deleted: the reference for the differential test below."""
+    third = F(1, 3)
+    if inst.variant == MAX:
+        if inst.alpha == 0:
+            raise GuardViolation("pipeline=auto: no kernelization route for max with alpha=0")
+        if inst.alpha > third:
+            candidates = [
+                (profile.degeneracy, 0, "degeneracy"),
+                (profile.c_closure, 1, "closure"),
+                (profile.h_index, 2, "hindex"),
+            ]
+            if profile.vc is not None:
+                candidates.append((profile.vc, 3, "vc"))
+            candidates.append((profile.max_degree, 4, "delta"))
+            return min(candidates)[2]
+        _, _, vx = _vx_window(inst, profile.h_index + 1)
+        if vx >= inst.k and (profile.vc is None or profile.h_index <= profile.vc):
+            return "hindex"
+        if profile.vc is not None:
+            return "vc"
+        if vx >= inst.k:
+            return "hindex"
+        raise GuardViolation(
+            "pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover"
+        )
+    if inst.alpha < third:
+        candidates = [(profile.degeneracy, 0, "degeneracy")]
+        if inst.alpha > 0 and profile.vc is not None:
+            candidates.append((profile.vc, 1, "vc"))
+        return min(candidates)[2]
+    if profile.vc is None:
+        raise GuardViolation("pipeline=auto: min with alpha>=1/3 needs an exact vertex cover")
+    return "vc"
+
+
+def _selection(rule, inst, profile) -> str:
+    try:
+        return rule(inst, profile)
+    except GuardViolation as exc:
+        return f"guard: {exc}"
+
+
+def test_select_pipeline_matches_candidate_list_rule():
+    # K_{3,6} and K_{3,12} reach the h-index window, K_5 has c-closure below its degeneracy
+    hubs = [Graph.from_edges(3 + leaves, [(h, v) for h in range(3) for v in range(3, 3 + leaves)]) for leaves in (6, 12)]
+    graphs = hubs + [complete_graph(5)] + [gen_gnp(6 + s % 7, 1, 2, s) if s % 2 else gen_degenerate(6 + s % 7, 1 + s % 3, s) for s in range(30)]
+    seen = set()
+    for gi, g in enumerate(graphs):
+        # a minimum cover, a greedy one, and none within the budget
+        profiles = (compute_profile(g), greedy_cover_profile(g), compute_profile(g, vc_budget=1))
+        for variant in (MAX, MIN):
+            for alpha in (F(1, 4), F(1, 3), F(1, 2), F(1)):
+                for k in (1, 2, 3):
+                    inst = plain(g, k, gi % 4, alpha, variant)
+                    for profile in profiles:
+                        got = _selection(select_pipeline, inst, profile)
+                        assert got == _selection(_candidate_list_rule, inst, profile), (gi, variant, alpha, k)
+                        seen.add(got.split(":")[0])
+    assert seen == {"closure", "degeneracy", "hindex", "vc", "guard"}
+
+
+def test_alive_profile_cover_in_instance_indices():
+    # the cover of a re-indexed alive subgraph once reached the kernels and
+    # solvers, which read instance indices
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
+    inst = plain(g, 2, 1, F(1, 2), MIN).exclude(0)
+    cover = alive_profile(inst).vertex_cover
+    assert inst.check_cover(cover) == cover
+    for name in ("vc", "auto"):
+        out = run_pipeline(inst, name)
+        assert check_equivalence(inst, out).status == "match"
 
 
 # -- incremental ranking ------------------------------------------------------

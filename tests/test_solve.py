@@ -221,7 +221,7 @@ def test_hindex_branch_budget():
 
 def test_densest_k4_triangle():
     inst = plain(complete_graph(4), 3, 3, F(0), MAX)
-    cover = compute_profile(complete_graph(4), want_vc=True).vertex_cover
+    cover = compute_profile(complete_graph(4)).vertex_cover
     res = densest_vc(inst, cover)
     assert res.decision and res.best_value == 3
 
@@ -235,7 +235,7 @@ def test_densest_star_center_plus_leaves():
 def test_densest_agrees_with_brute():
     for _, inst in seeded_instances(40, F(0), MAX, base_seed=16_000, allow_t=False, counters=(0, 0)):
         sub, _ = inst.graph.induced(inst.alive_vertices())
-        cover = compute_profile(sub, want_vc=True).vertex_cover
+        cover = compute_profile(sub).vertex_cover
         ref = brute_force(inst)
         res = densest_vc(inst, cover)
         assert (res.decision, res.best_value) == (ref.decision, ref.best_value)
@@ -263,6 +263,17 @@ def test_auto_routes_and_agrees():
     assert "auto:third" in routes
     assert "auto:branch" in routes
     assert any(r in routes for r in ("auto:brute", "auto:hindex", "auto:densest-vc"))
+
+
+def test_auto_cover_of_an_instance_with_dead_vertices():
+    # the cover must be in the instance's indices, not the alive subgraph's
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
+    inst = plain(g, 2, 0, F(0), MAX).exclude(0)
+    ref = brute_force(inst)
+    res = solve_auto(inst)
+    assert res.solver_id == "auto:densest-vc"
+    assert (res.decision, res.best_value) == (ref.decision, ref.best_value) == (True, 1)
+    assert res.check_witness(inst)
 
 
 def test_auto_min_trivial_route():

@@ -41,7 +41,7 @@ from fcgp.rules import (
     run_pipeline,
 )
 
-from conftest import star_graph
+from conftest import greedy_cover_profile, star_graph
 
 GOLDEN = "158b802a92bac83fec594004dbe416cc8659dc61fbb1f98f6c1d73e5fc04a4c9"
 
@@ -81,20 +81,6 @@ def _graph(family: str, n: int, seed: int):
     for hub in rng.sample(range(n), 3):
         edges.update((min(hub, v), max(hub, v)) for v in rng.sample(range(n), n // 4) if v != hub)
     return Graph.from_edges(n, sorted(edges))
-
-
-def _greedy_cover(g) -> tuple[int, ...]:
-    """Both ends of a greedy maximal matching: a cover, not a minimum one."""
-    cover: set[int] = set()
-    for u, v in g.edges():
-        if u not in cover and v not in cover:
-            cover.update((u, v))
-    return tuple(sorted(cover))
-
-
-def _profile(g):
-    cover = _greedy_cover(g)
-    return replace(compute_profile(g), vertex_cover=cover, vc=len(cover))
 
 
 def _profile_text(profile) -> str:
@@ -146,7 +132,7 @@ def plain_records():
             n = PLAIN_SIZES[(i + j) % len(PLAIN_SIZES)]
             seed = 1000 * i + 100 * j + n
             g = _graph(family, n, seed)
-            profile = _profile(g)
+            profile = greedy_cover_profile(g)
             k = 3 + (i + 2 * j) % 4
             t = _plain_threshold(g, k, alpha, variant, i + j)
             inst = PlainInstance(g, k, t, alpha, variant).annotate()
@@ -281,7 +267,7 @@ def _extract(label: str, inst, how: str, param: int) -> str:
 def xi_records():
     for i, (name, k, alpha, pipeline, param) in enumerate(XI_ROWS):
         g = XI_GRAPHS[name]
-        profile = _profile(g)
+        profile = greedy_cover_profile(g)
         t = _xi_threshold(g, k, alpha, i)
         inst = PlainInstance(g, k, t, alpha, MAX).annotate()
         label = f"{name}/{MAX}/{alpha}/k={k}/t={t}/param={param}"
