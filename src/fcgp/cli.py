@@ -61,7 +61,10 @@ def parse_fraction(text: str) -> Fraction:
     """Fractions 'p/q' or integers only; decimals are rejected outright."""
     if not _FRACTION_RE.match(text.strip()):
         raise UsageError(f"expected an integer or fraction 'P/Q', got {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {text!r}") from None
 
 
 def _read_text(path: str, what: str) -> str:

@@ -5,12 +5,20 @@ rational ``bonus`` (the additive value a vertex earns when selected;
 ``bonus = alpha * counter`` in standard-counter mode), the cardinality k,
 the threshold t, the edge weight alpha and the optimization direction.
 
-Every value, threshold and comparison is exact rational arithmetic; no
-floating point is involved in any decision.
+Every value is exact.  At the boundary, alpha, t, ``bonus`` and what
+``val``, ``deg_bonus`` and ``contribution`` return are rationals.  Inside,
+an instance fixes one integer ``scale`` when it is built, the lcm of the
+denominators of alpha and of every bonus, and keeps each bonus as an integer
+weight over it.  include, exclude and shift_bonus keep that scale, so every
+value is a whole multiple of 1/scale.  The ``score_*`` reads return values
+times the scale as ints, negated for Min so that higher is always better,
+and ``score_needed`` turns a rational threshold into the least score that
+meets it.  No floating point is involved in any decision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -67,6 +75,16 @@ class PlainInstance:
 
 @dataclass(frozen=True)
 class AnnotatedInstance:
+    """An annotated instance and its scaled-integer form.
+
+    Construction derives ``scale``, ``weights`` (each bonus times the
+    scale), ``alpha_weight`` (alpha times the scale), ``sign`` (1 for Max,
+    -1 for Min) and ``pair_score`` (the score (1 - 3 alpha) * scale that an
+    edge between two chosen vertices adds to their deg-bonus scores).
+    include, exclude and shift_bonus change only the weights, so these stay
+    fixed; ``bonus`` is rebuilt from the weights on its first read.
+    """
+
     graph: Graph
     alive: int
     tmask: int
@@ -82,11 +100,26 @@ class AnnotatedInstance:
         check_alpha(self.alpha)
         if self.tmask & ~self.alive:
             raise GuardViolation("T contains deleted vertices")
+        scale = math.lcm(self.alpha.denominator, *(b.denominator for b in self.bonus))
+        weights = tuple(b.numerator * (scale // b.denominator) for b in self.bonus)
         for v in iter_mask(self.tmask):
-            if self.bonus[v] != 0:
+            if weights[v]:
                 raise GuardViolation(f"vertex {v} in T has nonzero bonus")
-        if any(b < 0 for b in self.bonus):
+        if any(w < 0 for w in weights):
             raise GuardViolation("negative bonus")
+        alpha_weight = self.alpha.numerator * (scale // self.alpha.denominator)
+        sign = 1 if self.variant == MAX else -1
+        for name, value in (("scale", scale), ("weights", weights), ("alpha_weight", alpha_weight),
+                            ("sign", sign), ("pair_score", sign * (scale - 3 * alpha_weight))):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # called only for attributes not set: ``bonus`` after _derive dropped it
+        if name != "bonus":
+            raise AttributeError(name)
+        bonus = tuple(Fraction(w, self.scale) if w else ZERO for w in self.weights)
+        object.__setattr__(self, "bonus", bonus)
+        return bonus
 
     # -- basic views -------------------------------------------------------
 
@@ -116,7 +149,7 @@ class AnnotatedInstance:
 
     def deg_bonus(self, v: int) -> Fraction:
         """alpha * degree + bonus; equals alpha * deg+ in standard-counter mode."""
-        return self.alpha * self.degree(v) + self.bonus[v]
+        return self.from_score(self.score_deg_bonus(v))
 
     def delta_tbar(self) -> int:
         return max((self.degree(v) for v in iter_mask(self.alive & ~self.tmask)), default=0)
@@ -125,16 +158,15 @@ class AnnotatedInstance:
         """Integer counters of standard-counter mode; raises when not integral."""
         out: dict[int, int] = {}
         for v in iter_mask(self.alive):
-            b = self.bonus[v]
-            if b == 0:
+            w = self.weights[v]
+            if not w:
                 out[v] = 0
                 continue
-            if self.alpha == 0:
+            if not self.alpha_weight:
                 raise GuardViolation("nonzero bonus with alpha = 0 is not standard-counter")
-            c = b / self.alpha
-            if c.denominator != 1:
-                raise GuardViolation(f"bonus {b} of vertex {v} is not an integer multiple of alpha")
-            out[v] = int(c)
+            out[v], rest = divmod(w, self.alpha_weight)
+            if rest:
+                raise GuardViolation(f"bonus {self.bonus[v]} of vertex {v} is not an integer multiple of alpha")
         return out
 
     def gamma(self) -> int:
@@ -152,24 +184,43 @@ class AnnotatedInstance:
 
     def val(self, s: Iterable[int] | int) -> Fraction:
         """alpha * m(S, V\\S) + sum of bonuses + (1 - alpha) * m(S)."""
-        smask = self._as_mask(s)
-        inside2 = 0
-        out = 0
-        bonus_sum = ZERO
-        for v in iter_mask(smask):
-            hits = (self.graph.masks[v] & self.alive & smask).bit_count()
-            inside2 += hits
-            out += (self.graph.masks[v] & self.alive).bit_count() - hits
-            bonus_sum += self.bonus[v]
-        return self.alpha * out + bonus_sum + (1 - self.alpha) * (inside2 // 2)
+        return self.from_score(self.score_val(self._as_mask(s)))
 
     def contribution(self, v: int, t_like: Iterable[int] | int) -> Fraction:
         """Exact increase of val when v joins the partial solution t_like."""
-        tmask = self._as_mask(t_like)
+        return self.from_score(self.score_contribution(v, self._as_mask(t_like)))
+
+    # -- scores: values times the scale, negated for Min -----------------------
+
+    def score_deg_bonus(self, v: int) -> int:
+        return self.sign * (self.alpha_weight * (self.graph.masks[v] & self.alive).bit_count() + self.weights[v])
+
+    def score_contribution(self, v: int, tmask: int) -> int:
         common = (self.graph.masks[v] & tmask).bit_count()
-        if not common:
-            return self.deg_bonus(v)
-        return self.deg_bonus(v) + (1 - 3 * self.alpha) * common
+        return self.score_deg_bonus(v) + self.pair_score * common
+
+    def score_val(self, smask: int) -> int:
+        """The deg-bonus scores of S plus pair_score per edge inside S:
+        alpha*sum(deg) + (1 - 3 alpha) m(S) = alpha m(S, V\\S) + (1 - alpha) m(S)."""
+        masks, alive, weights, a = self.graph.masks, self.alive, self.weights, self.alpha_weight
+        total = inside2 = 0
+        for v in iter_mask(smask):
+            total += a * (masks[v] & alive).bit_count() + weights[v]
+            inside2 += (masks[v] & alive & smask).bit_count()
+        return self.sign * total + self.pair_score * (inside2 // 2)
+
+    def score_needed(self, x: Fraction) -> int:
+        """The least score that meets threshold x in the variant's direction:
+        ceil(x * scale) for Max, -floor(x * scale) for Min."""
+        return -((-self.sign * x.numerator * self.scale) // x.denominator)
+
+    def score_margin(self) -> int:
+        """The exchange margin |(1 - 3 alpha) k| as a score."""
+        return abs(self.pair_score * self.k)
+
+    def from_score(self, score: int) -> Fraction:
+        """The rational value of a score."""
+        return Fraction(self.sign * score, self.scale)
 
     def check_cover(self, cover: Iterable[int]) -> tuple[int, ...]:
         """The alive members of ``cover``; they must cover every alive edge."""
@@ -187,26 +238,19 @@ class AnnotatedInstance:
         """x at least as good as y in the variant's direction."""
         return x >= y if self.variant == MAX else x <= y
 
-    def is_better(self, v: int, u: int, t_like: Iterable[int] | int) -> bool:
-        return self.better_cmp(self.contribution(v, t_like), self.contribution(u, t_like))
-
-    def is_strictly_better(self, v: int, u: int) -> bool:
-        """Sufficient margin condition; sound but not complete."""
-        margin = abs((1 - 3 * self.alpha) * self.k)
-        if self.variant == MAX:
-            return self.deg_bonus(u) <= self.deg_bonus(v) - margin
-        return self.deg_bonus(u) >= self.deg_bonus(v) + margin
-
     # -- inclusion / exclusion ---------------------------------------------
 
     def _derive(self, **changes) -> "AnnotatedInstance":
         """Copy with ``changes``, skipping the O(n) checks of __post_init__.
 
         include, exclude and shift_bonus keep every invariant those checks
-        test (T alive with zero bonus, no negative bonus) by construction.
+        test (T alive with zero weight, no negative weight) and the scale by
+        construction.  They change the weights, so the cached ``bonus`` is
+        dropped and rebuilt on its first read.
         """
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, **changes)
+        new.__dict__.pop("bonus", None)
         return new
 
     def include(self, v: int) -> "AnnotatedInstance":
@@ -215,10 +259,10 @@ class AnnotatedInstance:
             raise GuardViolation(f"vertex {v} is deleted")
         if (self.tmask >> v) & 1:
             raise GuardViolation(f"vertex {v} already in T")
-        bonus = list(self.bonus)
-        new_t = self.t - bonus[v]
-        bonus[v] = ZERO
-        return self._derive(tmask=self.tmask | (1 << v), bonus=tuple(bonus), t=new_t)
+        weights = list(self.weights)
+        w, weights[v] = weights[v], 0
+        new_t = self.t - Fraction(w, self.scale) if w else self.t
+        return self._derive(tmask=self.tmask | (1 << v), weights=tuple(weights), t=new_t)
 
     def exclude(self, v: int) -> "AnnotatedInstance":
         """Delete v; each surviving neighbor gains bonus alpha.
@@ -230,26 +274,30 @@ class AnnotatedInstance:
             raise GuardViolation(f"vertex {v} is deleted")
         if (self.tmask >> v) & 1:
             raise GuardViolation(f"vertex {v} is in T")
-        bonus = list(self.bonus)
-        new_t = self.t
-        for u in iter_mask(self.graph.masks[v] & self.alive):
-            if (self.tmask >> u) & 1:
-                new_t -= self.alpha
-            else:
-                bonus[u] += self.alpha
-        bonus[v] = ZERO
-        return self._derive(alive=self.alive ^ (1 << v), bonus=tuple(bonus), t=new_t)
+        weights = list(self.weights)
+        nbrs = self.graph.masks[v] & self.alive
+        for u in iter_mask(nbrs & ~self.tmask):
+            weights[u] += self.alpha_weight
+        weights[v] = 0
+        in_t = (nbrs & self.tmask).bit_count()
+        new_t = self.t - self.alpha * in_t if in_t else self.t
+        return self._derive(alive=self.alive ^ (1 << v), weights=tuple(weights), t=new_t)
 
     def shift_bonus(self, amount: Fraction) -> "AnnotatedInstance":
-        """Uniformly lower every non-T bonus by ``amount``; t drops by amount * k'."""
+        """Uniformly lower every non-T bonus by ``amount``; t drops by amount * k'.
+
+        The amount must be a whole multiple of 1/scale, as every bonus is."""
         if amount < 0:
             raise GuardViolation("negative shift")
-        bonus = list(self.bonus)
+        w, rest = divmod(amount.numerator * self.scale, amount.denominator)
+        if rest:
+            raise GuardViolation(f"shift amount {amount} is not a multiple of 1/{self.scale}")
+        weights = list(self.weights)
         for v in iter_mask(self.alive & ~self.tmask):
-            if bonus[v] < amount:
+            if weights[v] < w:
                 raise GuardViolation(f"bonus of vertex {v} below shift amount")
-            bonus[v] -= amount
-        return self._derive(bonus=tuple(bonus), t=self.t - amount * self.k_prime)
+            weights[v] -= w
+        return self._derive(weights=tuple(weights), t=self.t - amount * self.k_prime)
 
     # -- serialization -------------------------------------------------------
 
@@ -348,7 +396,7 @@ def _trivial_no(inst: AnnotatedInstance) -> Deannotation:
 
 def deannotate_identity(inst: AnnotatedInstance) -> Deannotation:
     """Strip annotations that are already trivial (T empty, all bonuses zero)."""
-    if inst.tmask != 0 or any(inst.bonus[v] != 0 for v in iter_mask(inst.alive)):
+    if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
         raise GuardViolation("identity de-annotation needs T empty and zero bonuses")
     keep = inst.alive_vertices()
     sub, back = inst.graph.induced(keep)

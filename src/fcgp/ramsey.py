@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph, RuleInternalError, degeneracy_ordering
 
@@ -225,27 +224,6 @@ def _improve_bcfree(g: Graph, ind: list[int], a: int, b: int) -> list[int]:
     )
 
 
-def contains_biclique(g: Graph, a: int, b: int) -> bool:
-    """Brute-force K_{a,b} subgraph detection; desk scale only (small n, a <= 3).
-
-    Checks every a-subset for at least b common neighbors outside the subset;
-    sides of a subgraph biclique may themselves contain edges.
-    """
-    if a > b:
-        a, b = b, a
-    if a < 1:
-        raise ValueError("biclique sides must be >= 1")
-    for left in combinations(range(g.n), a):
-        common = ~0
-        for v in left:
-            common &= g.masks[v]
-        for v in left:
-            common &= ~(1 << v)
-        if common.bit_count() >= b:
-            return True
-    return False
-
-
 def degenerate_independent_set(g: Graph, d: int, k: int) -> tuple[int, ...]:
     """Size-k independent set in a d-degenerate graph with n >= (d+1)*k.
 
@@ -254,22 +232,27 @@ def degenerate_independent_set(g: Graph, d: int, k: int) -> tuple[int, ...]:
     """
     if g.n < (d + 1) * k:
         raise TooFewVertices(f"need {(d + 1) * k} vertices, have {g.n}")
-    order, _ = degeneracy_ordering(g)
-    alive = set(range(g.n))
-    picked: list[int] = []
-    for v in order:
-        if v not in alive:
-            continue
-        picked.append(v)
-        alive.discard(v)
-        alive.difference_update(g.neighbors(v))
-        if len(picked) == k:
-            break
-    if len(picked) < k:
+    chosen = peeling_independent_set(g, k)
+    if len(chosen) < k:
         raise ExtractionPreconditionError(
-            f"greedy produced only {len(picked)} vertices; graph not {d}-degenerate?"
+            f"greedy produced only {len(chosen)} vertices; graph not {d}-degenerate?"
         )
-    chosen = sorted(picked)
     if not g.is_independent_set(chosen):
         raise WitnessVerificationError("greedy output not independent")
-    return tuple(chosen)
+    return chosen
+
+
+def peeling_independent_set(g: Graph, size: int) -> tuple[int, ...]:
+    """Greedy independent set along the degeneracy ordering, sorted: take the
+    earliest surviving vertex and delete its closed neighborhood, until
+    ``size`` vertices are taken or none survives."""
+    alive = set(range(g.n))
+    picked: list[int] = []
+    for v in degeneracy_ordering(g)[0]:
+        if len(picked) == size:
+            break
+        if v in alive:
+            picked.append(v)
+            alive.discard(v)
+            alive.difference_update(g.neighbors(v))
+    return tuple(sorted(picked))

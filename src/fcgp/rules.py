@@ -13,7 +13,6 @@ identical traces.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,6 +154,14 @@ def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: boo
             raise GuardViolation(f"{rule} requires alpha > 0")
 
 
+def _step(inst: AnnotatedInstance, op: str, v: int, rule: str, note: str, trace: RuleTrace | None):
+    """Include or exclude v, logged with its change of t when traced."""
+    new = inst.include(v) if op == "include" else inst.exclude(v)
+    if trace is not None:
+        trace.log(rule, op, (v,), new.t - inst.t, note)
+    return new
+
+
 def _shortcircuit(inst: AnnotatedInstance):
     """Decision forced by cardinality: the solution set is over- or fully
     determined (too few vertices, T full, or every survivor needed).  A Min
@@ -163,7 +170,7 @@ def _shortcircuit(inst: AnnotatedInstance):
         return (DECIDED_NO, None)
     if inst.t_size == inst.k or inst.n_alive == inst.k:
         forced = inst.tmask if inst.t_size == inst.k else inst.alive
-        if inst.better_cmp(inst.val(forced), inst.t):
+        if inst.score_val(forced) >= inst.score_needed(inst.t):
             return (DECIDED_YES, tuple(iter_mask(forced)))
         return (DECIDED_NO, None)
     return None
@@ -177,10 +184,9 @@ class _Ranking:
     """The free vertices of an instance ranked by score, kept exact under
     exclusion (and, for deg-bonus scores, inclusion).
 
-    The score of a free vertex is its contribution w.r.t. T (``wrt_t``) or
-    its deg-bonus, negated for Min so that higher is better, and kept as an
-    integer multiple of 1/``scale``.  Excluding u
-    changes neither for any other free vertex (a neighbor loses a degree and
+    The score of a free vertex is the instance's score of its contribution
+    w.r.t. T (``wrt_t``) or of its deg-bonus.  Excluding u changes neither
+    for any other free vertex (a neighbor loses a degree and
     gains alpha of bonus; a T-neighbor's credit goes into t), nor t'.
     Including u leaves every deg-bonus alone.  A counter shift lowers every
     free deg-bonus by the same amount; it is not applied, so deg-bonus
@@ -191,26 +197,21 @@ class _Ranking:
     def __init__(self, inst: AnnotatedInstance, wrt_t: bool):
         self.inst = inst
         free = inst.free_vertices()
-        score = {v: inst.contribution(v, inst.tmask) if wrt_t else inst.deg_bonus(v) for v in free}
-        # with alpha's denominator in the scale every margin |(1-3a)k| is whole too
-        self.scale = math.lcm(inst.alpha.denominator, *(s.denominator for s in score.values()))
-        sign = 1 if inst.variant == MAX else -1
-        self.score = {v: sign * s.numerator * (self.scale // s.denominator) for v, s in score.items()}
+        tmask = inst.tmask
+        self.score = {v: inst.score_contribution(v, tmask) if wrt_t else inst.score_deg_bonus(v) for v in free}
         self.ranked = sorted(self.score.values())
         self.degrees = [0] * (inst.graph.n + 1)
         for v in free:
             self.degrees[inst.degree(v)] += 1
         self.top = inst.graph.n
 
-    def at_least(self, v: int, margin: Fraction = ZERO) -> int:
-        """Free vertices other than v scoring >= score(v) + margin."""
-        s = self.score[v] + int(margin * self.scale)
-        return len(self.ranked) - bisect_left(self.ranked, s) - (margin == 0)
+    def at_least(self, v: int, margin: int = 0) -> int:
+        """Free vertices other than v scoring >= score(v) + margin (margin >= 0)."""
+        return len(self.ranked) - bisect_left(self.ranked, self.score[v] + margin) - (margin == 0)
 
-    def above(self, v: int, margin: Fraction) -> int:
-        """Free vertices other than v scoring > score(v) - margin."""
-        s = self.score[v] - int(margin * self.scale)
-        return len(self.ranked) - bisect_right(self.ranked, s) - (margin > 0)
+    def above(self, v: int, margin: int) -> int:
+        """Free vertices other than v scoring > score(v) - margin (margin >= 0)."""
+        return len(self.ranked) - bisect_right(self.ranked, self.score[v] - margin) - (margin > 0)
 
     def delta_tbar(self) -> int:
         while self.top > 0 and not self.degrees[self.top]:
@@ -279,11 +280,8 @@ def _satisfactory_threshold(inst: AnnotatedInstance) -> Fraction:
 
 
 def _find_satisfactory(inst: AnnotatedInstance) -> int | None:
-    thr = _satisfactory_threshold(inst)
-    for v in inst.free_vertices():
-        if inst.better_cmp(inst.contribution(v, inst.tmask), thr):
-            return v
-    return None
+    need = inst.score_needed(_satisfactory_threshold(inst))
+    return next((v for v in inst.free_vertices() if inst.score_contribution(v, inst.tmask) >= need), None)
 
 
 def rr_include_satisfactory(inst: AnnotatedInstance, trace: RuleTrace | None = None):
@@ -301,10 +299,7 @@ def rr_include_satisfactory(inst: AnnotatedInstance, trace: RuleTrace | None = N
         v = _find_satisfactory(inst)
         if v is None:
             return inst
-        before = inst.t
-        inst = inst.include(v)
-        if trace is not None:
-            trace.log("general:include-high", "include", (v,), inst.t - before, "satisfactory")
+        inst = _step(inst, "include", v, "general:include-high", "satisfactory", trace)
 
 
 def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
@@ -318,20 +313,17 @@ def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None)
     _require_degrading(inst, "rr_exclude_needless")
     if inst.k_prime <= 0:
         return inst
-    contrib = {v: inst.contribution(v, inst.tmask) for v in inst.free_vertices()}
-    satisfactory = _satisfactory_threshold(inst)
-    if any(inst.better_cmp(c, satisfactory) for c in contrib.values()):
+    contrib = {v: inst.score_contribution(v, inst.tmask) for v in inst.free_vertices()}
+    satisfactory = inst.score_needed(_satisfactory_threshold(inst))
+    if any(c >= satisfactory for c in contrib.values()):
         raise GuardViolation("rr_exclude_needless requires the satisfactory-rule fixpoint")
-    thr = inst.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2
+    need = inst.score_needed(inst.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2)
     for v, c in contrib.items():
         if inst.n_alive < inst.k:
             break
-        if inst.better_cmp(c, thr):
+        if c >= need:
             continue
-        before = inst.t
-        inst = inst.exclude(v)
-        if trace is not None:
-            trace.log("general:exclude-low", "exclude", (v,), inst.t - before, "needless")
+        inst = _step(inst, "exclude", v, "general:exclude-low", "needless", trace)
     if _find_satisfactory(inst) is not None:
         raise RuleInternalError("a needless exclusion created a satisfactory vertex")
     return inst
@@ -342,9 +334,10 @@ def rr_counter_shift(inst: AnnotatedInstance, trace: RuleTrace | None = None) ->
     free = inst.free_vertices()
     if not free:
         return inst
-    amount = min(inst.bonus[v] for v in free)
-    if amount <= 0:
+    low = min(free, key=inst.weights.__getitem__)
+    if not inst.weights[low]:
         return inst
+    amount = inst.bonus[low]
     before = inst.t
     inst = inst.shift_bonus(amount)
     if trace is not None:
@@ -361,12 +354,13 @@ def counter_bound_audit(inst: AnnotatedInstance) -> bool:
     free = inst.free_vertices()
     if not free:
         return True
-    zero = [v for v in free if inst.bonus[v] == 0]
+    zero = [v for v in free if not inst.weights[v]]
     if not zero:
         return False
     deg_u = min(inst.degree(u) for u in zero)
-    cap = inst.alpha * deg_u + abs(3 * inst.alpha - 1) * (inst.k * (inst.k - 1) + inst.k)
-    return all(inst.bonus[v] <= cap for v in free)
+    # as weights: |3a-1| * (k(k-1) + k) is the score margin |(1-3a)k| times k
+    cap = inst.alpha_weight * deg_u + inst.score_margin() * inst.k
+    return all(inst.weights[v] <= cap for v in free)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +389,8 @@ def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None =
     masks = inst.graph.masks
 
     def count(v: int) -> int:
-        mine = inst.deg_bonus(v)
-        return sum(1 for u in iter_mask(masks[v] & inst.alive) if inst.better_cmp(inst.deg_bonus(u), mine))
+        mine = inst.score_deg_bonus(v)
+        return sum(1 for u in iter_mask(masks[v] & inst.alive) if inst.score_deg_bonus(u) >= mine)
 
     x = {v: count(v) for v in inst.free_vertices()}
     heap = [v for v, xv in x.items() if xv > thr]
@@ -408,10 +402,7 @@ def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None =
         for u in iter_mask(masks[v] & inst.tmask):
             touched |= masks[u]
         x_v = x.pop(v)
-        before = inst.t
-        inst = inst.exclude(v)
-        if trace is not None:
-            trace.log("closure:better", "exclude", (v,), inst.t - before, f"xv={x_v} thr={thr}")
+        inst = _step(inst, "exclude", v, "closure:better", f"xv={x_v} thr={thr}", trace)
         for u in iter_mask(touched & inst.alive & ~inst.tmask):
             x[u] = count(u)
             if x[u] > thr:
@@ -493,15 +484,8 @@ def _exclude_worst_of(inst: AnnotatedInstance, iset: tuple[int, ...], rule: str,
     candidates = [v for v in iset if not (inst.tmask >> v) & 1]
     if not candidates:
         raise GuardViolation("independent set lies inside T")
-    if inst.variant == MAX:
-        v = min(candidates, key=lambda u: (inst.deg_bonus(u), u))
-    else:
-        v = max(candidates, key=lambda u: (inst.deg_bonus(u), -u))
-    before = inst.t
-    inst = inst.exclude(v)
-    if trace is not None:
-        trace.log(rule, "exclude", (v,), inst.t - before, f"|I|={len(iset)}")
-    return inst
+    v = min(candidates, key=lambda u: (inst.score_deg_bonus(u), u))
+    return _step(inst, "exclude", v, rule, f"|I|={len(iset)}", trace)
 
 
 def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -709,7 +693,7 @@ def kernel_degeneracy_min(inst: AnnotatedInstance, d: int, trace: RuleTrace | No
             return _decided(trace, inst, DECIDED_YES, witness)
 
     if inst.alpha == 0:
-        if inst.tmask != 0 or any(inst.bonus[v] != 0 for v in inst.alive_vertices()):
+        if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
             raise GuardViolation("alpha=0 minimization pipeline needs a plain instance (empty T, zero counters)")
         if inst.t < 0:
             return _decided(trace, inst, DECIDED_NO)
@@ -740,23 +724,25 @@ def _exclude_high_degplus(inst: AnnotatedInstance, trace: RuleTrace):
     triple once a decision is forced.
 
     Exclusions leave free deg-bonuses alone and can only lower t, so the
-    scan restarts from the lowest index only when t drops.
+    scan restarts from the lowest index only when t drops.  With Min scores
+    negated, deg-bonus >= t + k reads -score >= score_needed(-(t + k)).
     """
     free = inst.free_vertices()
+    bar = inst.score_needed(-(inst.t + inst.k))
     i = 0
     while i < len(free):
         v = free[i]
         i += 1
-        if not (inst.alive >> v) & 1 or inst.deg_bonus(v) < inst.t + inst.k:
+        if not (inst.alive >> v) & 1 or -inst.score_deg_bonus(v) < bar:
             continue
         before = inst.t
-        inst = inst.exclude(v)
-        trace.log("min:high-degplus", "exclude", (v,), inst.t - before, "t+k bound")
+        inst = _step(inst, "exclude", v, "min:high-degplus", "t+k bound", trace)
         sc = _shortcircuit(inst)
         if sc is not None:
             return sc + (inst,)
         if inst.t != before:
             i = 0
+            bar = inst.score_needed(-(inst.t + inst.k))
     return inst
 
 
@@ -780,7 +766,7 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
     among the at most k'-1 vertices not strictly worse than v, and so are
     all vertices strictly better than w, which leaves w below the new k'.
     """
-    margin = abs((1 - 3 * inst.alpha) * inst.k)
+    margin = inst.score_margin()
     rank = _Ranking(inst, wrt_t=False)
     free = inst.free_vertices()
     i = 0
@@ -809,33 +795,33 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
             return rank.inst
 
 
-def _vx_window(inst: AnnotatedInstance, base: int) -> tuple[Fraction, Fraction, int]:
-    """Margin M = |(1-3a)k|, x = base + |(1-3a)k/a| and |V_x| of the
-    h-index and vertex-cover kernels; V_x holds the alive vertices of
-    deg-bonus >= alpha*x (alpha > 0)."""
-    margin = abs((1 - 3 * inst.alpha) * inst.k)
+def _vx_window(inst: AnnotatedInstance, base: int) -> tuple[Fraction, int, int]:
+    """x = base + |(1-3a)k/a|, the score ``cut`` of alpha*x and |V_x| for the
+    h-index and vertex-cover kernels (alpha > 0).  V_x holds the alive
+    vertices of deg-bonus >= alpha*x; alpha*x is a whole multiple of 1/scale,
+    so that is score >= cut for Max and score <= cut for Min."""
     x = base + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
-    vx = sum(1 for v in inst.alive_vertices() if inst.deg_bonus(v) >= inst.alpha * x)
-    return margin, x, vx
+    cut = inst.score_needed(inst.alpha * x)
+    vx = sum(1 for v in iter_mask(inst.alive) if inst.sign * (inst.score_deg_bonus(v) - cut) >= 0)
+    return x, cut, vx
 
 
 def _audit_window(inst: AnnotatedInstance, base: int, tag: str, trace: RuleTrace):
-    """The V_x window of a Max kernel, audited under ``tag``; case 1 when
-    at least k vertices lie in V_x."""
-    margin, x, vx = _vx_window(inst, base)
+    """The V_x window of a Max kernel, audited under ``tag``: the margin and
+    cut as scores, and case 1 when at least k vertices lie in V_x."""
+    x, cut, vx = _vx_window(inst, base)
     trace.audit(f"{tag}_x", x)
     trace.audit(f"{tag}_vx", vx)
     trace.audit(f"{tag}_case", 1 if vx >= inst.k else 2)
-    return margin, x, vx >= inst.k
+    return inst.score_margin(), cut, vx >= inst.k
 
 
-def _window_exclude_low(inst: AnnotatedInstance, cutoff: Fraction, tag: str, trace: RuleTrace) -> KernelOutcome:
-    """Case 1: every free vertex of deg-bonus below alpha*x - M can be
-    excluded; then counters are trimmed by exchanges and the rest de-annotated."""
-    for v in [u for u in inst.free_vertices() if inst.deg_bonus(u) < cutoff]:
-        before = inst.t
-        inst = inst.exclude(v)
-        trace.log(f"{tag}:exclude-low", "exclude", (v,), inst.t - before, "below V_x window")
+def _window_exclude_low(inst: AnnotatedInstance, cutoff: int, tag: str, trace: RuleTrace) -> KernelOutcome:
+    """Case 1: every free vertex of deg-bonus below alpha*x - M (score below
+    ``cutoff``) can be excluded; then counters are trimmed by exchanges and
+    the rest de-annotated."""
+    for v in [u for u in inst.free_vertices() if inst.score_deg_bonus(u) < cutoff]:
+        inst = _step(inst, "exclude", v, f"{tag}:exclude-low", "below V_x window", trace)
     got = _margin_trim_counters(inst, trace)
     if isinstance(got, tuple):
         status, witness, final = got
@@ -846,20 +832,18 @@ def _window_exclude_low(inst: AnnotatedInstance, cutoff: Fraction, tag: str, tra
     return _emit_kernel(trace, got, deannotate_max(got))
 
 
-def _window_include_high(inst: AnnotatedInstance, cutoff: Fraction, tag: str, trace: RuleTrace):
-    """Case 2: include free vertices of deg-bonus >= alpha*x + M, lowest index
-    first.  Returns the instance once none is left, or the outcome once the
-    cardinality decides."""
+def _window_include_high(inst: AnnotatedInstance, cutoff: int, tag: str, trace: RuleTrace):
+    """Case 2: include free vertices of deg-bonus >= alpha*x + M (score at
+    least ``cutoff``), lowest index first.  Returns the instance once none is
+    left, or the outcome once the cardinality decides."""
     while True:
         sc = _shortcircuit(inst)
         if sc is not None:
             return _decided(trace, inst, *sc)
-        target = next((v for v in inst.free_vertices() if inst.deg_bonus(v) >= cutoff), None)
+        target = next((v for v in inst.free_vertices() if inst.score_deg_bonus(v) >= cutoff), None)
         if target is None:
             return inst
-        before = inst.t
-        inst = inst.include(target)
-        trace.log(f"{tag}:include-high", "include", (target,), inst.t - before, "above V_{x+M}")
+        inst = _step(inst, "include", target, f"{tag}:include-high", "above V_{x+M}", trace)
 
 
 def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None = None) -> KernelOutcome:
@@ -880,14 +864,14 @@ def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None =
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
-    margin, x, case1 = _audit_window(inst, h + 1, "hindex", trace)
+    margin, cut, case1 = _audit_window(inst, h + 1, "hindex", trace)
     if case1:
-        return _window_exclude_low(inst, inst.alpha * x - margin, "hindex", trace)
+        return _window_exclude_low(inst, cut - margin, "hindex", trace)
     if not inst.alpha > THIRD:
         raise GuardViolation(
             f"pipeline=hindex case 2 requires alpha>1/3, got {inst.alpha} (fewer than k high-degree vertices)"
         )
-    got = _window_include_high(inst, inst.alpha * x + margin, "hindex", trace)
+    got = _window_include_high(inst, cut + margin, "hindex", trace)
     return got if isinstance(got, KernelOutcome) else _finish_degrading(got, trace)
 
 
@@ -905,10 +889,10 @@ def kernel_vc_max(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
-    margin, x, case1 = _audit_window(inst, len(cover), "vc", trace)
+    margin, cut, case1 = _audit_window(inst, len(cover), "vc", trace)
     if case1:
-        return _window_exclude_low(inst, inst.alpha * x - margin, "vc", trace)
-    inst = _window_include_high(inst, inst.alpha * x + margin, "vc", trace)
+        return _window_exclude_low(inst, cut - margin, "vc", trace)
+    inst = _window_include_high(inst, cut + margin, "vc", trace)
     if isinstance(inst, KernelOutcome):
         return inst
     cset = set(cover)
@@ -919,11 +903,9 @@ def kernel_vc_max(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
         if v not in cset and not (inst.graph.masks[v] & inst.alive & ~inst.tmask)
     ]
     if len(fixed) > inst.k:
-        ranked = sorted(fixed, key=lambda v: (-inst.contribution(v, inst.tmask), v))
+        ranked = sorted(fixed, key=lambda v: (-inst.score_contribution(v, inst.tmask), v))
         for v in ranked[inst.k:]:
-            before = inst.t
-            inst = inst.exclude(v)
-            trace.log("vc:prune-fixed", "exclude", (v,), inst.t - before, "fixed contribution")
+            inst = _step(inst, "exclude", v, "vc:prune-fixed", "fixed contribution", trace)
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
@@ -946,7 +928,7 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
     iset = [v for v in inst.alive_vertices() if v not in cset]
 
     if inst.alpha == 0:
-        if any(inst.bonus[v] != 0 for v in inst.alive_vertices()):
+        if any(inst.weights[v] for v in iter_mask(inst.alive)):
             raise GuardViolation("alpha=0 vc pipeline needs zero counters")
         if inst.t < 0:
             return _decided(trace, inst, DECIDED_NO)
@@ -957,13 +939,14 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
             return _decided(trace, inst, DECIDED_YES, witness)
         return _emit_kernel(trace, inst, deannotate_identity(inst))
 
-    margin, x, _ = _vx_window(inst, len(cover))
+    x, cut, _ = _vx_window(inst, len(cover))
+    margin = inst.score_margin()
     trace.audit("vc_x", x)
     # Exclusions keep every free deg-bonus and k', so better-counts only
     # fall and one pass in index order finds every target.
     rank = _Ranking(inst, wrt_t=False)
     for v in inst.free_vertices():
-        if inst.deg_bonus(v) < inst.alpha * x:
+        if inst.score_deg_bonus(v) > cut:  # outside V_x
             continue
         # w better than v: deg_bonus(w) <= deg_bonus(v) - margin
         if rank.at_least(v, margin) < inst.k_prime:
@@ -975,11 +958,9 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
             return _decided(trace, inst, *sc)
     isolated = [v for v in inst.free_vertices() if inst.degree(v) == 0]
     if len(isolated) > inst.k:
-        ranked = sorted(isolated, key=lambda v: (inst.bonus[v], v))
+        ranked = sorted(isolated, key=lambda v: (inst.weights[v], v))
         for v in ranked[inst.k:]:
-            before = inst.t
-            inst = inst.exclude(v)
-            trace.log("vc:prune-isolated", "exclude", (v,), inst.t - before, "fixed contribution")
+            inst = _step(inst, "exclude", v, "vc:prune-isolated", "fixed contribution", trace)
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)

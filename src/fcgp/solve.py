@@ -1,8 +1,10 @@
 """Exact solvers, from the brute-force oracle up to the FPT branchings.
 
 All solvers work on annotated instances and report exact rational values.
-``brute_force`` is the reference oracle the whole test suite leans on; it
-enumerates with scaled-integer arithmetic for speed but reports Fractions.
+Their loops compare the instance's integer scores (values times its scale,
+negated for Min so that higher is better) and turn only the reported
+optimum back into a rational.  ``brute_force`` is the reference oracle the
+whole test suite leans on.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import RuleInternalError, degeneracy_ordering, iter_mask, mask_of
-from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
+from .graph import RuleInternalError, iter_mask, mask_of
+from .instance import MAX, MIN, THIRD, ZERO, AnnotatedInstance, GuardViolation
+from .ramsey import peeling_independent_set
 from .rules import DECIDED_YES, alive_profile, kernel_degeneracy_min
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
@@ -45,50 +48,14 @@ class SolveResult:
         return inst.better_cmp(inst.val(w), inst.t)
 
 
-class _ScaledEval:
-    """Integer-scaled evaluator: value(S) * denom as a Python int."""
-
-    def __init__(self, inst: AnnotatedInstance):
-        denom = inst.alpha.denominator
-        for v in iter_mask(inst.alive):
-            denom = math.lcm(denom, inst.bonus[v].denominator)
-        self.denom = denom
-        self.a_num = int(inst.alpha * denom)
-        self.in_num = denom - self.a_num
-        self.bonus = [0] * inst.graph.n
-        self.deg = [0] * inst.graph.n
-        for v in iter_mask(inst.alive):
-            self.bonus[v] = int(inst.bonus[v] * denom)
-            self.deg[v] = (inst.graph.masks[v] & inst.alive).bit_count()
-        self.masks = inst.graph.masks
-        self.alive = inst.alive
-
-    def value(self, smask: int) -> int:
-        inside2 = 0
-        out = 0
-        bonus = 0
-        m = smask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            hits = (self.masks[v] & self.alive & smask).bit_count()
-            inside2 += hits
-            out += self.deg[v] - hits
-            bonus += self.bonus[v]
-        return self.a_num * out + bonus + self.in_num * (inside2 // 2)
-
-    def frac(self, scaled: int) -> Fraction:
-        return Fraction(scaled, self.denom)
-
-
 def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
     """Exact optimum over all size-k supersets of T; the oracle for everything.
 
     Free-vertex combinations are enumerated in lexicographic order, so the
     first optimum found is the lexicographically smallest witness.  The inner
-    loops run on scaled integers: val*D = sum_w(v) + (D-3*aD)*m(S), with the
-    T-part folded into a per-vertex constant.
+    loops add integer scores: the score of T, each chosen vertex's
+    contribution score w.r.t. T, and ``pair_score`` per edge between two
+    chosen free vertices.
     """
     need = inst.k - inst.t_size
     free = inst.free_vertices()
@@ -98,17 +65,10 @@ def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
         raise BudgetExceeded(
             f"brute force needs C({len(free)},{need}) > {budget} subset evaluations"
         )
-    ev = _ScaledEval(inst)
-    sign = 1 if inst.variant == MAX else -1
-    base = sign * ev.value(inst.tmask)
-    c3 = sign * (ev.denom - 3 * ev.a_num)
-    # u[v] folds the vertex weight and its T-edges; pair edges stay explicit
-    u = {}
-    masks = {}
-    for v in free:
-        m = ev.masks[v] & ev.alive
-        u[v] = sign * (ev.a_num * ev.deg[v] + ev.bonus[v]) + c3 * (m & inst.tmask).bit_count()
-        masks[v] = m
+    base = inst.score_val(inst.tmask)
+    c3 = inst.pair_score
+    u = {v: inst.score_contribution(v, inst.tmask) for v in free}
+    masks = {v: inst.graph.masks[v] & inst.alive for v in free}
     best: int | None = None
     best_set: tuple[int, ...] = ()
     nodes = 0
@@ -170,10 +130,9 @@ def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
                 best, best_set = got, combo
     if best is None:
         return SolveResult(False, None, None, "brute", nodes)
-    best_value = ev.frac(sign * best)
-    decision = inst.better_cmp(best_value, inst.t)
+    decision = best >= inst.score_needed(inst.t)
     witness = tuple(sorted(best_set + inst.t_vertices())) if decision else None
-    return SolveResult(decision, witness, best_value, "brute", nodes)
+    return SolveResult(decision, witness, inst.from_score(best), "brute", nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +162,18 @@ def branch_degrading(
     found = _branch_decide(inst, d, state)
     if found is None:
         return SolveResult(False, None, None, "branch", state["nodes"])
-    value0 = inst.val(found)
-    rerun = replace(inst, t=value0)
-    best: dict = {"value": None, "witness": None}
+    rerun = replace(inst, t=inst.val(found))
+    best: dict = {"score": None, "witness": None}
     _branch_optimum(rerun, inst, d, state, best)
-    value, witness = best["value"], best["witness"]
-    if value is None:
+    score, witness = best["score"], best["witness"]
+    if score is None:
         raise RuleInternalError("optimum rerun lost the certified solution")
-    return SolveResult(True, witness, value, "branch", state["nodes"])
-
-
-def branch_decision_nodes(inst: AnnotatedInstance, d: int, node_budget: int = 500_000) -> int:
-    """Node count of the decision phase alone (for the search-tree bound)."""
-    state = {"nodes": 0, "budget": node_budget}
-    _branch_decide(inst, d, state)
-    return state["nodes"]
+    return SolveResult(True, witness, inst.from_score(score), "branch", state["nodes"])
 
 
 def _branch_candidates(inst: AnnotatedInstance) -> list[int]:
-    thr = inst.t_prime() / inst.k_prime
-    return [
-        v
-        for v in inst.free_vertices()
-        if inst.better_cmp(inst.contribution(v, inst.tmask), thr)
-    ]
+    need = inst.score_needed(inst.t_prime() / inst.k_prime)
+    return [v for v in inst.free_vertices() if inst.score_contribution(v, inst.tmask) >= need]
 
 
 def _branch_decide(inst, d, state) -> tuple[int, ...] | None:
@@ -236,7 +183,7 @@ def _branch_decide(inst, d, state) -> tuple[int, ...] | None:
     if inst.n_alive < inst.k:
         return None
     if inst.t_size == inst.k:
-        return inst.t_vertices() if inst.better_cmp(inst.val(inst.tmask), inst.t) else None
+        return inst.t_vertices() if inst.score_val(inst.tmask) >= inst.score_needed(inst.t) else None
     cand = _branch_candidates(inst)
     if not cand:
         return None
@@ -244,7 +191,7 @@ def _branch_decide(inst, d, state) -> tuple[int, ...] | None:
         picked = _independent_inside(inst, cand, inst.k_prime)
         if picked is not None:
             witness = tuple(sorted(inst.t_vertices() + picked))
-            if inst.better_cmp(inst.val(witness), inst.t):
+            if inst.score_val(mask_of(witness)) >= inst.score_needed(inst.t):
                 return witness
     for v in cand:
         got = _branch_decide(inst.include(v), d, state)
@@ -260,14 +207,13 @@ def _branch_optimum(cur, orig, d, state, best) -> None:
     if cur.n_alive < cur.k:
         return
     if cur.t_size == cur.k:
-        if not cur.better_cmp(cur.val(cur.tmask), cur.t):
+        if cur.score_val(cur.tmask) < cur.score_needed(cur.t):
             return
         witness = cur.t_vertices()
-        value = orig.val(witness)
-        prev = best["value"]
-        improved = prev is None or (value > prev if orig.variant == MAX else value < prev)
-        if improved or (value == prev and witness < best["witness"]):
-            best["value"] = value
+        score = orig.score_val(cur.tmask)
+        prev = best["score"]
+        if prev is None or score > prev or (score == prev and witness < best["witness"]):
+            best["score"] = score
             best["witness"] = witness
         return
     for v in _branch_candidates(cur):
@@ -279,18 +225,8 @@ def _independent_inside(inst: AnnotatedInstance, pool: list[int], size: int) -> 
     if size <= 0:
         return ()
     sub, back = inst.graph.induced(pool)
-    order, _ = degeneracy_ordering(sub)
-    alive = set(range(sub.n))
-    picked: list[int] = []
-    for v in order:
-        if v not in alive:
-            continue
-        picked.append(v)
-        alive.discard(v)
-        alive.difference_update(sub.neighbors(v))
-        if len(picked) == size:
-            return tuple(sorted(back[i] for i in picked))
-    return None
+    picked = peeling_independent_set(sub, size)
+    return tuple(sorted(back[i] for i in picked)) if len(picked) == size else None
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +241,7 @@ def solve_third(inst: AnnotatedInstance) -> SolveResult:
     free = inst.free_vertices()
     if need < 0 or need > len(free):
         return SolveResult(False, None, None, "third", 0)
-    if inst.variant == MAX:
-        ranked = sorted(free, key=lambda v: (-inst.deg_bonus(v), v))
-    else:
-        ranked = sorted(free, key=lambda v: (inst.deg_bonus(v), v))
+    ranked = sorted(free, key=lambda v: (-inst.score_deg_bonus(v), v))
     witness = tuple(sorted(inst.t_vertices() + tuple(ranked[:need])))
     value = inst.val(witness)
     decision = inst.better_cmp(value, inst.t)
@@ -328,10 +261,9 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     """
     if inst.n_alive < inst.k or inst.k < inst.t_size:
         return SolveResult(False, None, None, "bounded-degree", 0)
-    sign = 1 if inst.variant == MAX else -1
     total_work = 0
     nodes = 0
-    tables: list[dict[int, tuple[Fraction, tuple[int, ...]]]] = []
+    tables: list[dict[int, tuple[int, tuple[int, ...]]]] = []
     for comp in _components(inst):
         forced = [v for v in comp if (inst.tmask >> v) & 1]
         free = [v for v in comp if not (inst.tmask >> v) & 1]
@@ -340,24 +272,24 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
         total_work += sum(math.comb(len(free), j - lo) for j in range(lo, hi + 1))
         if total_work > budget:
             raise BudgetExceeded("component enumeration exceeds the subset budget")
-        table: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+        table: dict[int, tuple[int, tuple[int, ...]]] = {}
         for j in range(lo, hi + 1):
             best = None
             best_set: tuple[int, ...] = ()
             for combo in combinations(free, j - lo):
                 nodes += 1
                 chosen = tuple(sorted(forced + list(combo)))
-                value = inst.val(chosen)
-                if best is None or sign * (value - best) > 0:
-                    best = value
+                score = inst.score_val(mask_of(chosen))
+                if best is None or score > best:
+                    best = score
                     best_set = chosen
             if best is not None:
                 table[j] = (best, best_set)
         tables.append(table)
 
-    acc: dict[int, tuple[Fraction, tuple[int, ...]]] = {0: (Fraction(0), ())}
+    acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
     for table in tables:
-        nxt: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+        nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
         for have, (hv, hs) in acc.items():
             for j, (jv, js) in table.items():
                 tot = have + j
@@ -365,16 +297,16 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
                     continue
                 cand = (hv + jv, tuple(sorted(hs + js)))
                 cur = nxt.get(tot)
-                if cur is None or sign * (cand[0] - cur[0]) > 0:
+                if cur is None or cand[0] > cur[0]:
                     nxt[tot] = cand
         acc = nxt
         if not acc:
             break
     if inst.k not in acc:
         return SolveResult(False, None, None, "bounded-degree", nodes)
-    value, witness = acc[inst.k]
-    decision = inst.better_cmp(value, inst.t)
-    return SolveResult(decision, witness if decision else None, value, "bounded-degree", nodes)
+    score, witness = acc[inst.k]
+    decision = score >= inst.score_needed(inst.t)
+    return SolveResult(decision, witness if decision else None, inst.from_score(score), "bounded-degree", nodes)
 
 
 def _components(inst: AnnotatedInstance) -> list[list[int]]:
@@ -476,7 +408,7 @@ def _fold_hubs(inst: AnnotatedInstance, high: list[int], chosen: tuple[int, ...]
         low_nbrs = list(iter_mask(nbrs & ~rem_mask))
         new_t = cur.t - ((1 - alpha) * hub_nbrs + alpha * len(low_nbrs)) - cur.bonus[u]
         bonus = list(cur.bonus)
-        bonus[u] = Fraction(0)
+        bonus[u] = ZERO
         for w in low_nbrs:
             if (cur.tmask >> w) & 1:
                 new_t -= credit  # forced neighbor: the edge is internal for sure
@@ -510,14 +442,14 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
     """
     if inst.variant != MAX or inst.alpha != 0:
         raise GuardViolation("densest_vc requires max variant with alpha = 0")
-    if inst.tmask != 0 or any(inst.bonus[v] != 0 for v in inst.alive_vertices()):
+    if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
         raise GuardViolation("densest_vc needs a plain instance")
     cover = inst.check_cover(cover)
     cmask = mask_of(cover)
     if 2 ** len(cover) > budget:
         raise BudgetExceeded(f"2^{len(cover)} cover subsets exceed the budget")
     iset = [v for v in inst.alive_vertices() if not (cmask >> v) & 1]
-    best: Fraction | None = None
+    best: int | None = None
     best_witness: tuple[int, ...] | None = None
     nodes = 0
     for r in range(0, min(len(cover), inst.k) + 1):
@@ -530,7 +462,7 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
             inner, _ = inst.graph.edge_counts(amask)
             ranked = sorted(iset, key=lambda v: (-(inst.graph.masks[v] & amask).bit_count(), v))
             chosen = ranked[:fill]
-            value = Fraction(inner + sum((inst.graph.masks[v] & amask).bit_count() for v in chosen))
+            value = inner + sum((inst.graph.masks[v] & amask).bit_count() for v in chosen)
             witness = tuple(sorted(sub + tuple(chosen)))
             if best is None or value > best or (value == best and witness < best_witness):
                 best = value
@@ -538,7 +470,7 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
     if best is None:
         return SolveResult(False, None, None, "densest-vc", nodes)
     decision = best >= inst.t
-    return SolveResult(decision, best_witness if decision else None, best, "densest-vc", nodes)
+    return SolveResult(decision, best_witness if decision else None, Fraction(best), "densest-vc", nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +486,7 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
     if profile is None:
         profile = alive_profile(inst)
 
-    plainish = inst.tmask == 0 and all(inst.bonus[v] == 0 for v in inst.alive_vertices())
+    plainish = inst.tmask == 0 and not any(inst.weights[v] for v in iter_mask(inst.alive))
     route = "brute"
     try:
         if inst.alpha == THIRD:

@@ -376,6 +376,25 @@ def test_verify_kernel_header_without_field_is_usage_error(graph_file, tmp_path,
     assert f"lacks {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--t", "1/0"), ("--alpha", "0/0"), ("--alpha", "1/0")])
+def test_zero_denominator_is_usage_error(graph_file, capsys, flag, value):
+    argv = ["solve", graph_file, "--alpha", "1/2", "--k", "1", "--t", "1", "--variant", "max"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+def test_kernel_header_zero_denominator_is_usage_error(graph_file, tmp_path, capsys):
+    kern = tmp_path / "k.txt"
+    main(["kernelize", graph_file, *VERIFY_DELTA, "--out", str(kern)])
+    lines = kern.read_text().splitlines()
+    head = " ".join("t=1/0" if tok.startswith("t=") else tok for tok in lines[0].split())
+    kern.write_text("\n".join([head] + lines[1:]) + "\n")
+    assert main(["verify", graph_file, *VERIFY_DELTA, "--kernel", str(kern)]) == EXIT_USAGE
+    assert "zero denominator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "kernelize", "verify"])
 def test_negative_k_is_usage_error(tmp_path, capsys, command):
     # the branching solver used to spend its whole node budget on k = -1
@@ -433,7 +452,7 @@ FUZZ_GRAPHS = {
 _header = st.builds(
     lambda variant, toks: " ".join(["fcgp", variant, *toks]),
     st.sampled_from(["max", "min", "mid"]),
-    st.lists(st.sampled_from(["alpha=1/2", "alpha=2/3", "k=2", "k=-1", "k=x", "t=3", "t=1.5", "q=1", "junk"]),
+    st.lists(st.sampled_from(["alpha=1/2", "alpha=2/3", "k=2", "k=-1", "k=x", "t=3", "t=1.5", "t=1/0", "q=1", "junk"]),
              max_size=4),
 )
 _kernel_text = st.one_of(
@@ -451,9 +470,9 @@ def _argv(draw, files: Path):
     if command == "params":
         return argv + draw(st.sampled_from([[], ["--no-vc"], ["--json"]]))
     argv += [
-        "--alpha", draw(st.sampled_from(["0", "1/4", "1/3", "1/2", "2/3", "1", "3/2", "-1/2", "0.5"])),
+        "--alpha", draw(st.sampled_from(["0", "1/4", "1/3", "1/2", "2/3", "1", "3/2", "-1/2", "0.5", "1/0", "0/0"])),
         "--k", str(draw(st.integers(-1, 4))),
-        "--t", draw(st.sampled_from(["-1", "0", "1", "5/2", "4", "9", "x"])),
+        "--t", draw(st.sampled_from(["-1", "0", "1", "5/2", "4", "9", "x", "1/0", "0/0"])),
         "--variant", draw(st.sampled_from(["max", "min"])),
     ]
     if command == "solve":

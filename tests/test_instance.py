@@ -87,37 +87,176 @@ def test_telescope_rejects_repeats():
         telescope_check(inst, [1, 1])
 
 
-# -- better / strictly better -------------------------------------------------------
+# -- better / strictly better ---------------------------------------------------------
+# u is strictly better than v when deg_bonus(u) clears deg_bonus(v) by the
+# exchange margin |(1-3a)k| in the variant's direction.
 
 def test_better_at_third_is_degree_order():
     inst = plain(star_graph(4), 1, 0, F(1, 3), MAX)
-    assert inst.is_strictly_better(0, 1)  # center dominates a leaf
-    assert not inst.is_strictly_better(1, 0)
+    assert inst.score_margin() == 0
+    assert inst.deg_bonus(0) > inst.deg_bonus(1)  # center dominates a leaf
+    assert inst.score_deg_bonus(0) > inst.score_deg_bonus(1)
 
 
 def test_strictly_better_margin_example():
     g = Graph.from_edges(13, [(0, i) for i in range(1, 11)] + [(11, 12)])
     inst = plain(g, 2, 0, F(1, 2), MAX)
+    margin = abs((1 - 3 * inst.alpha) * inst.k)
+    assert margin == 1 and inst.from_score(inst.score_margin()) == margin
     # deg+(0)=10, deg+(11)=1: 1/2 <= 5 - 1
-    assert inst.is_strictly_better(0, 11)
+    assert inst.deg_bonus(11) <= inst.deg_bonus(0) - margin
+    assert inst.score_deg_bonus(11) <= inst.score_deg_bonus(0) - inst.score_margin()
 
 
 def test_strictly_better_at_third_is_deg_plus_order():
     # zero margin at alpha = 1/3: the relation collapses to comparing deg+
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     inst = annotated(g, [], {3: 2}, 2, 0, F(1, 3), MAX)
-    assert inst.is_strictly_better(0, 1)  # deg+ 3 vs 2
-    assert inst.is_strictly_better(1, 2) and inst.is_strictly_better(2, 1)  # tie
-    assert inst.is_strictly_better(3, 2)  # deg+ 1+2 vs 2
-    assert not inst.is_strictly_better(2, 0)
+    assert inst.score_margin() == 0
+    # deg+ 3, 2, 2 and 1+2
+    assert [inst.deg_bonus(v) for v in range(4)] == [1, F(2, 3), F(2, 3), 1]
+    score = [inst.score_deg_bonus(v) for v in range(4)]
+    assert score[0] > score[1] == score[2] < score[3] == score[0]
 
 
 def test_better_at_alpha_zero_min():
     g = Graph.from_edges(3, [(0, 1)])
     inst = annotated(g, [0], {}, 2, 0, F(0), MIN)
     # alpha=0 min: fewer T-neighbors is better
-    assert inst.is_better(2, 1, [0]) is True
-    assert inst.is_better(1, 2, [0]) is False
+    assert inst.contribution(2, [0]) == 0 and inst.contribution(1, [0]) == 1
+    assert inst.better_cmp(inst.contribution(2, [0]), inst.contribution(1, [0]))
+    assert not inst.better_cmp(inst.contribution(1, [0]), inst.contribution(2, [0]))
+    assert inst.score_contribution(2, inst.tmask) > inst.score_contribution(1, inst.tmask)
+
+
+# -- the scaled-integer core against an edge-list model ------------------------------
+
+@st.composite
+def _core_case(draw):
+    n = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges = sorted(set(draw(st.lists(pairs, max_size=12))))
+    tset = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    # bonus denominators that need not divide alpha's, and t with others again
+    bonus = {
+        v: F(draw(st.integers(0, 9)), draw(st.sampled_from((1, 2, 3, 5, 7))))
+        for v in range(n) if v not in tset
+    }
+    t = F(draw(st.integers(-20, 40)), draw(st.sampled_from((1, 4, 9, 11))))
+    k = draw(st.integers(len(tset), n))
+    moves = draw(st.lists(st.tuples(st.sampled_from(("include", "exclude", "shift")), st.integers(0, 99)),
+                          max_size=6))
+    return n, edges, tset, bonus, t, k, moves
+
+
+class _EdgeListModel:
+    """Values recomputed from the alive edge list with Fractions only."""
+
+    def __init__(self, edges, alive, tset, bonus, t, k, alpha):
+        self.edges, self.alive, self.tset = edges, set(alive), set(tset)
+        self.bonus, self.t, self.k, self.alpha = dict(bonus), t, k, alpha
+
+    def alive_edges(self):
+        return [(u, v) for u, v in self.edges if u in self.alive and v in self.alive]
+
+    def val(self, s):
+        s = set(s)
+        inner = sum(1 for u, v in self.alive_edges() if u in s and v in s)
+        cut = sum(1 for u, v in self.alive_edges() if (u in s) != (v in s))
+        return self.alpha * cut + sum((self.bonus.get(v, F(0)) for v in s), F(0)) + (1 - self.alpha) * inner
+
+    def deg_bonus(self, v):
+        return self.alpha * sum(1 for e in self.alive_edges() if v in e) + self.bonus.get(v, F(0))
+
+    def free(self):
+        return sorted(self.alive - self.tset)
+
+    def include(self, v):
+        self.t -= self.bonus.pop(v, F(0))
+        self.tset.add(v)
+
+    def exclude(self, v):
+        for e in self.alive_edges():
+            if v in e:
+                u = e[0] + e[1] - v
+                if u in self.tset:
+                    self.t -= self.alpha
+                else:
+                    self.bonus[u] = self.bonus.get(u, F(0)) + self.alpha
+        self.bonus.pop(v, None)
+        self.alive.discard(v)
+
+    def shift(self, amount):
+        for v in self.free():
+            self.bonus[v] = self.bonus.get(v, F(0)) - amount
+        self.t -= amount * (self.k - len(self.tset))
+
+
+def _assert_matches(inst, model):
+    alive = sorted(model.alive)
+    assert inst.alive_vertices() == tuple(alive) and inst.t_vertices() == tuple(sorted(model.tset))
+    assert inst.t == model.t
+    assert inst.t_prime() == model.t - model.val(model.tset)
+    for v in range(inst.graph.n):
+        assert inst.bonus[v] == (model.bonus.get(v, F(0)) if v in model.alive else 0)
+    for v in alive:
+        assert inst.deg_bonus(v) == model.deg_bonus(v)
+        assert inst.contribution(v, model.tset) == model.val(model.tset | {v}) - model.val(model.tset - {v})
+    for size in range(len(alive) + 1):
+        for s in combinations(alive, size):
+            assert inst.val(s) == model.val(s)
+    for x in (inst.t, inst.t_prime()):
+        need = inst.score_needed(x)
+        assert inst.better_cmp(inst.from_score(need), x) and not inst.better_cmp(inst.from_score(need - 1), x)
+    # brute force against the best k-set of the model
+    free, need = model.free(), model.k - len(model.tset)
+    values = [model.val(model.tset | set(c)) for c in combinations(free, need)] if 0 <= need <= len(free) else []
+    res = brute_force(inst)
+    if not values:
+        assert res.best_value is None and not res.decision
+        return
+    best = max(values) if inst.variant == MAX else min(values)
+    assert res.best_value == best
+    assert res.decision == inst.better_cmp(best, model.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_core_case(),
+    alpha=st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))),
+    variant=st.sampled_from((MAX, MIN)),
+)
+def test_scaled_core_matches_edge_list_model(case, alpha, variant):
+    n, edges, tset, bonus, t, k, moves = case
+    inst = AnnotatedInstance(
+        graph=Graph.from_edges(n, edges), alive=(1 << n) - 1, tmask=sum(1 << v for v in tset),
+        bonus=tuple(bonus.get(v, F(0)) for v in range(n)), k=k, t=t, alpha=alpha, variant=variant,
+    )
+    model = _EdgeListModel(edges, range(n), tset, bonus, t, k, alpha)
+    _assert_matches(inst, model)
+    for op, pick in moves:
+        free = model.free()
+        if not free:
+            break
+        v = free[pick % len(free)]
+        if op == "include":
+            inst = inst.include(v)
+            model.include(v)
+        elif op == "exclude":
+            inst = inst.exclude(v)
+            model.exclude(v)
+        else:
+            amount = min(model.bonus.get(u, F(0)) for u in free)
+            inst = inst.shift_bonus(amount)
+            model.shift(amount)
+        _assert_matches(inst, model)
+
+
+def test_shift_off_the_scale_is_a_guard_violation():
+    inst = annotated(path_graph(3), [], {0: 1, 1: 1, 2: 1}, 2, 0, F(1, 2), MAX)
+    assert inst.shift_bonus(F(1, 2)).bonus == (0, 0, 0)
+    with pytest.raises(GuardViolation, match="not a multiple"):
+        inst.shift_bonus(F(1, 3))
 
 
 # -- include / exclude ----------------------------------------------------------------

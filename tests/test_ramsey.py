@@ -6,7 +6,7 @@ from fcgp import ramsey
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import gen_degenerate, gen_gnp
 
-from conftest import complete_graph, cycle_graph, empty_graph, path_graph, run_optimized
+from conftest import complete_graph, empty_graph, path_graph, run_optimized
 
 
 def verify(g, witness):
@@ -122,18 +122,6 @@ def test_bcfree_detects_biclique():
     g = complete_graph(13)
     with pytest.raises(ramsey.ExtractionPreconditionError):
         ramsey.bcfree_independent_set(g, 2, 2, 2)
-
-
-def test_contains_biclique_bruteforce():
-    assert ramsey.contains_biclique(complete_graph(4), 2, 2)
-    assert ramsey.contains_biclique(cycle_graph(4), 2, 2)  # C4 is K_{2,2} itself
-    assert not ramsey.contains_biclique(complete_graph(3), 2, 2)
-    for seed in range(15):
-        forest = gen_degenerate(14, 1, seed)
-        assert not ramsey.contains_biclique(forest, 2, 2)
-    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-    assert ramsey.contains_biclique(star, 1, 4)
-    assert not ramsey.contains_biclique(star, 2, 2)
 
 
 # -- degenerate greedy ----------------------------------------------------------

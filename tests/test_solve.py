@@ -8,7 +8,7 @@ from fcgp.instance import MAX, MIN, GuardViolation
 from fcgp.solve import (
     BudgetExceeded,
     UndecidedWithinBudget,
-    branch_decision_nodes,
+    _branch_decide,
     branch_degrading,
     brute_force,
     densest_vc,
@@ -104,6 +104,13 @@ def test_branch_agrees_with_brute(variant, alpha):
         if ref.decision:
             assert res.best_value == ref.best_value
             assert res.witness == ref.witness
+
+
+def branch_decision_nodes(inst, d: int, node_budget: int = 500_000) -> int:
+    """Node count of the decision phase alone (for the search-tree bound)."""
+    state = {"nodes": 0, "budget": node_budget}
+    _branch_decide(inst, d, state)
+    return state["nodes"]
 
 
 def test_branch_node_bound():
