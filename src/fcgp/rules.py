@@ -44,12 +44,11 @@ class TraceEntry:
     op: str  # include | exclude | shift | decide
     verts: tuple[int, ...]
     dt: Fraction
-    dk: int
     note: str = ""
 
     def to_line(self) -> str:
         verts = ",".join(map(str, self.verts))
-        return f"entry rule={self.rule} op={self.op} verts={verts} dt={self.dt} dk={self.dk} note={self.note}"
+        return f"entry rule={self.rule} op={self.op} verts={verts} dt={self.dt} note={self.note}"
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class RuleTrace:
     deann: Deannotation | None = None
 
     def log(self, rule: str, op: str, verts: tuple[int, ...], dt: Fraction, note: str = "") -> None:
-        self.entries.append(TraceEntry(rule=rule, op=op, verts=verts, dt=dt, dk=0, note=note))
+        self.entries.append(TraceEntry(rule=rule, op=op, verts=verts, dt=dt, note=note))
 
     def audit(self, key: str, value) -> None:
         self.audits[key] = str(value)

@@ -485,7 +485,6 @@ def test_trace_replay_reproduces_final_instance():
 def test_trace_deltas_sum_to_threshold_change():
     for _, inst in seeded_instances(12, F(1, 2), MAX, base_seed=10_500, counters=(0, 2)):
         out = kernel_delta(inst)
-        assert all(e.dk == 0 for e in out.trace.entries)  # no rule touches k
         total = sum((e.dt for e in out.trace.entries), F(0))
         assert inst.t + total == out.trace.final.t
 
