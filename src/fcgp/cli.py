@@ -12,6 +12,7 @@ and t are accepted only in that form.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -92,6 +93,11 @@ def _value_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", default="auto", choices=("auto", "edgelist", "dimacs"))
 
 
+def _report_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--json", action="store_true")
+    sub.add_argument("--timings", action="store_true")
+
+
 def _instance_from_args(args):
     """The plain instance the flags describe, its annotated form and the
     structural profile of its graph (exact cover within --vc-budget, on read)."""
@@ -119,9 +125,9 @@ def _json_value(obj):
 
 
 def _emit_report(args, report: dict, started: float) -> None:
-    if getattr(args, "timings", False):
+    if args.timings:
         report["timings"] = {"total_ms": int((time.monotonic() - started) * 1000)}
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, indent=2, default=_json_value))
 
 
@@ -370,7 +376,10 @@ def cmd_battery(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    :func:`main` finds the handler of each subcommand by its name."""
     parser = argparse.ArgumentParser(prog="fcgp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -379,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="auto", choices=("auto", "edgelist", "dimacs"))
     p.add_argument("--no-vc", action="store_true", help="skip the exact vertex cover search")
     p.add_argument("--vc-budget", type=int, default=25)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_params)
+    _report_flags(p)
 
     p = sub.add_parser("kernelize", help="run a kernelization pipeline")
     p.add_argument("graph")
@@ -391,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="kernel output file (default: stdout)")
     p.add_argument("--trace", default=None, help="rule trace output file")
     p.add_argument("--vc-budget", type=int, default=25)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_kernelize)
+    _report_flags(p)
 
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("graph")
@@ -401,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default="auto", choices=("auto", "brute", "branch", "third", "hindex", "densest-vc"))
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--vc-budget", type=int, default=25)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    _report_flags(p)
 
     p = sub.add_parser("verify", help="round-trip kernelize/solve/lift and cross-check")
     p.add_argument("graph")
@@ -415,17 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also brute-force the original instance")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--vc-budget", type=int, default=25)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_verify)
+    _report_flags(p)
 
     p = sub.add_parser("battery", help="run a manifest of seeded equivalence checks")
     p.add_argument("manifest")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--fail-dir", default="battery-failures")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_battery)
+    _report_flags(p)
     return parser
 
 
@@ -436,7 +435,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up per call, so the cached parser holds no handler
+        return globals()[f"cmd_{args.command}"](args)
     except GuardViolation as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -381,17 +381,10 @@ class Deannotation:
     """
 
     plain: PlainInstance
-    kind: str  # "max-leaves" | "min-clique" | "identity" | "trivial-no"
+    kind: str  # "max-leaves" | "min-clique" | "identity"
     origin: tuple[int, ...]
     anchor: tuple[int, ...]
     ell: int
-
-
-def _trivial_no(inst: AnnotatedInstance) -> Deannotation:
-    plain = PlainInstance(
-        graph=Graph.from_edges(0, []), k=inst.k, t=inst.t, alpha=inst.alpha, variant=inst.variant
-    )
-    return Deannotation(plain=plain, kind="trivial-no", origin=(), anchor=(), ell=0)
 
 
 def deannotate_identity(inst: AnnotatedInstance) -> Deannotation:
@@ -423,7 +416,7 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
         raise GuardViolation("de-annotation is impossible for alpha = 0")
     counters = inst.counters()  # also validates standard-counter mode
     if inst.n_alive < inst.k:
-        return _trivial_no(inst)
+        raise GuardViolation("de-annotation needs at least k alive vertices")
     inv_floor = floor_frac(1 / inst.alpha)
     pad = ceil_frac(max(ZERO, 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
     gamma = inst.gamma()
@@ -465,7 +458,7 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         raise GuardViolation("de-annotation is impossible for alpha = 0")
     counters = inst.counters()
     if inst.n_alive < inst.k:
-        return _trivial_no(inst)
+        raise GuardViolation("de-annotation needs at least k alive vertices")
     gamma = inst.gamma()
     delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
     ell = floor_frac((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
@@ -509,8 +502,6 @@ def lift_witness(deann: Deannotation, inst: AnnotatedInstance, witness: Iterable
     cur = set(witness)
     if len(cur) != plain.k:
         raise LiftError(f"kernel witness has size {len(cur)}, expected {plain.k}")
-    if deann.kind == "trivial-no":
-        raise LiftError("trivial no-instance has no witness to lift")
     originals = [i for i in range(g.n) if deann.origin[i] >= 0]
     t_kernel = {i for i in originals if (inst.tmask >> deann.origin[i]) & 1}
 

@@ -137,10 +137,6 @@ class KernelOutcome:
     witness: tuple[int, ...] | None
     trace: RuleTrace
 
-    @property
-    def decided(self) -> bool:
-        return self.status != KERNELIZED
-
 
 def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: bool = False) -> None:
     if inst.variant == MAX:
@@ -607,8 +603,6 @@ def _emit_kernel(trace: RuleTrace, inst: AnnotatedInstance, deann: Deannotation)
     trace.deann = deann
     trace.audit("kernel_n", deann.plain.graph.n)
     trace.audit("kernel_m", deann.plain.graph.m)
-    if deann.kind == "trivial-no":
-        return KernelOutcome(status=DECIDED_NO, plain=None, witness=None, trace=trace)
     return KernelOutcome(status=KERNELIZED, plain=deann.plain, witness=None, trace=trace)
 
 
@@ -642,7 +636,8 @@ def kernel_closure(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = No
         sc = _shortcircuit(inst)
         if sc is not None:
             return _decided(trace, inst, *sc)
-        if c >= 2 and inst.k >= 2 and inst.delta_tbar() >= closure_xi_degree_bound(c, inst.k):
+        # for k >= 2 the bound is at least 2^(c-1), above delta_tbar once 2^(c-1) > n_alive: left unbuilt
+        if 2 <= c <= inst.n_alive.bit_length() and inst.k >= 2 and inst.delta_tbar() >= closure_xi_degree_bound(c, inst.k):
             xs, iset = find_closure_XI(inst, c, trace)
             inst = rr_closure_independent_set(inst, xs, iset, trace)
             continue
@@ -665,7 +660,8 @@ def kernel_degeneracy_max(inst: AnnotatedInstance, d: int, trace: RuleTrace | No
         sc = _shortcircuit(inst)
         if sc is not None:
             return _decided(trace, inst, *sc)
-        if inst.delta_tbar() < bcfree_xi_degree_bound(a, b, inst.k, d):
+        # for k >= 2 the bound is at least 2^d, above delta_tbar once 2^d > n_alive: left unbuilt
+        if (inst.k >= 2 and d >= inst.n_alive.bit_length()) or inst.delta_tbar() < bcfree_xi_degree_bound(a, b, inst.k, d):
             break
         xs, iset = find_bcfree_XI(inst, a, b, degeneracy=d, trace=trace)
         inst = rr_bcfree_independent_set(inst, xs, iset, trace)

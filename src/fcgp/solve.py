@@ -3,8 +3,10 @@
 All solvers work on annotated instances and report exact rational values.
 Their loops compare the instance's integer scores (values times its scale,
 negated for Min so that higher is better) and turn only the reported
-optimum back into a rational.  ``brute_force`` is the reference oracle the
-whole test suite leans on.
+optimum back into a rational.  One enumerator, ``_best_subset``, scores
+the k-sets of both exhaustive solvers: ``brute_force``, the reference oracle
+the whole test suite leans on, and the per-component tables of
+``solve_bounded_degree``.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ class SolveResult:
 def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
     """Exact optimum over all size-k supersets of T; the oracle for everything.
 
-    Free-vertex combinations are enumerated in lexicographic order, so the
-    first optimum found is the lexicographically smallest witness.  The inner
-    loops add integer scores: the score of T, each chosen vertex's
-    contribution score w.r.t. T, and ``pair_score`` per edge between two
-    chosen free vertices.
+    One enumerator, :func:`_best_subset`, scores the free-vertex combinations
+    in lexicographic order on top of the score of T, so the reported witness
+    is the lexicographically smallest optimum.
     """
     need = inst.k - inst.t_size
     free = inst.free_vertices()
@@ -65,74 +65,46 @@ def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
         raise BudgetExceeded(
             f"brute force needs C({len(free)},{need}) > {budget} subset evaluations"
         )
-    base = inst.score_val(inst.tmask)
-    c3 = inst.pair_score
-    u = {v: inst.score_contribution(v, inst.tmask) for v in free}
-    masks = {v: inst.graph.masks[v] & inst.alive for v in free}
-    best: int | None = None
-    best_set: tuple[int, ...] = ()
-    nodes = 0
-    if need == 0:
-        best, best_set, nodes = base, (), 1
-    elif need == 1:
-        for a in free:
-            nodes += 1
-            got = base + u[a]
-            if best is None or got > best:
-                best, best_set = got, (a,)
-    elif need == 2:
-        for i, a in enumerate(free):
-            sa = base + u[a]
-            ma = masks[a]
-            for b in free[i + 1:]:
-                nodes += 1
-                got = sa + u[b] + c3 * ((ma >> b) & 1)
-                if best is None or got > best:
-                    best, best_set = got, (a, b)
-    elif need == 3:
-        for i, a in enumerate(free):
-            sa = base + u[a]
-            ma = masks[a]
-            for j in range(i + 1, len(free)):
-                b = free[j]
-                sab = sa + u[b] + c3 * ((ma >> b) & 1)
-                for c in free[j + 1:]:
-                    nodes += 1
-                    got = sab + u[c] + c3 * (((ma >> c) & 1) + ((masks[b] >> c) & 1))
-                    if best is None or got > best:
-                        best, best_set = got, (a, b, c)
-    elif need == 4:
-        for i, a in enumerate(free):
-            sa = base + u[a]
-            ma = masks[a]
-            for j in range(i + 1, len(free)):
-                b = free[j]
-                sab = sa + u[b] + c3 * ((ma >> b) & 1)
-                mb = masks[b]
-                for l in range(j + 1, len(free)):
-                    c = free[l]
-                    sabc = sab + u[c] + c3 * (((ma >> c) & 1) + ((mb >> c) & 1))
-                    mc = masks[c]
-                    for e in free[l + 1:]:
-                        nodes += 1
-                        got = sabc + u[e] + c3 * (((ma >> e) & 1) + ((mb >> e) & 1) + ((mc >> e) & 1))
-                        if best is None or got > best:
-                            best, best_set = got, (a, b, c, e)
-    else:
-        for combo in combinations(free, need):
-            nodes += 1
-            got = base
-            chosen = 0
-            for v in combo:
-                got += u[v] + c3 * (masks[v] & chosen).bit_count()
-                chosen |= 1 << v
-            if best is None or got > best:
-                best, best_set = got, combo
-    if best is None:
-        return SolveResult(False, None, None, "brute", nodes)
+    best, best_set, nodes = _best_subset(inst, free, need, inst.score_val(inst.tmask))
     decision = best >= inst.score_needed(inst.t)
     witness = tuple(sorted(best_set + inst.t_vertices())) if decision else None
     return SolveResult(decision, witness, inst.from_score(best), "brute", nodes)
+
+
+def _best_subset(
+    inst: AnnotatedInstance, free: tuple[int, ...] | list[int], need: int, base: int
+) -> tuple[int, tuple[int, ...], int]:
+    """Best score over the need-subsets of ``free`` (0 <= need <= |free|), on
+    top of ``base``: (score, lexicographically first best subset, subsets scored).
+
+    The walk is depth-first in lexicographic order.  Each step adds the
+    vertex's contribution score w.r.t. T plus ``pair_score`` per edge to the
+    vertices already chosen; a flat loop picks the last vertex, and its
+    strict ``>`` keeps the first optimum.
+    """
+    if not need:
+        return base, (), 1
+    pair = inst.pair_score
+    score = [inst.score_contribution(v, inst.tmask) for v in free]
+    masks = [inst.graph.masks[v] & inst.alive for v in free]
+    n = len(free)
+    best: int | None = None
+    best_at: tuple[int, ...] = ()
+
+    def walk(start: int, depth: int, got: int, chosen: int, picked: tuple[int, ...]) -> None:
+        nonlocal best, best_at
+        if depth == 1:
+            for i in range(start, n):
+                s = got + score[i] + pair * (masks[i] & chosen).bit_count()
+                if best is None or s > best:
+                    best, best_at = s, picked + (i,)
+            return
+        for i in range(start, n - depth + 1):
+            step = score[i] + pair * (masks[i] & chosen).bit_count()
+            walk(i + 1, depth - 1, got + step, chosen | 1 << free[i], picked + (i,))
+
+    walk(0, need, base, 0, ())
+    return best, tuple(free[i] for i in best_at), math.comb(n, need)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +228,10 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     """Exact optimum by per-component subset tables combined over cardinality.
 
     With no cross-component edges the value is additive over components, so a
-    (component x cardinality) table of per-size optima suffices.  The budget
-    guards the per-component enumerations.
+    (component x cardinality) table of per-size optima suffices.  Each entry
+    is a :func:`_best_subset` run over the component's free vertices on top of
+    the score of its part of T, the only part of T their contributions see.
+    The budget guards these enumerations.
     """
     if inst.n_alive < inst.k or inst.k < inst.t_size:
         return SolveResult(False, None, None, "bounded-degree", 0)
@@ -272,19 +246,12 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
         total_work += sum(math.comb(len(free), j - lo) for j in range(lo, hi + 1))
         if total_work > budget:
             raise BudgetExceeded("component enumeration exceeds the subset budget")
+        base = inst.score_val(mask_of(forced))
         table: dict[int, tuple[int, tuple[int, ...]]] = {}
         for j in range(lo, hi + 1):
-            best = None
-            best_set: tuple[int, ...] = ()
-            for combo in combinations(free, j - lo):
-                nodes += 1
-                chosen = tuple(sorted(forced + list(combo)))
-                score = inst.score_val(mask_of(chosen))
-                if best is None or score > best:
-                    best = score
-                    best_set = chosen
-            if best is not None:
-                table[j] = (best, best_set)
+            score, picked, scored = _best_subset(inst, free, j - lo, base)
+            nodes += scored
+            table[j] = (score, tuple(sorted(forced + list(picked))))
         tables.append(table)
 
     acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}

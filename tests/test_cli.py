@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,16 @@ def test_byte_identical_outputs(graph_file, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_parser_built_once_keeps_outputs(graph_file, capsys):
+    solve = ["solve", graph_file, "--alpha", "1/2", "--k", "3", "--t", "4", "--variant", "max", "--json"]
+    outs = []
+    for argv in (solve, ["params", graph_file], solve):
+        main(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2] and '"command": "solve"' in outs[0]
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
 # -- exit-code contract ---------------------------------------------------------------------
 
 VERIFY_DELTA = ["--alpha", "1/2", "--k", "2", "--t", "5/2", "--variant", "max", "--pipeline", "delta"]
@@ -332,6 +343,25 @@ def test_delta_kernel_of_a_large_cover_graph_runs_no_search(tmp_path, monkeypatc
     argv = ["kernelize", str(path), "--pipeline", "delta", "--alpha", "1/2", "--k", "5", "--t", "10", "--variant", "max"]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out.startswith("fcgp max alpha=1/2 k=5 t=15\n")
+
+
+@pytest.mark.parametrize("pipeline", ["closure", "degeneracy"])
+def test_huge_param_ends_fast_with_the_same_kernel(tmp_path, capsys, pipeline):
+    # both X/I degree bounds are at least 2^param: past the graph size they are never built
+    path = tmp_path / "d30.el"
+    path.write_text(_graph_text(gen_degenerate(30, 2, seed=1)))
+    outs = []
+    for param in ("1000", "1000000000"):
+        kern, trace = tmp_path / f"k{param}.txt", tmp_path / f"t{param}.txt"
+        started = time.monotonic()
+        code = main([
+            "kernelize", str(path), "--pipeline", pipeline, "--param", param, "--alpha", "1/2",
+            "--k", "3", "--t", "7", "--variant", "max", "--out", str(kern), "--trace", str(trace),
+        ])
+        assert code == EXIT_OK and time.monotonic() - started < 2
+        outs.append((kern.read_text(), trace.read_text().replace(f"closure_c={param}\n", "closure_c=P\n")))
+    assert outs[0] == outs[1]
+    capsys.readouterr()
 
 
 def test_json_report_reads_the_cover_on_demand(sparse_file, monkeypatch, capsys):

@@ -449,10 +449,11 @@ def test_deannotate_guards():
         deannotate_min(bad)
 
 
-def test_deannotate_short_instance_is_trivial_no():
-    inst = plain(path_graph(2), 3, 0, F(1, 2), MAX)
-    deann = deannotate_max(inst)
-    assert deann.kind == "trivial-no" and deann.plain.graph.n == 0
+def test_deannotate_short_instance_violates_guard():
+    # fewer than k alive vertices: the gadget graph would admit k-sets
+    for variant, deann_fn in ((MAX, deannotate_max), (MIN, deannotate_min)):
+        with pytest.raises(GuardViolation, match="at least k alive"):
+            deann_fn(plain(path_graph(2), 3, 0, F(1, 2), variant))
 
 
 # -- serialization -----------------------------------------------------------------------

@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -36,19 +38,20 @@ def test_brute_p3_min_leaf():
 
 
 def test_brute_matches_independent_reenumeration():
-    for seed in range(10):
-        g = gen_gnp(10, 1, 2, seed + 50)
-        inst = plain(g, 3, 2, F(2, 5), MAX)
+    # every enumeration depth, need = 0..6, against a plain combinations scan
+    for variant, alpha, need in product((MAX, MIN), (F(0), F(1, 3), F(1, 2), F(1)), range(7)):
+        g = gen_gnp(11, 1, 2, need + 50)
+        tset = (need % 3, 5) if need % 2 else ()
+        counters = {v: (v * need) % 3 for v in range(11) if v not in tset}
+        t = 0 if variant == MAX else 10**6  # always met, so the witness is reported
+        inst = annotated(g, tset, counters, need + len(tset), t, alpha, variant)
+        free = inst.free_vertices()
+        values = {combo: inst.val(combo + tset) for combo in combinations(free, need)}
+        best = (max if variant == MAX else min)(values.values())
+        first = next(combo for combo, value in values.items() if value == best)
         res = brute_force(inst)
-        # second, slower enumeration in reverse order
-        from itertools import combinations
-
-        best = None
-        for combo in combinations(range(9, -1, -1), 3):
-            value = inst.val(combo)
-            if best is None or value > best:
-                best = value
-        assert res.best_value == best
+        assert res.best_value == best and res.witness == tuple(sorted(first + tset))
+        assert res.nodes_explored == comb(len(free), need)
 
 
 def test_brute_budget():
