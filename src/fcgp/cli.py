@@ -237,7 +237,7 @@ def cmd_solve(args) -> int:
     elif solver == "brute":
         res = brute_force(inst, budget=args.budget)
     elif solver == "branch":
-        res = branch_degrading(inst, profile.degeneracy)
+        res = branch_degrading(inst, profile.degeneracy, node_budget=args.budget)
     elif solver == "third":
         res = solve_third(inst)
     elif solver == "hindex":

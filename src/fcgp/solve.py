@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graph import RuleInternalError, iter_mask, mask_of
-from .instance import MAX, MIN, THIRD, ZERO, AnnotatedInstance, GuardViolation
+from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
 from .ramsey import peeling_independent_set
 from .rules import DECIDED_YES, alive_profile, kernel_degeneracy_min
 
@@ -77,10 +77,11 @@ def _best_subset(
     """Best score over the need-subsets of ``free`` (0 <= need <= |free|), on
     top of ``base``: (score, lexicographically first best subset, subsets scored).
 
-    The walk is depth-first in lexicographic order.  Each step adds the
-    vertex's contribution score w.r.t. T plus ``pair_score`` per edge to the
-    vertices already chosen; a flat loop picks the last vertex, and its
-    strict ``>`` keeps the first optimum.
+    The walk is depth-first in lexicographic order and iterative, so need
+    is not bounded by the recursion limit.  Each step adds the vertex's
+    contribution score w.r.t. T plus ``pair_score`` per edge to the vertices
+    already chosen; a flat loop picks the last vertex, and its strict ``>``
+    keeps the first optimum.
     """
     if not need:
         return base, (), 1
@@ -88,22 +89,31 @@ def _best_subset(
     score = [inst.score_contribution(v, inst.tmask) for v in free]
     masks = [inst.graph.masks[v] & inst.alive for v in free]
     n = len(free)
+    last = need - 1
+    idx = [0] * need  # the index tried at each depth; idx[last] starts the flat loop
+    got = [base] * need  # score of the vertices chosen above each depth
+    chosen = [0] * need  # and their mask
     best: int | None = None
-    best_at: tuple[int, ...] = ()
-
-    def walk(start: int, depth: int, got: int, chosen: int, picked: tuple[int, ...]) -> None:
-        nonlocal best, best_at
-        if depth == 1:
-            for i in range(start, n):
-                s = got + score[i] + pair * (masks[i] & chosen).bit_count()
+    best_at: list[int] = []
+    d = 0
+    while True:
+        if d == last:
+            g, c = got[d], chosen[d]
+            for i in range(idx[d], n):
+                s = g + score[i] + pair * (masks[i] & c).bit_count()
                 if best is None or s > best:
-                    best, best_at = s, picked + (i,)
-            return
-        for i in range(start, n - depth + 1):
-            step = score[i] + pair * (masks[i] & chosen).bit_count()
-            walk(i + 1, depth - 1, got + step, chosen | 1 << free[i], picked + (i,))
-
-    walk(0, need, base, 0, ())
+                    best, best_at = s, idx[:d] + [i]
+        elif idx[d] <= n - need + d:
+            i = idx[d]
+            got[d + 1] = got[d] + score[i] + pair * (masks[i] & chosen[d]).bit_count()
+            chosen[d + 1] = chosen[d] | 1 << free[i]
+            idx[d + 1] = i + 1
+            d += 1
+            continue
+        if not d:
+            break
+        d -= 1
+        idx[d] += 1
     return best, tuple(free[i] for i in best_at), math.comb(n, need)
 
 
@@ -227,59 +237,50 @@ def solve_third(inst: AnnotatedInstance) -> SolveResult:
 def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
     """Exact optimum by per-component subset tables combined over cardinality.
 
-    With no cross-component edges the value is additive over components, so a
-    (component x cardinality) table of per-size optima suffices.  Each entry
-    is a :func:`_best_subset` run over the component's free vertices on top of
-    the score of its part of T, the only part of T their contributions see.
+    For free vertices F (alive, outside T) the score of T + F is the score of
+    T, plus the contribution score of each v in F w.r.t. T, plus pair_score
+    per edge inside F.  Edges inside F never join two components of the free
+    graph, so a (component x cardinality) table of per-size optima suffices;
+    each entry is a :func:`_best_subset` run over the component.  The combine
+    breaks equal scores toward the smaller sorted tuple, so the witness is
+    the lexicographically first optimum, the one :func:`brute_force` returns.
     The budget guards these enumerations.
     """
-    if inst.n_alive < inst.k or inst.k < inst.t_size:
+    need = inst.k - inst.t_size
+    if inst.n_alive < inst.k or need < 0:
         return SolveResult(False, None, None, "bounded-degree", 0)
-    total_work = 0
+    comps = _components(inst)
+    if sum(math.comb(len(comp), j) for comp in comps for j in range(min(len(comp), need) + 1)) > budget:
+        raise BudgetExceeded("component enumeration exceeds the subset budget")
     nodes = 0
-    tables: list[dict[int, tuple[int, tuple[int, ...]]]] = []
-    for comp in _components(inst):
-        forced = [v for v in comp if (inst.tmask >> v) & 1]
-        free = [v for v in comp if not (inst.tmask >> v) & 1]
-        lo = len(forced)
-        hi = min(len(comp), inst.k)
-        total_work += sum(math.comb(len(free), j - lo) for j in range(lo, hi + 1))
-        if total_work > budget:
-            raise BudgetExceeded("component enumeration exceeds the subset budget")
-        base = inst.score_val(mask_of(forced))
-        table: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for j in range(lo, hi + 1):
-            score, picked, scored = _best_subset(inst, free, j - lo, base)
-            nodes += scored
-            table[j] = (score, tuple(sorted(forced + list(picked))))
-        tables.append(table)
-
-    acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
-    for table in tables:
+    acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (inst.score_val(inst.tmask), ())}
+    for comp in comps:
         nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for have, (hv, hs) in acc.items():
-            for j, (jv, js) in table.items():
-                tot = have + j
-                if tot > inst.k:
+        for j in range(min(len(comp), need) + 1):
+            js, picked, scored = _best_subset(inst, comp, j, 0)
+            nodes += scored
+            for have, (hs, hw) in acc.items():
+                if have + j > need:
                     continue
-                cand = (hv + jv, tuple(sorted(hs + js)))
-                cur = nxt.get(tot)
-                if cur is None or cand[0] > cur[0]:
-                    nxt[tot] = cand
+                score, witness = hs + js, tuple(sorted(hw + picked))
+                cur = nxt.get(have + j)
+                if cur is None or score > cur[0] or (score == cur[0] and witness < cur[1]):
+                    nxt[have + j] = (score, witness)
         acc = nxt
-        if not acc:
-            break
-    if inst.k not in acc:
+    if need not in acc:
         return SolveResult(False, None, None, "bounded-degree", nodes)
-    score, witness = acc[inst.k]
+    score, picked = acc[need]
     decision = score >= inst.score_needed(inst.t)
-    return SolveResult(decision, witness if decision else None, inst.from_score(score), "bounded-degree", nodes)
+    witness = tuple(sorted(picked + inst.t_vertices())) if decision else None
+    return SolveResult(decision, witness, inst.from_score(score), "bounded-degree", nodes)
 
 
 def _components(inst: AnnotatedInstance) -> list[list[int]]:
+    """The components of the free graph: alive vertices outside T."""
+    free = inst.alive & ~inst.tmask
     seen = 0
     comps = []
-    for start in iter_mask(inst.alive):
+    for start in iter_mask(free):
         if (seen >> start) & 1:
             continue
         frontier = 1 << start
@@ -288,7 +289,7 @@ def _components(inst: AnnotatedInstance) -> list[list[int]]:
             comp_mask |= frontier
             grow = 0
             for v in iter_mask(frontier):
-                grow |= inst.graph.masks[v] & inst.alive
+                grow |= inst.graph.masks[v] & free
             frontier = grow & ~comp_mask
         seen |= comp_mask
         comps.append(sorted(iter_mask(comp_mask)))
@@ -305,19 +306,21 @@ def hindex_fpt_max(
     branch_budget: int = 200_000,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> SolveResult:
-    """Branch on S cap V_{>h}, fold the chosen hubs away, solve the low-degree rest.
+    """Branch on S cap V_{>h}, then solve the low-degree rest.
 
-    Folding a chosen hub u pays t down by bonus(u) + (1-a)|N(u) cap T_rem| +
-    a|N(u) minus T_rem| and credits 1-2a to each remaining low neighbor, so
-    every branch's residual instance preserves value-minus-threshold exactly.
+    Each branch excludes the unchosen free hubs and includes the chosen
+    ones, in index order.  include and exclude keep val(S) - t for every
+    S containing T, so a branch's optimum is the residual optimum plus the
+    drop in t, and its witness already holds the chosen hubs.  The residual's
+    free graph has degree at most h, the case of
+    :func:`solve_bounded_degree`.  Ties between branches go to the smaller
+    witness, so the witness is the one :func:`brute_force` returns.
     """
     if inst.variant != MAX:
         raise GuardViolation("hindex_fpt_max requires the maximization variant")
     if not inst.alpha < THIRD:
         raise GuardViolation("hindex_fpt_max requires alpha < 1/3")
-    high = [v for v in inst.alive_vertices() if inst.degree(v) >= h + 1]
-    forced_high = [v for v in high if (inst.tmask >> v) & 1]
-    open_high = [v for v in high if not (inst.tmask >> v) & 1]
+    open_high = [v for v in inst.free_vertices() if inst.degree(v) >= h + 1]
     max_extra = min(len(open_high), inst.k - inst.t_size)
     if max_extra < 0:
         return SolveResult(False, None, None, "hindex-fpt", 0)
@@ -330,70 +333,21 @@ def hindex_fpt_max(
     for j in range(0, max_extra + 1):
         for extra in combinations(open_high, j):
             nodes += 1
-            chosen = tuple(sorted(forced_high + list(extra)))
-            residual = _fold_hubs(inst, high, chosen)
-            if residual is None:
-                continue
-            sub = solve_bounded_degree(residual, budget=subset_budget)
+            branch = inst
+            for v in open_high:
+                branch = branch.include(v) if v in extra else branch.exclude(v)
+            sub = solve_bounded_degree(branch, budget=subset_budget)
             if sub.best_value is None:
                 continue
-            paid = inst.t - residual.t
-            total = sub.best_value + paid
-            witness = tuple(sorted(chosen + sub.witness)) if sub.witness is not None else None
+            total = sub.best_value + inst.t - branch.t
             if best is None or total > best:
-                best = total
-                best_witness = witness
-            elif total == best and witness is not None and (best_witness is None or witness < best_witness):
-                best_witness = witness
+                best, best_witness = total, sub.witness
+            elif total == best and sub.witness is not None and sub.witness < best_witness:
+                best_witness = sub.witness  # equal totals both meet t or both miss it
     if best is None:
         return SolveResult(False, None, None, "hindex-fpt", nodes)
     decision = best >= inst.t
     return SolveResult(decision, best_witness if decision else None, best, "hindex-fpt", nodes)
-
-
-def _fold_hubs(inst: AnnotatedInstance, high: list[int], chosen: tuple[int, ...]) -> AnnotatedInstance | None:
-    """Branch-restricted residual: unchosen hubs excluded, chosen hubs folded.
-
-    Preserves val(S) - t for every S with S cap V_{>h} = chosen; returns
-    None when the branch is infeasible by cardinality.
-    """
-    cur = inst
-    for v in high:
-        if v not in chosen:
-            cur = cur.exclude(v)
-    for v in chosen:
-        if not (cur.tmask >> v) & 1:
-            cur = cur.include(v)
-    remaining = list(chosen)
-    alpha = inst.alpha
-    credit = 1 - 2 * alpha
-    for u in chosen:
-        remaining.remove(u)
-        rem_mask = mask_of(remaining)
-        nbrs = cur.graph.masks[u] & cur.alive
-        hub_nbrs = (nbrs & rem_mask).bit_count()
-        low_nbrs = list(iter_mask(nbrs & ~rem_mask))
-        new_t = cur.t - ((1 - alpha) * hub_nbrs + alpha * len(low_nbrs)) - cur.bonus[u]
-        bonus = list(cur.bonus)
-        bonus[u] = ZERO
-        for w in low_nbrs:
-            if (cur.tmask >> w) & 1:
-                new_t -= credit  # forced neighbor: the edge is internal for sure
-            else:
-                bonus[w] += credit
-        cur = AnnotatedInstance(
-            graph=cur.graph,
-            alive=cur.alive ^ (1 << u),
-            tmask=cur.tmask ^ (1 << u),
-            bonus=tuple(bonus),
-            k=cur.k - 1,
-            t=new_t,
-            alpha=cur.alpha,
-            variant=cur.variant,
-        )
-    if cur.k < cur.t_size or cur.k > cur.n_alive or cur.k < 0:
-        return None
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +367,16 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
         raise GuardViolation("densest_vc needs a plain instance")
     cover = inst.check_cover(cover)
     cmask = mask_of(cover)
-    if 2 ** len(cover) > budget:
-        raise BudgetExceeded(f"2^{len(cover)} cover subsets exceed the budget")
     iset = [v for v in inst.alive_vertices() if not (cmask >> v) & 1]
+    sizes = [r for r in range(min(len(cover), inst.k) + 1) if inst.k - r <= len(iset)]
+    subsets = sum(math.comb(len(cover), r) for r in sizes)
+    if subsets > budget:
+        raise BudgetExceeded(f"{subsets} cover subsets exceed the budget")
     best: int | None = None
     best_witness: tuple[int, ...] | None = None
-    nodes = 0
-    for r in range(0, min(len(cover), inst.k) + 1):
+    for r in sizes:
         fill = inst.k - r
-        if fill > len(iset):
-            continue
         for sub in combinations(cover, r):
-            nodes += 1
             amask = mask_of(sub)
             inner, _ = inst.graph.edge_counts(amask)
             ranked = sorted(iset, key=lambda v: (-(inst.graph.masks[v] & amask).bit_count(), v))
@@ -435,9 +387,9 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
                 best = value
                 best_witness = witness
     if best is None:
-        return SolveResult(False, None, None, "densest-vc", nodes)
+        return SolveResult(False, None, None, "densest-vc", subsets)
     decision = best >= inst.t
-    return SolveResult(decision, best_witness if decision else None, Fraction(best), "densest-vc", nodes)
+    return SolveResult(decision, best_witness if decision else None, Fraction(best), "densest-vc", subsets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -107,6 +108,25 @@ def test_solve_budget_exit(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     code = main(["solve", str(p), "--alpha", "5/12", "--k", "13", "--t", "40", "--variant", "max", "--budget", "400"])
     assert code == EXIT_BUDGET
+
+
+def test_solve_branch_obeys_budget(tmp_path, capsys):
+    path = tmp_path / "c6.el"
+    path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")
+    argv = ["solve", str(path), "--alpha", "1/2", "--k", "3", "--t", "2", "--variant", "max", "--budget", "1"]
+    assert main(argv + ["--solver", "auto"]) == EXIT_BUDGET
+    assert main(argv + ["--solver", "branch"]) == EXIT_BUDGET
+    capsys.readouterr()
+
+
+def test_brute_force_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "d1200.el"
+    path.write_text(_graph_text(gen_degenerate(1200, 2, seed=1)))
+    k = 1199
+    assert k > sys.getrecursionlimit()
+    argv = ["solve", str(path), "--alpha", "1/2", "--k", str(k), "--t", "0", "--variant", "max", "--solver", "brute"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("decision=YES value=623 ")
 
 
 def test_kernelize_writes_kernel_and_trace(graph_file, tmp_path, capsys):

@@ -174,7 +174,34 @@ def test_bounded_agrees_with_brute(variant, alpha):
     for _, inst in seeded_instances(40, alpha, variant, base_seed=14_000):
         ref = brute_force(inst)
         res = solve_bounded_degree(inst)
-        assert (res.decision, res.best_value) == (ref.decision, ref.best_value)
+        assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
+
+
+def _agree_with_brute(inst, h):
+    ref = brute_force(inst)
+    want = (ref.decision, ref.best_value, ref.witness)
+    for res in (solve_bounded_degree(inst), hindex_fpt_max(inst, h)):
+        assert (res.decision, res.best_value, res.witness) == want
+
+
+@pytest.mark.parametrize("t", [F(0), F(3), F(9, 2), F(6)])
+def test_t_vertex_joins_two_free_components(t):
+    # T = {2} links the free paths 0-1 and 3-4; their value is still additive
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for k in (3, 4, 5):
+        inst = annotated(g, [2], {0: 1, 4: 2}, k, t, F(1, 4), MAX)
+        _agree_with_brute(inst, 2)
+
+
+@pytest.mark.parametrize("t", [F(1), F(7, 2), F(5)])
+def test_t_hub_with_counters_on_its_neighbours(t):
+    # hub 0 in T, counters on its leaves and on the free hub 5
+    g = Graph.from_edges(9, [(0, i) for i in range(1, 6)] + [(5, 6), (5, 7), (5, 8), (1, 2), (6, 7)])
+    for alpha in (F(0), F(1, 4)):
+        for k in (2, 3, 4):
+            inst = annotated(g, [0], {1: 2, 3: 1, 5: 3, 6: 1}, k, t, alpha, MAX)
+            for h in (1, 2):
+                _agree_with_brute(inst, h)
 
 
 def test_bounded_budget():
@@ -210,7 +237,7 @@ def test_hindex_agrees_with_brute(alpha):
         h = compute_profile(sub).h_index
         ref = brute_force(inst)
         res = hindex_fpt_max(inst, h)
-        assert (res.decision, res.best_value) == (ref.decision, ref.best_value)
+        assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
         if res.decision:
             assert res.check_witness(inst)
 
@@ -249,6 +276,17 @@ def test_densest_agrees_with_brute():
         ref = brute_force(inst)
         res = densest_vc(inst, cover)
         assert (res.decision, res.best_value) == (ref.decision, ref.best_value)
+
+
+def test_densest_budget_counts_enumerated_subsets():
+    # a 23-edge matching: the cover has 23 vertices, k = 2 enumerates 1 + 23 + 253 of its subsets
+    g = Graph.from_edges(46, [(2 * i, 2 * i + 1) for i in range(23)])
+    inst = plain(g, 2, 1, F(0), MAX)
+    cover = tuple(range(0, 46, 2))
+    res = densest_vc(inst, cover, budget=277)
+    assert (res.decision, res.best_value, res.nodes_explored) == (True, 1, 277)
+    with pytest.raises(BudgetExceeded, match="277 cover subsets"):
+        densest_vc(inst, cover, budget=276)
 
 
 def test_densest_rejects_bad_cover():
