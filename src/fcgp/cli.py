@@ -115,7 +115,7 @@ def _profile_dict(profile) -> dict:
         "degeneracy": profile.degeneracy,
         "hindex": profile.h_index,
         "closure": profile.c_closure,
-        "vc": profile.vc if profile.vc is not None else "-",
+        "vc": profile.vc,
     }
 
 
@@ -167,7 +167,7 @@ def cmd_params(args) -> int:
     g = _read_graph(args.graph, args.format)
     profile = compute_profile(g, vc_budget=-1 if args.no_vc else args.vc_budget)
     d = _profile_dict(profile)
-    print(" ".join(f"{key}={val}" for key, val in d.items()))
+    print(" ".join(f"{key}={'-' if val is None else val}" for key, val in d.items()))
     if profile.vertex_cover is not None:
         print("vertex_cover=" + ",".join(map(str, profile.vertex_cover)))
     print("degeneracy_ordering=" + ",".join(map(str, profile.degeneracy_ordering)))

@@ -131,8 +131,10 @@ class ParameterProfile:
     ``degeneracy_ordering`` is the min-degree peeling order (ties broken by
     smallest index); every vertex has at most ``degeneracy`` neighbors among
     its successors.  ``vertex_cover``, the one NP-hard parameter, is searched
-    for on first read and kept: a minimum cover if one of at most
-    ``vc_budget`` vertices exists, else ``None`` (a negative budget never searches).
+    for on first read and kept: the canonical minimum cover of
+    :func:`minimum_vertex_cover` if one of at most ``vc_budget`` vertices
+    exists and the search finds it within ``VC_NODE_BUDGET`` nodes, else
+    ``None`` (a negative budget never searches).
     """
 
     graph: Graph = field(repr=False, compare=False)
@@ -319,37 +321,86 @@ def c_closure(g: Graph) -> int:
     return best + 1
 
 
+# search-tree nodes one minimum_vertex_cover call may visit, over all sizes
+VC_NODE_BUDGET = 500_000
+
+
 def minimum_vertex_cover(g: Graph, budget: int = 25) -> tuple[int, ...]:
     """Exact minimum vertex cover via bounded search-tree branching.
 
-    Branches on the endpoints of an uncovered edge.  Raises
-    :class:`VcBudgetExceeded` when no cover of size <= budget exists.
+    Canonical cover: the first cover of minimum size in the depth-first
+    order that branches on the lowest-index vertex u with an uncovered edge,
+    taking u first and then u's lowest-index uncovered neighbour.  Sizes are
+    tried upward from the size of a greedy maximal matching, and a subtree is
+    cut when a maximal matching of its uncovered edges outnumbers the
+    vertices it may still take; such a subtree holds no cover, so the cuts
+    never change which cover comes back.  Raises :class:`VcBudgetExceeded`
+    when no cover of size <= budget exists, or when the search visits more
+    than :data:`VC_NODE_BUDGET` nodes.
     """
-    for size in range(0, min(budget, g.n) + 1):
-        cover = _vc_decide(g, 0, size)
+    live = mask_of(v for v in range(g.n) if g.masks[v])
+    nodes = 0
+    size = _matching_bound(g.masks, live, 0, g.n)[1]
+    while size <= min(budget, g.n):
+        cover, nodes = _vc_decide(g.masks, live, size, nodes)
         if cover is not None:
             return tuple(sorted(iter_mask(cover)))
+        size += 1
     raise VcBudgetExceeded(f"no vertex cover of size <= {budget}")
 
 
-def _vc_decide(g: Graph, cover: int, remaining: int) -> int | None:
-    edge = None
-    for u in range(g.n):
-        if (cover >> u) & 1:
-            continue
-        free = g.masks[u] & ~cover
+def _matching_bound(masks: tuple[int, ...], rest: int, cover: int, cap: int) -> tuple[int | None, int]:
+    """The lowest vertex of ``rest`` with an edge outside ``cover`` (None if
+    there is none) and the size of a greedy maximal matching of those
+    edges, scanned in index order and stopped once it passes ``cap``.
+
+    The first matched edge is the branching edge: its partner is the first
+    vertex's lowest-index uncovered neighbour.  Partners always come later
+    in the scan, so each vertex is looked at once.
+    """
+    first = None
+    size = 0
+    rest &= ~cover
+    taken = cover
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        free = masks[u] & ~taken
         if free:
-            edge = (u, (free & -free).bit_length() - 1)
-            break
-    if edge is None:
-        return cover
-    if remaining == 0:
-        return None
-    u, v = edge
-    got = _vc_decide(g, cover | (1 << u), remaining - 1)
-    if got is not None:
-        return got
-    return _vc_decide(g, cover | (1 << v), remaining - 1)
+            mate = free & -free
+            if first is None:
+                first = u
+            size += 1
+            if size > cap:
+                break
+            taken |= low | mate
+            rest &= ~mate
+    return first, size
+
+
+def _vc_decide(masks: tuple[int, ...], live: int, size: int, nodes: int) -> tuple[int | None, int]:
+    """The first cover of exactly ``size`` vertices in the canonical order,
+    or None, and the node count carried on from ``nodes``.
+
+    ``live`` holds the vertices with an edge.  Vertices below a node's
+    branching vertex have every edge covered, so its children scan from there.
+    """
+    stack = [(0, size, 0)]
+    while stack:
+        cover, remaining, start = stack.pop()
+        nodes += 1
+        if nodes > VC_NODE_BUDGET:
+            raise VcBudgetExceeded(f"vertex cover search passed its node budget of {VC_NODE_BUDGET:,} nodes")
+        u, bound = _matching_bound(masks, live >> start << start, cover, remaining)
+        if u is None:
+            return cover, nodes
+        if bound > remaining:
+            continue
+        free = masks[u] & ~cover
+        stack.append((cover | (free & -free), remaining - 1, u))
+        stack.append((cover | (1 << u), remaining - 1, u))
+    return None, nodes
 
 
 def compute_profile(g: Graph, vc_budget: int = 25) -> ParameterProfile:

@@ -42,6 +42,10 @@ def empty_graph(n: int) -> Graph:
     return Graph.from_edges(n, [])
 
 
+def disjoint_triangles(count: int) -> Graph:
+    return Graph.from_edges(3 * count, [(3 * i + a, 3 * i + b) for i in range(count) for a, b in ((0, 1), (0, 2), (1, 2))])
+
+
 def greedy_cover(g: Graph) -> tuple[int, ...]:
     """Both ends of a greedy maximal matching: a cover, not a minimum one."""
     cover: set[int] = set()

@@ -29,6 +29,8 @@ from fcgp.instance import LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
 from fcgp.rules import PIPELINES
 
+from conftest import complete_graph, disjoint_triangles
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -406,6 +408,41 @@ def test_json_report_reads_the_cover_on_demand(sparse_file, monkeypatch, capsys)
         assert json.loads(out[out.index("{"):])["profile"]["vc"] == vc
         assert searches == [25]
         searches.clear()
+
+
+def test_json_writes_null_when_no_cover_is_in_budget(tmp_path, capsys):
+    path = tmp_path / "k8.el"
+    path.write_text(_graph_text(complete_graph(8)))
+    assert main(["params", str(path), "--vc-budget", "3", "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("delta=7 degeneracy=7 hindex=7 closure=1 vc=-\n")
+    report = json.loads(out[out.index("{"):])
+    assert report["profile"]["vc"] is None and report["result"]["vc"] is None
+    argv = ["kernelize", str(path), *_value("1/2", "max"), "--pipeline", "delta", "--vc-budget", "3", "--json"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["profile"]["vc"] is None
+
+
+def test_json_cover_of_a_large_sparse_graph_ends_fast(tmp_path, capsys):
+    # the unbounded search ran past 20 s for this report
+    path = tmp_path / "d60.el"
+    path.write_text(_graph_text(gen_degenerate(60, 2, seed=60)))
+    argv = ["kernelize", str(path), "--pipeline", "delta", "--alpha", "1/2", "--k", "5", "--t", "10", "--variant", "max"]
+    started = time.monotonic()
+    assert main([*argv, "--json"]) == EXIT_OK
+    assert time.monotonic() - started < 2
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["profile"]["vc"] == 25
+
+
+def test_cover_past_the_node_budget_is_no_cover(tmp_path, capsys):
+    path = tmp_path / "triangles.el"
+    path.write_text(_graph_text(disjoint_triangles(12)))
+    assert main(["params", str(path)]) == EXIT_OK
+    assert " vc=-\n" in capsys.readouterr().out
+    assert main(["kernelize", str(path), *_value("1/2", "min"), "--pipeline", "vc"]) == EXIT_GUARD
+    assert "exact vertex cover" in capsys.readouterr().err
 
 
 def test_verify_missing_kernel_file_is_usage_error(graph_file, tmp_path, capsys):

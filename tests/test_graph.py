@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from fcgp.graph import (
     VcBudgetExceeded,
     compute_profile,
     degeneracy_ordering,
+    iter_mask,
     minimum_vertex_cover,
     parse_graph,
     sniff_format,
 )
+from fcgp.harness import gen_degenerate, gen_gnp
 
-from conftest import complete_graph, cycle_graph, greedy_cover, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, disjoint_triangles, greedy_cover, path_graph, star_graph
 
 
 # -- parsing -----------------------------------------------------------------
@@ -191,6 +194,108 @@ def test_cover_is_searched_on_first_read_only(monkeypatch):
     assert budgets == [5]
     assert compute_profile(cycle_graph(6), vc_budget=-1).vc is None
     assert budgets == [5]
+
+
+# -- exact vertex cover search -------------------------------------------------
+
+def unbounded_vc_decide(g: Graph, cover: int, remaining: int, nodes: list[int]) -> int | None:
+    """The cover search with no cut: branch on the lowest-index vertex u with
+    an uncovered edge, taking u, then u's lowest-index uncovered neighbour."""
+    nodes[0] += 1
+    edge = None
+    for u in range(g.n):
+        if (cover >> u) & 1:
+            continue
+        free = g.masks[u] & ~cover
+        if free:
+            edge = (u, (free & -free).bit_length() - 1)
+            break
+    if edge is None:
+        return cover
+    if remaining == 0:
+        return None
+    u, v = edge
+    got = unbounded_vc_decide(g, cover | (1 << u), remaining - 1, nodes)
+    if got is not None:
+        return got
+    return unbounded_vc_decide(g, cover | (1 << v), remaining - 1, nodes)
+
+
+def unbounded_cover(g: Graph, budget: int = 25) -> tuple[tuple[int, ...] | None, int]:
+    """The canonical cover by iterative deepening from size 0, and its node count."""
+    nodes = [0]
+    for size in range(min(budget, g.n) + 1):
+        cover = unbounded_vc_decide(g, 0, size, nodes)
+        if cover is not None:
+            return tuple(sorted(iter_mask(cover))), nodes[0]
+    return None, nodes[0]
+
+
+def planted_cover_graph(seed: int) -> Graph:
+    """20-30 vertices whose every edge touches one of 3-15 hubs (covers up to 14)."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 30)
+    hubs = rng.sample(range(n), rng.randint(3, 15))
+    edges = set()
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.choice(hubs), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
+def test_cover_matches_the_unbounded_search(monkeypatch):
+    graphs = [
+        *(gen_gnp(6 + seed % 15, 1, 4, seed) for seed in range(170)),
+        *(gen_degenerate(8 + seed % 23, 1 + seed % 3, seed) for seed in range(170)),
+        *(planted_cover_graph(seed) for seed in range(200)),
+    ]
+    totals = []
+    search = graph_mod._vc_decide
+
+    def counting(*args):
+        got = search(*args)
+        totals.append(got[1])
+        return got
+
+    monkeypatch.setattr(graph_mod, "_vc_decide", counting)
+    sizes = set()
+    for g in graphs:
+        want, want_nodes = unbounded_cover(g)
+        totals.clear()
+        try:
+            got = minimum_vertex_cover(g)
+        except VcBudgetExceeded:
+            got = None
+        assert got == want
+        assert (totals[-1] if totals else 0) <= want_nodes
+        if want is not None:
+            # with the budget at the cover size, a cut one vertex early loses the cover
+            assert minimum_vertex_cover(g, budget=len(want)) == want
+        sizes.add(None if got is None else len(got))
+    assert set(range(1, 15)) <= sizes
+
+
+def test_deep_cover_search_needs_no_recursion():
+    # a perfect matching's bound equals every remaining size, so the search goes 1,200 levels deep
+    g = Graph.from_edges(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    assert minimum_vertex_cover(g, budget=5000) == tuple(range(0, 2400, 2))
+
+
+def test_cover_below_the_matching_bound_is_not_searched(monkeypatch):
+    # 26 disjoint edges need 26 vertices: the bound alone refutes budget 25
+    g = Graph.from_edges(52, [(2 * i, 2 * i + 1) for i in range(26)])
+    monkeypatch.setattr(graph_mod, "_vc_decide", None)
+    with pytest.raises(VcBudgetExceeded, match="size <= 25"):
+        minimum_vertex_cover(g)
+
+
+def test_node_budget_ends_the_search():
+    # the matching bound counts one vertex per triangle and a cover needs two:
+    # the sizes 12 to 23 all fail, and the budget runs out among them
+    with pytest.raises(VcBudgetExceeded, match=f"node budget of {graph_mod.VC_NODE_BUDGET:,} nodes"):
+        minimum_vertex_cover(disjoint_triangles(12))
+    assert len(minimum_vertex_cover(disjoint_triangles(6))) == 12
 
 
 @given(st.integers(0, 9), st.integers(0, 2**81 - 1))

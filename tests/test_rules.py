@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -582,6 +583,17 @@ def test_alive_profile_cover_in_instance_indices():
     for name in ("vc", "auto"):
         out = run_pipeline(inst, name)
         assert check_equivalence(inst, out).status == "match"
+
+
+@pytest.mark.parametrize("t", [1, 5, 10, 20])
+def test_auto_without_a_cover_in_budget_ends_fast(t):
+    # the matching bound (43) refutes every cover of at most 25 vertices; the
+    # unbounded search ran past 25 s here
+    inst = plain(gen_degenerate(150, 2, seed=13), 5, t, F(1, 4), MAX)
+    started = time.monotonic()
+    with pytest.raises(GuardViolation, match="exact vertex cover"):
+        run_pipeline(inst, "auto")
+    assert time.monotonic() - started < 2
 
 
 # -- incremental ranking ------------------------------------------------------
