@@ -41,6 +41,7 @@ from .solve import (
     hindex_fpt_max,
     solve_auto,
     solve_third,
+    twin_oracle,
 )
 
 EXIT_OK = 0
@@ -298,11 +299,11 @@ def cmd_verify(args) -> int:
         regenerated = kernel_file_text(outcome.plain)
         kernel_text = _read_text(args.kernel, "kernel file") if args.kernel else regenerated
         file_plain = parse_kernel_file(kernel_text)
-        res_file = brute_force(file_plain.annotate(), budget=args.budget)
+        res_file = twin_oracle(file_plain.annotate(), budget=args.budget)
         res_mine = (
             res_file
             if kernel_text == regenerated
-            else brute_force(outcome.plain.annotate(), budget=args.budget)
+            else twin_oracle(outcome.plain.annotate(), budget=args.budget)
         )
         if res_file.decision != res_mine.decision:
             return fail(
@@ -323,7 +324,7 @@ def cmd_verify(args) -> int:
                 return fail(f"lifted witness evaluates to {value} vs t {inst.t}")
 
     if args.oracle:
-        res = brute_force(inst, budget=args.budget)
+        res = twin_oracle(inst, budget=args.budget)
         if res.decision != my_decision:
             return fail(f"oracle decision {res.decision} != pipeline decision {my_decision}")
 
@@ -415,14 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=int, default=None)
     p.add_argument("--kernel", default=None, help="kernel file to check (default: regenerate)")
     p.add_argument("--trace", default=None, help="trace file to check against the regenerated trace")
-    p.add_argument("--oracle", action="store_true", help="also brute-force the original instance")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--oracle", action="store_true", help="also solve the original instance with the exact oracle")
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="most twin-class count vectors the exact oracle may score per instance")
     p.add_argument("--vc-budget", type=int, default=25)
     _report_flags(p)
 
     p = sub.add_parser("battery", help="run a manifest of seeded equivalence checks")
     p.add_argument("manifest")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="most twin-class count vectors the exact oracle may score per instance")
     p.add_argument("--fail-dir", default="battery-failures")
     _report_flags(p)
     return parser

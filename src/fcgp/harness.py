@@ -15,7 +15,7 @@ from fractions import Fraction
 from .graph import Graph, mask_of
 from .instance import AnnotatedInstance, GuardViolation, PlainInstance
 from .rules import DECIDED_NO, DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
-from .solve import BudgetExceeded, brute_force
+from .solve import BudgetExceeded, brute_force, twin_oracle
 
 
 def gen_gnp(n: int, p_num: int, p_den: int, seed: int) -> Graph:
@@ -114,14 +114,17 @@ class EquivalenceReport:
 
 
 def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000) -> EquivalenceReport:
-    """Compare brute-force decisions before and after a transformation.
+    """Compare the exact oracle's decisions before and after a transformation.
 
     ``after`` may be an annotated instance, a plain instance, or a
     :class:`KernelOutcome`; decided outcomes additionally have their witness
-    re-evaluated on the *before* instance.
+    re-evaluated on the *before* instance.  The oracle is
+    :func:`~fcgp.solve.twin_oracle`, which returns brute force's exact answer
+    from one k-set per twin-class count vector; ``budget`` bounds those
+    vectors per instance, and an instance over it makes the report "skipped".
     """
     try:
-        res_before = brute_force(before, budget=budget)
+        res_before = twin_oracle(before, budget=budget)
     except BudgetExceeded as exc:
         return EquivalenceReport("skipped", detail=f"oracle budget: {exc}")
 
@@ -154,7 +157,7 @@ def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000)
             return EquivalenceReport("skipped", detail="plain instance too large for the oracle budget")
     elif isinstance(after, AnnotatedInstance):
         try:
-            after_dec = brute_force(after, budget=budget).decision
+            after_dec = twin_oracle(after, budget=budget).decision
         except BudgetExceeded as exc:
             return EquivalenceReport("skipped", detail=f"oracle budget: {exc}")
     else:
@@ -172,7 +175,7 @@ def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000)
 
 def _plain_decision(plain: PlainInstance, budget: int) -> bool | None:
     try:
-        return brute_force(plain.annotate(), budget=budget).decision
+        return twin_oracle(plain.annotate(), budget=budget).decision
     except BudgetExceeded:
         return None
 

@@ -4,9 +4,10 @@ All solvers work on annotated instances and report exact rational values.
 Their loops compare the instance's integer scores (values times its scale,
 negated for Min so that higher is better) and turn only the reported
 optimum back into a rational.  One enumerator, ``_best_subset``, scores
-the k-sets of both exhaustive solvers: ``brute_force``, the reference oracle
-the whole test suite leans on, and the per-component tables of
-``solve_bounded_degree``.
+the k-sets of the exhaustive solvers: ``brute_force``, the reference oracle
+the whole test suite leans on; ``twin_oracle``, its answer over twin-class
+count vectors, which the equivalence checks and ``verify`` run; and the
+per-component tables of ``solve_bounded_degree``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 
 from .graph import RuleInternalError, iter_mask, mask_of
 from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
@@ -61,48 +62,141 @@ def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
     free = inst.free_vertices()
     if need < 0 or need > len(free):
         return SolveResult(False, None, None, "brute", 0)
-    if math.comb(len(free), need) > budget:
+    subsets = math.comb(len(free), need)
+    if subsets > budget:
         raise BudgetExceeded(
             f"brute force needs C({len(free)},{need}) > {budget} subset evaluations"
         )
-    best, best_set, nodes = _best_subset(inst, free, need, inst.score_val(inst.tmask))
-    decision = best >= inst.score_needed(inst.t)
-    witness = tuple(sorted(best_set + inst.t_vertices())) if decision else None
-    return SolveResult(decision, witness, inst.from_score(best), "brute", nodes)
+    best, best_set = _best_subset(inst, [(v,) for v in free], need, inst.score_val(inst.tmask))
+    return _result(inst, best, best_set, "brute", subsets)
+
+
+def twin_oracle(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
+    """:func:`brute_force`'s decision, optimum and witness from one k-set per
+    count vector of the twin classes (:func:`_twin_classes`).
+
+    A k-set's value depends only on how many vertices it takes from each
+    class, and taking each class's first members in index order gives the
+    lexicographically first k-set of its count vector, so the first optimum
+    among these sets is brute_force's witness.  De-annotation gadgets (the
+    leaves on one anchor, the clique vertices wired to the same originals)
+    are large classes, so the vectors are far fewer than the k-subsets.
+    The budget bounds the count vectors, counted before the walk starts.
+    """
+    need = inst.k - inst.t_size
+    if need < 0 or need > inst.n_alive - inst.t_size:
+        return SolveResult(False, None, None, "twin", 0)
+    classes = _twin_classes(inst)
+    vectors = _count_vectors([len(c) for c in classes], need)
+    if vectors > budget:
+        raise BudgetExceeded(f"the twin oracle needs {vectors} > {budget} count vectors")
+    best, best_set = _best_subset(inst, classes, need, inst.score_val(inst.tmask))
+    return _result(inst, best, best_set, "twin", vectors)
+
+
+def _twin_classes(inst: AnnotatedInstance) -> list[tuple[int, ...]]:
+    """The free vertices (alive, outside T) split into twin classes, each in
+    index order, the classes ordered by their first vertex.
+
+    False twins share their alive open neighbourhood and their weight, true
+    twins their alive closed neighbourhood and their weight; every other
+    vertex is a class of its own.  Swapping two twins maps the instance onto
+    itself.  No vertex has twins of both kinds: were u, v false twins and
+    u, w true twins, then w in N(u) = N(v), so v in N[w] = N[u], and v would
+    be u's neighbour.
+    """
+    masks, alive, weights = inst.graph.masks, inst.alive, inst.weights
+    free = inst.free_vertices()
+    opened: dict[tuple[int, int], list[int]] = {}
+    closed: dict[tuple[int, int], list[int]] = {}
+    for v in free:
+        around = masks[v] & alive
+        opened.setdefault((around, weights[v]), []).append(v)
+        closed.setdefault((around | 1 << v, weights[v]), []).append(v)
+    classes = []
+    for v in free:
+        around = masks[v] & alive
+        group = opened[around, weights[v]]
+        if len(group) == 1:
+            group = closed[around | 1 << v, weights[v]]
+        if group[0] == v:
+            classes.append(tuple(group))
+    return classes
+
+
+def _count_vectors(sizes: list[int], need: int) -> int:
+    """How many ways to take ``need`` vertices as counts of classes of the
+    given sizes: the coefficient of x^need in the product of 1 + x + ... + x^s."""
+    ones = sizes.count(1)
+    coef = [math.comb(ones, j) for j in range(need + 1)]
+    for s in sizes:
+        if s > 1:
+            window, nxt = 0, []
+            for j, c in enumerate(coef):
+                window += c - (coef[j - s - 1] if j > s else 0)
+                nxt.append(window)
+            coef = nxt
+    return coef[need]
+
+
+def _result(inst: AnnotatedInstance, score: int, picked: tuple[int, ...], solver_id: str, nodes: int) -> SolveResult:
+    """The result whose best score is ``score``, reached by T plus ``picked``."""
+    decision = score >= inst.score_needed(inst.t)
+    witness = tuple(sorted(picked + inst.t_vertices())) if decision else None
+    return SolveResult(decision, witness, inst.from_score(score), solver_id, nodes)
 
 
 def _best_subset(
-    inst: AnnotatedInstance, free: tuple[int, ...] | list[int], need: int, base: int
-) -> tuple[int, tuple[int, ...], int]:
-    """Best score over the need-subsets of ``free`` (0 <= need <= |free|), on
-    top of ``base``: (score, lexicographically first best subset, subsets scored).
+    inst: AnnotatedInstance, classes: list[tuple[int, ...]], need: int, base: int
+) -> tuple[int, tuple[int, ...]]:
+    """Best score over the need-sets that take a prefix of every class
+    (0 <= need <= the vertices in all classes), on top of ``base``:
+    (score, lexicographically first best set).
 
-    The walk is depth-first in lexicographic order and iterative, so need
-    is not bounded by the recursion limit.  Each step adds the vertex's
+    Every vertex of a class must be a twin of the others, so a set's score
+    depends only on its count per class; singleton classes give every
+    subset.  The walk is depth-first over the vertices in class order and
+    iterative, so need is not bounded by the recursion limit.  From the
+    vertex at position i it goes on to position i + 1 or to a later class
+    start, so each class contributes a prefix.  Each step adds the vertex's
     contribution score w.r.t. T plus ``pair_score`` per edge to the vertices
-    already chosen; a flat loop picks the last vertex, and its strict ``>``
-    keeps the first optimum.
+    already chosen; a flat loop picks the last vertex.  When the class order
+    is the index order the walk meets the sets in lexicographic order, and
+    the strict ``>`` keeps the first optimum; otherwise an equal score goes
+    to the smaller sorted set.
     """
     if not need:
-        return base, (), 1
+        return base, ()
+    free = list(chain.from_iterable(classes))
+    n = len(free)
+    starts = list(accumulate(map(len, classes), initial=0))  # where each class begins, then n
+    later = [r for r, c in enumerate(classes, 1) for _ in c]  # per position: the next class's index in starts
+    shuffled = free != sorted(free)
     pair = inst.pair_score
     score = [inst.score_contribution(v, inst.tmask) for v in free]
     masks = [inst.graph.masks[v] & inst.alive for v in free]
-    n = len(free)
     last = need - 1
-    idx = [0] * need  # the index tried at each depth; idx[last] starts the flat loop
+    idx = [0] * need  # the position tried at each depth; idx[last] starts the flat loop
     got = [base] * need  # score of the vertices chosen above each depth
     chosen = [0] * need  # and their mask
     best: int | None = None
     best_at: list[int] = []
+    best_key: list[int] | None = None  # sorted best set, built on the first tie
     d = 0
     while True:
         if d == last:
-            g, c = got[d], chosen[d]
-            for i in range(idx[d], n):
+            g, c, p = got[d], chosen[d], idx[d]
+            r = later[p]  # p, then the class starts after it; p may go on with its class
+            for i in starts[r - 1:-1] if starts[r - 1] == p else [p, *starts[r:-1]]:
                 s = g + score[i] + pair * (masks[i] & c).bit_count()
                 if best is None or s > best:
-                    best, best_at = s, idx[:d] + [i]
+                    best, best_at, best_key = s, idx[:d] + [i], None
+                elif shuffled and s == best:
+                    key = sorted([free[j] for j in idx[:d]] + [free[i]])
+                    if best_key is None:
+                        best_key = sorted(free[j] for j in best_at)
+                    if key < best_key:
+                        best_at, best_key = idx[:d] + [i], key
         elif idx[d] <= n - need + d:
             i = idx[d]
             got[d + 1] = got[d] + score[i] + pair * (masks[i] & chosen[d]).bit_count()
@@ -113,8 +207,8 @@ def _best_subset(
         if not d:
             break
         d -= 1
-        idx[d] += 1
-    return best, tuple(free[i] for i in best_at), math.comb(n, need)
+        idx[d] = starts[later[idx[d]]]
+    return best, tuple(free[i] for i in best_at)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +351,8 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     for comp in comps:
         nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
         for j in range(min(len(comp), need) + 1):
-            js, picked, scored = _best_subset(inst, comp, j, 0)
-            nodes += scored
+            js, picked = _best_subset(inst, [(v,) for v in comp], j, 0)
+            nodes += math.comb(len(comp), j)
             for have, (hs, hw) in acc.items():
                 if have + j > need:
                     continue
@@ -270,9 +364,7 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     if need not in acc:
         return SolveResult(False, None, None, "bounded-degree", nodes)
     score, picked = acc[need]
-    decision = score >= inst.score_needed(inst.t)
-    witness = tuple(sorted(picked + inst.t_vertices())) if decision else None
-    return SolveResult(decision, witness, inst.from_score(score), "bounded-degree", nodes)
+    return _result(inst, score, picked, "bounded-degree", nodes)
 
 
 def _components(inst: AnnotatedInstance) -> list[list[int]]:

@@ -187,6 +187,18 @@ def test_verify_round_trip(graph_file, tmp_path, capsys):
     assert "verified:" in capsys.readouterr().out
 
 
+def test_verify_oracle_on_a_kernel_past_the_subset_budget(tmp_path, capsys):
+    # the 87-vertex kernel needs C(87,4) > 2 000 000 subsets, but only
+    # 220,848 twin-class count vectors
+    path = tmp_path / "d24.el"
+    path.write_text(_graph_text(gen_degenerate(24, 3, seed=1005)))
+    argv = ["verify", str(path), "--alpha", "1/2", "--k", "4", "--t", "13", "--variant", "max", "--oracle"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "verified: decision=YES witness=0,1,7,13\n"
+    assert main(argv + ["--budget", "220847"]) == EXIT_BUDGET
+    assert "220848 > 220847 count vectors" in capsys.readouterr().err
+
+
 def test_verify_detects_tampered_kernel(graph_file, tmp_path, capsys):
     kern = tmp_path / "k.txt"
     main([

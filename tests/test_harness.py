@@ -13,8 +13,8 @@ from fcgp.harness import (
     run_battery,
 )
 from fcgp.instance import MAX, MIN
-from fcgp.rules import DECIDED_YES, KernelOutcome, RuleTrace
-from fcgp.solve import brute_force
+from fcgp.rules import DECIDED_YES, KERNELIZED, KernelOutcome, RuleTrace, run_pipeline
+from fcgp.solve import BudgetExceeded, brute_force
 
 from conftest import plain
 
@@ -71,6 +71,19 @@ def test_check_equivalence_identity():
     g = gen_gnp(7, 1, 2, 8)
     inst = gen_annotated(g, 8, F(1, 2), MAX, (1, 3))
     assert check_equivalence(inst, inst).ok
+
+
+def test_check_equivalence_decides_a_min_clique_kernel_past_the_subset_budget():
+    # Min, alpha = 1/4, k = 4, n = 10: the clique gadget makes a 93-vertex
+    # kernel, past the default budget as subsets but not as count vectors
+    inst = gen_annotated(gen_gnp(10, 1, 2, 4), 4, F(1, 4), MIN, (4, 4), (0, 2))
+    outcome = run_pipeline(inst, "delta")
+    assert outcome.status == KERNELIZED and outcome.plain.graph.n == 93
+    with pytest.raises(BudgetExceeded):
+        brute_force(outcome.plain.annotate())
+    report = check_equivalence(inst, outcome)
+    assert report.status == "match"
+    assert report.before_decision is report.after_decision is True
 
 
 def test_check_equivalence_decided_yes_verifies_witness():

@@ -3,14 +3,20 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fcgp.solve as solve_mod
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import MAX, MIN, GuardViolation
+from fcgp.rules import KERNELIZED, KernelOutcome
 from fcgp.solve import (
     BudgetExceeded,
     UndecidedWithinBudget,
     _branch_decide,
+    _count_vectors,
+    _twin_classes,
     branch_degrading,
     brute_force,
     densest_vc,
@@ -18,9 +24,11 @@ from fcgp.solve import (
     solve_auto,
     solve_bounded_degree,
     solve_third,
+    twin_oracle,
 )
 
 from conftest import annotated, complete_graph, path_graph, plain, run_optimized, seeded_instances, star_graph
+from test_acceptance import RULE_MATRIX, _apply_rule, _instances
 
 
 # -- brute force ----------------------------------------------------------------
@@ -70,6 +78,138 @@ def test_brute_respects_t_set():
     inst = annotated(path_graph(4), [0], {}, 2, 0, F(1, 2), MAX)
     res = brute_force(inst)
     assert 0 in res.witness
+
+
+# -- twin-class oracle --------------------------------------------------------------
+
+def _assert_same_answer(inst, budget=2_000_000):
+    ref = brute_force(inst, budget=budget)
+    res = twin_oracle(inst)
+    assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness), inst.to_text()
+    assert res.nodes_explored <= ref.nodes_explored
+
+
+def _assert_twin_partition(inst, classes):
+    """Classes partition the free vertices, in index order; each holds
+    pairwise false twins or pairwise true twins, and holds every twin."""
+    free = inst.free_vertices()
+    assert sorted(v for c in classes for v in c) == list(free)
+    assert all(list(c) == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    opened = {v: (inst.graph.masks[v] & inst.alive, inst.weights[v]) for v in free}
+    closed = {v: (inst.graph.masks[v] & inst.alive | 1 << v, inst.weights[v]) for v in free}
+    home = {v: c for c in classes for v in c}
+    for v in free:
+        false_twins = {u for u in free if u != v and opened[u] == opened[v]}
+        true_twins = {u for u in free if u != v and closed[u] == closed[v]}
+        assert not (false_twins and true_twins), v
+        assert set(home[v]) == {v} | false_twins | true_twins
+
+
+def test_twin_classes_of_leaves_and_a_wired_clique():
+    # leaves 1-3 on anchor 0 are false twins; clique 4-6, of which 0 is wired
+    # to the prefix 4, 5, has true twins 4 and 5
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6), (0, 4), (0, 5)])
+    inst = plain(g, 2, 0, F(1, 2), MAX)
+    assert _twin_classes(inst) == [(0,), (1, 2, 3), (4, 5), (6,)]
+    assert _twin_classes(annotated(g, [1], {2: 1}, 2, 0, F(1, 2), MAX)) == [(0,), (2,), (3,), (4, 5), (6,)]
+    # an excluded leaf leaves the class; its anchor gains a counter
+    assert _twin_classes(inst.exclude(3)) == [(0,), (1, 2), (4, 5), (6,)]
+    for cur in (inst, inst.exclude(3), annotated(g, [1], {2: 1}, 2, 0, F(1, 2), MAX)):
+        _assert_twin_partition(cur, _twin_classes(cur))
+
+
+def test_count_vectors_match_an_enumeration():
+    for sizes in ([], [1], [3], [1, 1, 1], [2, 3], [1, 4, 2, 1], [5, 1, 3, 3]):
+        for need in range(sum(sizes) + 2):
+            direct = sum(1 for counts in product(*(range(s + 1) for s in sizes)) if sum(counts) == need)
+            assert _count_vectors(sizes, need) == direct, (sizes, need)
+
+
+def test_twin_oracle_counts_vectors_not_subsets():
+    inst = plain(star_graph(40), 5, 0, F(1, 2), MAX)
+    ref = brute_force(inst)
+    res = twin_oracle(inst, budget=2)  # the hub in or out: two count vectors
+    assert ref.nodes_explored == comb(41, 5) and res.nodes_explored == 2
+    assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
+
+
+def test_twin_oracle_budget_is_checked_before_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(solve_mod, "_best_subset", walk)
+    with pytest.raises(BudgetExceeded, match="count vectors"):
+        twin_oracle(plain(star_graph(40), 5, 0, F(1, 2), MAX), budget=1)
+    with pytest.raises(BudgetExceeded, match="count vectors"):
+        twin_oracle(plain(gen_gnp(24, 1, 2, 1), 12, 0, F(1, 2), MAX), budget=comb(24, 12) - 1)
+
+
+def test_twin_oracle_infeasible_k():
+    res = twin_oracle(plain(path_graph(3), 5, 0, F(1, 2), MAX))
+    assert not res.decision and res.best_value is None and res.nodes_explored == 0
+
+
+def test_twin_oracle_matches_brute_on_the_acceptance_families():
+    kernels = 0
+    for target, variant, alphas, allow_t in RULE_MATRIX:
+        for alpha in alphas:
+            for inst in _instances(variant, alpha, 8, "twin-" + target, allow_t):
+                _assert_same_answer(inst)
+                try:
+                    after = _apply_rule(target, inst)
+                except GuardViolation:
+                    continue
+                if isinstance(after, KernelOutcome) and after.status == KERNELIZED:
+                    kernel = after.plain.annotate()
+                    try:
+                        _assert_same_answer(kernel, budget=200_000)
+                    except BudgetExceeded:
+                        continue
+                    kernels += 1
+    assert kernels >= 100, kernels
+
+
+@st.composite
+def _planted_twins(draw):
+    """A small instance with planted twin classes: pendant leaves on one anchor
+    and a clique wired by prefix, as the de-annotations build them, under a
+    random relabelling, with T, counters and excluded vertices."""
+    base = draw(st.integers(2, 5))
+    edges = [(u, v) for u in range(base) for v in range(u + 1, base) if draw(st.booleans())]
+    n = base
+    for anchor in range(base):
+        leaves = draw(st.integers(0, 3))
+        edges += [(anchor, n + j) for j in range(leaves)]
+        n += leaves
+    clique = list(range(n, n + draw(st.integers(0, 5))))
+    n += len(clique)
+    edges += list(combinations(clique, 2))
+    for v in range(base):
+        edges += [(v, c) for c in clique[: draw(st.integers(0, len(clique)))]]
+    perm = draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    tset = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    counters = {v: draw(st.sampled_from((0, 0, 0, 1, 2))) for v in range(n) if v not in tset}
+    alpha = draw(st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))))
+    variant = draw(st.sampled_from((MAX, MIN)))
+    k = draw(st.integers(len(tset), min(len(tset) + 4, n)))
+    t = draw(st.sampled_from((None, F(0), F(3), F(13, 2), F(12))))
+    if t is None:  # always met, so the witness is compared too
+        t = 0 if variant == MAX else 10**6
+    inst = annotated(g, tset, counters, k, t, alpha, variant)
+    for pick in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        free = inst.free_vertices()
+        if len(free) > k - len(tset):
+            inst = inst.exclude(free[pick % len(free)])
+    return inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_planted_twins())
+def test_twin_oracle_matches_brute_on_planted_twins(inst):
+    _assert_twin_partition(inst, _twin_classes(inst))
+    _assert_same_answer(inst)
 
 
 # -- branch_degrading --------------------------------------------------------------
