@@ -405,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     _value_flags(p)
     p.add_argument("--solver", default="auto", choices=("auto", "brute", "branch", "third", "hindex", "densest-vc"))
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="subsets for brute and, per residual, for hindex; search nodes for branch; "
+                        "cover subsets for densest-vc; auto passes it on to its route and its fallback")
     p.add_argument("--vc-budget", type=int, default=25)
     _report_flags(p)
 

@@ -1,6 +1,6 @@
 """Constructive clique-or-independent-set extraction.
 
-Three flavors — the classic binomial-bound recursion, the c-closed variant,
+Three flavors — the classic binomial-bound descent, the c-closed variant,
 and the biclique-free variant — plus the greedy extractor for d-degenerate
 graphs.  Every extractor verifies its witness before returning; a failed
 verification signals an internal bug, never bad input.
@@ -53,9 +53,10 @@ def classic_bound(p: int, q: int) -> int:
 def classic_ramsey(g: Graph, p: int, q: int) -> RamseyWitness:
     """Clique of size p or independent set of size q, for n >= C(p+q-2, p-1).
 
-    Standard recursion: pick the smallest vertex v and descend into its
-    neighborhood with (p-1, q) or its non-neighborhood with (p, q-1),
-    preferring the clique side when both meet their binomial bound.
+    Standard descent, a loop in :func:`_classic`: pick the smallest vertex v
+    and descend into its neighborhood with (p-1, q) or its non-neighborhood
+    with (p, q-1), preferring the clique side when both meet their binomial
+    bound.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be >= 1")
@@ -66,25 +67,24 @@ def classic_ramsey(g: Graph, p: int, q: int) -> RamseyWitness:
 
 
 def _classic(g: Graph, pool: tuple[int, ...], p: int, q: int) -> tuple[str, list[int]]:
-    if p == 1:
-        return CLIQUE, [pool[0]]
-    if q == 1:
-        return INDEPENDENT_SET, [pool[0]]
-    v = pool[0]
-    nbrs = tuple(u for u in pool[1:] if g.has_edge(v, u))
-    rest = tuple(u for u in pool[1:] if not g.has_edge(v, u))
-    # Pascal: one side always meets its bound; prefer the clique side.
-    if len(nbrs) >= classic_bound(p - 1, q):
-        kind, verts = _classic(g, nbrs, p - 1, q)
-        if kind == CLIQUE:
-            verts.append(v)
-        return kind, verts
-    if len(rest) < classic_bound(p, q - 1):
-        raise RuleInternalError("Pascal identity violated")
-    kind, verts = _classic(g, rest, p, q - 1)
-    if kind == INDEPENDENT_SET:
-        verts.append(v)
-    return kind, verts
+    """The descent as a loop, one (v, side) per step; the witness is the
+    last pool's first vertex plus each v whose side matches the kind found."""
+    steps: list[tuple[int, str]] = []
+    while p > 1 and q > 1:
+        v = pool[0]
+        nbrs = tuple(u for u in pool[1:] if g.has_edge(v, u))
+        rest = tuple(u for u in pool[1:] if not g.has_edge(v, u))
+        # Pascal: one side always meets its bound; prefer the clique side.
+        if len(nbrs) >= classic_bound(p - 1, q):
+            steps.append((v, CLIQUE))
+            pool, p = nbrs, p - 1
+        elif len(rest) >= classic_bound(p, q - 1):
+            steps.append((v, INDEPENDENT_SET))
+            pool, q = rest, q - 1
+        else:
+            raise RuleInternalError("Pascal identity violated")
+    kind = CLIQUE if p == 1 else INDEPENDENT_SET
+    return kind, [pool[0]] + [v for v, side in reversed(steps) if side == kind]
 
 
 def rc_bound(q: int, b: int, c: int) -> int:

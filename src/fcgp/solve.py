@@ -13,11 +13,11 @@ per-component tables of ``solve_bounded_degree``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 
-from .graph import RuleInternalError, iter_mask, mask_of
+from .graph import iter_mask, mask_of
 from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
 from .ramsey import peeling_independent_set
 from .rules import DECIDED_YES, alive_profile, kernel_degeneracy_min
@@ -220,13 +220,20 @@ def branch_degrading(
     d: int,
     node_budget: int = 500_000,
 ) -> SolveResult:
-    """Search tree over L = {v : contribution(v, T) meets t'/k'}; depth <= k.
+    """Exact optimum by one bounded search tree over high-contribution vertices.
 
-    The decision run may accept early through an independent subset of L
-    (attempted once |L| >= d*k, guaranteed from (d+1)*k' on, value verified).
-    A second run rooted at the best achieved value revisits every set at
-    least that good, so the reported optimum and witness are exact whenever
-    the answer is yes; sub-threshold optima are outside this solver's scope.
+    A node is a chosen set C containing T.  As pair_score <= 0 here, a
+    k-set S containing C that meets the bound has one of its k' = k - |C|
+    other vertices contributing, w.r.t. C, at least (bound - score(C)) / k';
+    the vertices that do are C's children.  The bound starts at the score
+    that meets t and rises to each better score found.  It is inclusive, so
+    the walk still reaches every set as good as the final best and keeps
+    the lexicographically first optimum, brute_force's witness.  The walk
+    is depth-first on an explicit stack and tests a child against the
+    current bound again before entering it.  From d*k candidates on, a
+    greedy independent k'-set among them (one exists from (d+1)*k' on) is
+    offered too.  ``node_budget`` bounds the nodes of the whole walk; on NO
+    the bound never rises, so the walk is the decision tree.
     """
     if inst.variant == MAX:
         if not inst.alpha > THIRD:
@@ -234,75 +241,51 @@ def branch_degrading(
     else:
         if not (0 < inst.alpha < THIRD):
             raise GuardViolation("branch_degrading (min) needs alpha in (0, 1/3)")
-    state = {"nodes": 0, "budget": node_budget}
-    found = _branch_decide(inst, d, state)
-    if found is None:
-        return SolveResult(False, None, None, "branch", state["nodes"])
-    rerun = replace(inst, t=inst.val(found))
-    best: dict = {"score": None, "witness": None}
-    _branch_optimum(rerun, inst, d, state, best)
-    score, witness = best["score"], best["witness"]
-    if score is None:
-        raise RuleInternalError("optimum rerun lost the certified solution")
-    return SolveResult(True, witness, inst.from_score(score), "branch", state["nodes"])
-
-
-def _branch_candidates(inst: AnnotatedInstance) -> list[int]:
-    need = inst.score_needed(inst.t_prime() / inst.k_prime)
-    return [v for v in inst.free_vertices() if inst.score_contribution(v, inst.tmask) >= need]
-
-
-def _branch_decide(inst, d, state) -> tuple[int, ...] | None:
-    state["nodes"] += 1
-    if state["nodes"] > state["budget"]:
-        raise BudgetExceeded("branching node budget exceeded")
-    if inst.n_alive < inst.k:
-        return None
-    if inst.t_size == inst.k:
-        return inst.t_vertices() if inst.score_val(inst.tmask) >= inst.score_needed(inst.t) else None
-    cand = _branch_candidates(inst)
-    if not cand:
-        return None
-    if len(cand) >= d * inst.k:
-        picked = _independent_inside(inst, cand, inst.k_prime)
-        if picked is not None:
-            witness = tuple(sorted(inst.t_vertices() + picked))
-            if inst.score_val(mask_of(witness)) >= inst.score_needed(inst.t):
-                return witness
-    for v in cand:
-        got = _branch_decide(inst.include(v), d, state)
-        if got is not None:
-            return got
-    return None
-
-
-def _branch_optimum(cur, orig, d, state, best) -> None:
-    state["nodes"] += 1
-    if state["nodes"] > state["budget"]:
-        raise BudgetExceeded("branching node budget exceeded")
-    if cur.n_alive < cur.k:
-        return
-    if cur.t_size == cur.k:
-        if cur.score_val(cur.tmask) < cur.score_needed(cur.t):
-            return
-        witness = cur.t_vertices()
-        score = orig.score_val(cur.tmask)
-        prev = best["score"]
-        if prev is None or score > prev or (score == prev and witness < best["witness"]):
-            best["score"] = score
-            best["witness"] = witness
-        return
-    for v in _branch_candidates(cur):
-        _branch_optimum(cur.include(v), orig, d, state, best)
-
-
-def _independent_inside(inst: AnnotatedInstance, pool: list[int], size: int) -> tuple[int, ...] | None:
-    """Greedy peeling-order independent set of the requested size inside pool."""
-    if size <= 0:
-        return ()
-    sub, back = inst.graph.induced(pool)
-    picked = peeling_independent_set(sub, size)
-    return tuple(sorted(back[i] for i in picked)) if len(picked) == size else None
+    free, need = inst.alive & ~inst.tmask, inst.k_prime
+    if need < 0 or need > free.bit_count():
+        return SolveResult(False, None, None, "branch", 0)
+    masks, pair = inst.graph.masks, inst.pair_score
+    own = {v: inst.score_deg_bonus(v) for v in iter_mask(free)}
+    chosen, score = inst.tmask, inst.score_val(inst.tmask)
+    bound, best = inst.score_needed(inst.t), None
+    stack = []  # per open node: chosen, score, need, its candidates not yet entered
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded("branching node budget exceeded")
+        if not need:
+            found = chosen
+        else:
+            found, cand = None, 0
+            for v in iter_mask(free & ~chosen):
+                if (own[v] + pair * (masks[v] & chosen).bit_count()) * need + score >= bound:
+                    cand |= 1 << v
+            if cand.bit_count() >= d * inst.k:
+                sub, back = inst.graph.induced(iter_mask(cand))
+                picked = peeling_independent_set(sub, need)
+                if len(picked) == need:
+                    found = chosen | mask_of(back[i] for i in picked)
+            stack.append((chosen, score, need, iter_mask(cand)))
+        if found is not None:
+            s, witness = inst.score_val(found), tuple(iter_mask(found))
+            if s > bound or (s == bound and (best is None or witness < best)):
+                bound, best = s, witness
+        while stack:  # the next child that still meets the bound
+            chosen, score, need, todo = stack[-1]
+            v = next(todo, None)
+            if v is None:
+                stack.pop()
+                continue
+            gain = own[v] + pair * (masks[v] & chosen).bit_count()
+            if gain * need + score >= bound:
+                chosen, score, need = chosen | 1 << v, score + gain, need - 1
+                break
+        else:
+            break
+    if best is None:
+        return SolveResult(False, None, None, "branch", nodes)
+    return SolveResult(True, best, inst.from_score(bound), "branch", nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -121,14 +121,25 @@ def test_solve_branch_obeys_budget(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_brute_force_deeper_than_the_recursion_limit(tmp_path, capsys):
+@pytest.mark.parametrize("solver,budget,code,shown", [
+    ("brute", [], EXIT_OK, "brute"),
+    # the branch walk spends its 2,000 nodes; auto then falls back to brute
+    # force, which needs C(1200,1199) = 1,200 subsets
+    ("auto", ["--budget", "2000"], EXIT_OK, "auto:brute"),
+    ("branch", ["--budget", "2000"], EXIT_BUDGET, None),
+], ids=["brute", "auto", "branch"])
+def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys, solver, budget, code, shown):
     path = tmp_path / "d1200.el"
     path.write_text(_graph_text(gen_degenerate(1200, 2, seed=1)))
     k = 1199
     assert k > sys.getrecursionlimit()
-    argv = ["solve", str(path), "--alpha", "1/2", "--k", str(k), "--t", "0", "--variant", "max", "--solver", "brute"]
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out.startswith("decision=YES value=623 ")
+    argv = ["solve", str(path), "--alpha", "1/2", "--k", str(k), "--t", "0", "--variant", "max", "--solver", solver]
+    assert main(argv + budget) == code
+    printed = capsys.readouterr().out
+    if shown is None:
+        assert printed == ""
+    else:
+        assert printed.startswith("decision=YES value=623 ") and f" solver={shown} " in printed
 
 
 def test_kernelize_writes_kernel_and_trace(graph_file, tmp_path, capsys):

@@ -18,15 +18,19 @@ def verify(g, witness):
 
 # -- classic ------------------------------------------------------------------
 
-def test_classic_k6_gives_triangle():
-    w = ramsey.classic_ramsey(complete_graph(6), 3, 3)
-    assert w.kind == ramsey.CLIQUE and len(w.vertices) == 3
-    verify(complete_graph(6), w)
+# the n = 1100 rows descend 1,099 steps, past the default recursion limit
+@pytest.mark.parametrize("n,p,q", [(6, 3, 3), (1100, 1100, 2)])
+def test_classic_complete_graph_gives_clique(n, p, q):
+    g = complete_graph(n)
+    w = ramsey.classic_ramsey(g, p, q)
+    assert w.kind == ramsey.CLIQUE and len(w.vertices) == p
+    verify(g, w)
 
 
-def test_classic_empty6_gives_independent_triple():
-    w = ramsey.classic_ramsey(empty_graph(6), 3, 3)
-    assert w.kind == ramsey.INDEPENDENT_SET and len(w.vertices) == 3
+@pytest.mark.parametrize("n,p,q", [(6, 3, 3), (1100, 2, 1100)])
+def test_classic_empty_graph_gives_independent_set(n, p, q):
+    w = ramsey.classic_ramsey(empty_graph(n), p, q)
+    assert w.kind == ramsey.INDEPENDENT_SET and len(w.vertices) == q
 
 
 def test_classic_c5_plus_isolated():

@@ -14,7 +14,6 @@ from fcgp.rules import KERNELIZED, KernelOutcome
 from fcgp.solve import (
     BudgetExceeded,
     UndecidedWithinBudget,
-    _branch_decide,
     _count_vectors,
     _twin_classes,
     branch_degrading,
@@ -27,7 +26,7 @@ from fcgp.solve import (
     twin_oracle,
 )
 
-from conftest import annotated, complete_graph, path_graph, plain, run_optimized, seeded_instances, star_graph
+from conftest import annotated, complete_graph, path_graph, plain, seeded_instances, star_graph
 from test_acceptance import RULE_MATRIX, _apply_rule, _instances
 
 
@@ -236,9 +235,17 @@ def test_branch_guard():
         branch_degrading(plain(path_graph(3), 1, 0, F(0), MIN), 1)
 
 
-@pytest.mark.parametrize("variant,alpha", [(MAX, F(1, 2)), (MAX, F(1)), (MIN, F(1, 4)), (MIN, F(1, 6))])
-def test_branch_agrees_with_brute(variant, alpha):
-    for _, inst in seeded_instances(40, alpha, variant, base_seed=12_000):
+DEGRADING = [(MAX, F(1, 2)), (MAX, F(1)), (MIN, F(1, 4)), (MIN, F(1, 6))]
+
+
+@pytest.mark.parametrize(
+    "variant,alpha,n_hi,k_hi",
+    # the deep rows have trees where the rising bound prunes subtrees already open
+    [pytest.param(v, a, 10, 3, id=f"{v}-alpha{i}") for i, (v, a) in enumerate(DEGRADING)]
+    + [pytest.param(v, a, 14, 5, id=f"{v}-alpha{i}-deep") for i, (v, a) in enumerate(DEGRADING)],
+)
+def test_branch_agrees_with_brute(variant, alpha, n_hi, k_hi):
+    for _, inst in seeded_instances(40, alpha, variant, base_seed=12_000, n_hi=n_hi, k_hi=k_hi):
         sub, _ = inst.graph.induced(inst.alive_vertices())
         d = compute_profile(sub).degeneracy
         ref = brute_force(inst)
@@ -249,20 +256,18 @@ def test_branch_agrees_with_brute(variant, alpha):
             assert res.witness == ref.witness
 
 
-def branch_decision_nodes(inst, d: int, node_budget: int = 500_000) -> int:
-    """Node count of the decision phase alone (for the search-tree bound)."""
-    state = {"nodes": 0, "budget": node_budget}
-    _branch_decide(inst, d, state)
-    return state["nodes"]
-
-
 def test_branch_node_bound():
-    for seed in range(10):
+    # on NO the bound never rises, so the whole walk is the decision tree
+    noes = 0
+    for seed in range(30):
         g = gen_degenerate(10, 2, seed + 70)
         d = compute_profile(g).degeneracy
         inst = gen_annotated(g, seed, F(1, 2), MAX, (1, 3), (0, 1))
-        nodes = branch_decision_nodes(inst, d)
-        assert nodes <= ((d + 1) * inst.k + 1) ** inst.k + 1
+        res = branch_degrading(inst, d)
+        if not res.decision:
+            noes += 1
+            assert res.nodes_explored <= ((d + 1) * inst.k + 1) ** inst.k + 1
+    assert noes >= 10
 
 
 # -- alpha = 1/3 ---------------------------------------------------------------------
@@ -478,21 +483,3 @@ def test_auto_undecided_within_budget():
     inst = plain(g, 13, 40, F(5, 12), MAX)
     with pytest.raises(UndecidedWithinBudget):
         solve_auto(inst, budget=500)
-
-
-def test_optimum_rerun_check_survives_optimize():
-    # an optimum rerun that finds nothing must not pass as a result
-    out = run_optimized(
-        "from fractions import Fraction as F\n"
-        "from fcgp import solve\n"
-        "from fcgp.graph import Graph, RuleInternalError\n"
-        "from fcgp.instance import MAX, PlainInstance\n"
-        "solve._branch_optimum = lambda *args: None\n"
-        "g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])\n"
-        "inst = PlainInstance(g, 2, F(0), F(1, 2), MAX).annotate()\n"
-        "try:\n"
-        "    solve.branch_degrading(inst, 1)\n"
-        "except RuleInternalError as exc:\n"
-        "    print(exc)\n"
-    )
-    assert out == "optimum rerun lost the certified solution\n"
