@@ -1,8 +1,9 @@
 """Immutable undirected simple graphs and structural-parameter computation.
 
-Vertices are dense integer indices ``0..n-1``.  Neighbor lists are kept
-sorted and mirrored as bitmasks so that set operations (common neighbors,
-degrees restricted to an alive-mask) are cheap.
+Vertices are dense integer indices ``0..n-1``.  A graph is one neighbour
+bitmask per vertex, so set operations (common neighbours, degrees
+restricted to an alive-mask) are cheap and gadget graphs are built from
+runs of bits; the sorted neighbour tuples are derived on first read.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ def iter_mask(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Static undirected simple graph.
+    """Static undirected simple graph: bit u of ``masks[v]`` marks the edge uv.
 
-    Invariants: no self-loops, no parallel edges, adjacency symmetric,
-    neighbor lists sorted ascending, ``m`` equals half the degree sum.
+    Invariants: no self-loops, masks symmetric, ``m`` equals half the
+    degree sum.  ``adj``, the neighbour tuples in ascending order, is
+    derived from the masks on its first read.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
     m: int
 
@@ -62,23 +63,34 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("negative vertex count")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if v in nbrs[u]:
+            if (masks[u] >> v) & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
             m += 1
-        adj = tuple(tuple(sorted(s)) for s in nbrs)
-        masks = tuple(mask_of(s) for s in nbrs)
-        return Graph(n=n, adj=adj, masks=masks, m=m)
+        return Graph(n=n, masks=tuple(masks), m=m)
+
+    @staticmethod
+    def from_masks(masks: Iterable[int]) -> "Graph":
+        """The graph of neighbour masks that are symmetric and loop-free by
+        construction; unlike :meth:`from_edges` nothing is checked."""
+        masks = tuple(masks)
+        return Graph(n=len(masks), masks=masks, m=sum(mask.bit_count() for mask in masks) // 2)
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        # built through lists: tuple(<generator>) raised the peak RSS measurably
+        return tuple([tuple(list(iter_mask(mask))) for mask in self.masks])
 
     def degree(self, v: int) -> int:
+        # O(1) once adj exists; masks[v].bit_count() costs O(n) digit operations
         return len(self.adj[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -107,13 +119,15 @@ class Graph:
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by ``vertices`` plus the old-index map (new -> old)."""
         keep = sorted(set(vertices))
-        index = {old: new for new, old in enumerate(keep)}
-        edges = []
-        for old_u in keep:
-            for old_v in self.adj[old_u]:
-                if old_v > old_u and old_v in index:
-                    edges.append((index[old_u], index[old_v]))
-        return Graph.from_edges(len(keep), edges), tuple(keep)
+        bit = {old: 1 << new for new, old in enumerate(keep)}
+        kmask = mask_of(keep)
+        masks = []
+        for old in keep:
+            mask = 0
+            for u in iter_mask(self.masks[old] & kmask):
+                mask |= bit[u]
+            masks.append(mask)
+        return Graph.from_masks(masks), tuple(keep)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)

@@ -60,7 +60,7 @@ class PlainInstance:
     def annotate(self) -> "AnnotatedInstance":
         return AnnotatedInstance(
             graph=self.graph,
-            alive=mask_of(range(self.graph.n)),
+            alive=(1 << self.graph.n) - 1,
             tmask=0,
             bonus=(ZERO,) * self.graph.n,
             k=self.k,
@@ -337,7 +337,7 @@ class AnnotatedInstance:
         fields = dict(tok.split("=") for tok in scal_line.split())
         return AnnotatedInstance(
             graph=g,
-            alive=mask_of(range(g.n)),
+            alive=(1 << g.n) - 1,
             tmask=tmask,
             bonus=tuple(bonus),
             k=int(fields["k"]),
@@ -425,7 +425,7 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     ell = dtb + gamma + ceil_frac(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
 
     sub, keep = inst.graph.induced(inst.alive_vertices())
-    edges = list(sub.edges())
+    masks = list(sub.masks)
     origin = list(keep)
     anchor = [-1] * len(keep)
     nxt = len(keep)
@@ -433,15 +433,13 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
         leaves = counters[old_v] + inv_floor + pad
         if (inst.tmask >> old_v) & 1:
             leaves += ell
-        for _ in range(leaves):
-            edges.append((i, nxt))
-            origin.append(-1)
-            anchor.append(i)
-            nxt += 1
+        masks[i] |= ((1 << leaves) - 1) << nxt
+        masks.extend([1 << i] * leaves)
+        origin.extend([-1] * leaves)
+        anchor.extend([i] * leaves)
+        nxt += leaves
     new_t = inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
-    plain = PlainInstance(
-        graph=Graph.from_edges(nxt, edges), k=inst.k, t=new_t, alpha=inst.alpha, variant=MAX
-    )
+    plain = PlainInstance(graph=Graph.from_masks(masks), k=inst.k, t=new_t, alpha=inst.alpha, variant=MAX)
     return Deannotation(plain=plain, kind="max-leaves", origin=tuple(origin), anchor=tuple(anchor), ell=ell)
 
 
@@ -464,22 +462,27 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
     ell = floor_frac((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
 
     sub, keep = inst.graph.induced(inst.alive_vertices())
-    edges = list(sub.edges())
+    masks = list(sub.masks)
     base = len(keep)
     csize = 2 * ell + 1
-    clique = list(range(base, base + csize))
-    edges.extend((clique[i], clique[j]) for i in range(csize) for j in range(i + 1, csize))
+    wired = [0] * (csize + 1)  # wired[w]: the originals wired to exactly the first w clique vertices
     for i, old_v in enumerate(keep):
         if (inst.tmask >> old_v) & 1:
             continue
         wires = ell + counters[old_v]
         if wires > csize:
             raise RuleInternalError("clique too small for counter wiring")
-        edges.extend((i, clique[j]) for j in range(wires))
+        masks[i] |= ((1 << wires) - 1) << base
+        wired[wires] |= 1 << i
+    whole = ((1 << csize) - 1) << base
+    clique = [0] * csize
+    reach = 0  # the originals wired to clique vertex j: those with more than j wires
+    for j in reversed(range(csize)):
+        reach |= wired[j + 1]
+        clique[j] = (whole ^ (1 << (base + j))) | reach
+    masks.extend(clique)
     new_t = inst.t + inst.alpha * ell * inst.k_prime
-    plain = PlainInstance(
-        graph=Graph.from_edges(base + csize, edges), k=inst.k, t=new_t, alpha=inst.alpha, variant=MIN
-    )
+    plain = PlainInstance(graph=Graph.from_masks(masks), k=inst.k, t=new_t, alpha=inst.alpha, variant=MIN)
     origin = tuple(keep) + (-1,) * csize
     anchor = (-1,) * (base + csize)
     return Deannotation(plain=plain, kind="min-clique", origin=origin, anchor=anchor, ell=ell)

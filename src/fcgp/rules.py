@@ -998,8 +998,9 @@ def alive_profile(inst: AnnotatedInstance) -> ParameterProfile:
     """Profile of the alive part of ``inst`` in its own indices; dead vertices
     stay as isolated ones, which change no parameter and join no cover."""
     alive = inst.alive
-    edges = [(u, v) for u, v in inst.graph.edges() if (alive >> u) & 1 and (alive >> v) & 1]
-    return compute_profile(Graph.from_edges(inst.graph.n, edges))
+    return compute_profile(Graph.from_masks([
+        mask & alive if (alive >> v) & 1 else 0 for v, mask in enumerate(inst.graph.masks)
+    ]))
 
 
 def run_pipeline(inst: AnnotatedInstance, name: str, profile=None, param_override: int | None = None) -> KernelOutcome:

@@ -78,15 +78,18 @@ def twin_oracle(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
     A k-set's value depends only on how many vertices it takes from each
     class, and taking each class's first members in index order gives the
     lexicographically first k-set of its count vector, so the first optimum
-    among these sets is brute_force's witness.  De-annotation gadgets (the
-    leaves on one anchor, the clique vertices wired to the same originals)
-    are large classes, so the vectors are far fewer than the k-subsets.
-    The budget bounds the count vectors, counted before the walk starts.
+    among these sets is brute_force's witness.  No k-set takes more than
+    k' = k - |T| vertices of a class, so the walk gets each class cut to its
+    first k' members; the count vectors are the same.  De-annotation gadgets
+    (the leaves on one anchor, the clique vertices wired to the same
+    originals) are large classes, so the vectors are far fewer than the
+    k-subsets.  The budget bounds the count vectors, counted before the walk
+    starts.
     """
     need = inst.k - inst.t_size
     if need < 0 or need > inst.n_alive - inst.t_size:
         return SolveResult(False, None, None, "twin", 0)
-    classes = _twin_classes(inst)
+    classes = [c[:need] for c in _twin_classes(inst)]
     vectors = _count_vectors([len(c) for c in classes], need)
     if vectors > budget:
         raise BudgetExceeded(f"the twin oracle needs {vectors} > {budget} count vectors")

@@ -309,6 +309,32 @@ def test_parameter_inequalities(n, bits):
     assert prof.degeneracy <= prof.max_degree
 
 
+@st.composite
+def _edge_lists(draw):
+    """A vertex count and distinct edges over it, each in either orientation, in random order."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return n, []
+    chosen = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), unique_by=lambda e: e[0]))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in chosen]
+
+
+@given(_edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_masks_are_the_graph(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    assert Graph.from_masks(g.masks) == g
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert g.adj == tuple(tuple(sorted(s)) for s in nbrs)
+    assert g.m == len(edges)
+    assert [g.degree(v) for v in range(n)] == [len(s) for s in nbrs]
+
+
 def test_graph_from_edges_validation():
     with pytest.raises(ValueError, match="self-loop"):
         Graph.from_edges(2, [(1, 1)])

@@ -6,22 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcgp.cli import kernel_file_text
 from fcgp.graph import Graph
-from fcgp.harness import gen_gnp
+from fcgp.harness import gen_degenerate, gen_gnp
 from fcgp.instance import (
     MAX,
     MIN,
     AnnotatedInstance,
     GuardViolation,
     PlainInstance,
+    ceil_frac,
     deannotate_max,
     deannotate_min,
+    floor_frac,
     lift_witness,
     telescope_check,
 )
 from fcgp.solve import brute_force
 
 from conftest import annotated, complete_graph, path_graph, plain, run_optimized, star_graph
+from test_acceptance import ALPHAS
 
 
 # -- val ------------------------------------------------------------------------
@@ -434,6 +438,67 @@ def test_deannotation_preserves_answers(variant, alpha):
         if after.decision:
             lifted = lift_witness(deann, inst, after.witness)
             assert len(lifted) == inst.k
+
+
+def _edge_list_deannotation(inst):
+    """The gadget kernel of ``inst`` built edge by edge through ``from_edges``:
+    (plain instance, origin, anchor, ell)."""
+    counters = inst.counters()
+    keep = inst.alive_vertices()
+    index = {old: new for new, old in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in inst.graph.edges() if u in index and v in index]
+    origin, anchor = list(keep), [-1] * len(keep)
+    if inst.variant == MAX:
+        inv_floor = floor_frac(1 / inst.alpha)
+        pad = ceil_frac(max(F(0), 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
+        ell = inst.delta_tbar() + inst.gamma() + ceil_frac(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
+        for i, old_v in enumerate(keep):
+            leaves = counters[old_v] + inv_floor + pad + (ell if (inst.tmask >> old_v) & 1 else 0)
+            for _ in range(leaves):
+                edges.append((i, len(origin)))
+                origin.append(-1)
+                anchor.append(i)
+        t = inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
+    else:
+        delta = max((inst.degree(v) for v in keep), default=0)
+        ell = floor_frac((delta + inst.gamma() + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
+        clique = range(len(keep), len(keep) + 2 * ell + 1)
+        edges.extend(combinations(clique, 2))
+        for i, old_v in enumerate(keep):
+            if not (inst.tmask >> old_v) & 1:
+                edges.extend((i, clique[j]) for j in range(ell + counters[old_v]))
+        origin += [-1] * len(clique)
+        anchor += [-1] * len(clique)
+        t = inst.t + inst.alpha * ell * inst.k_prime
+    graph = Graph.from_edges(len(origin), edges)
+    return PlainInstance(graph, inst.k, t, inst.alpha, inst.variant), tuple(origin), tuple(anchor), ell
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+@pytest.mark.parametrize("variant", [MAX, MIN])
+def test_gadget_masks_match_the_edge_list_construction(variant, alpha):
+    deann_fn = deannotate_max if variant == MAX else deannotate_min
+    rng = random.Random(f"gadgets {variant} {alpha}")
+    for seed in range(40):
+        n = rng.randint(1, 9)
+        g = gen_gnp(n, 1, 2, seed) if seed % 2 else gen_degenerate(n, 1 + seed % 3, seed)
+        tset = rng.sample(range(n), rng.randint(0, min(2, n)))
+        counters = {v: rng.randint(0, 3) for v in range(n) if v not in tset}
+        inst = annotated(g, tset, counters, rng.randint(max(1, len(tset)), n), F(rng.randint(0, 20), 2), alpha, variant)
+        for _ in range(rng.randint(0, 2)):
+            free = inst.free_vertices()
+            if inst.n_alive > inst.k and free:
+                inst = inst.exclude(rng.choice(free))
+        if alpha == 0:
+            with pytest.raises(GuardViolation, match="alpha = 0"):
+                deann_fn(inst)
+            continue
+        deann = deann_fn(inst)
+        ref, origin, anchor, ell = _edge_list_deannotation(inst)
+        assert deann.plain.graph.masks == ref.graph.masks, inst.to_text()
+        assert deann.plain.graph == ref.graph
+        assert (deann.origin, deann.anchor, deann.ell, deann.plain.t) == (origin, anchor, ell, ref.t)
+        assert kernel_file_text(deann.plain) == kernel_file_text(ref)
 
 
 def test_deannotate_guards():

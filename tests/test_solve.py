@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import fcgp.solve as solve_mod
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, MIN, GuardViolation
+from fcgp.instance import MAX, MIN, GuardViolation, deannotate_max, deannotate_min
 from fcgp.rules import KERNELIZED, KernelOutcome
 from fcgp.solve import (
     BudgetExceeded,
@@ -209,6 +210,43 @@ def _planted_twins(draw):
 def test_twin_oracle_matches_brute_on_planted_twins(inst):
     _assert_twin_partition(inst, _twin_classes(inst))
     _assert_same_answer(inst)
+
+
+def _long_class_kernels():
+    """De-annotated kernels with a twin class longer than k': the clique of
+    Min alpha = 1/4 with k = 3-4, and the leaves on a T-vertex of Max; the
+    threshold is the optimum (yes) or one step past it (no)."""
+    for seed in range(4):
+        g = gen_gnp(4, 1, 3, seed + 40)
+        counters = {v: (seed + v) % 2 for v in range(4)}
+        for deann_fn, inst in (
+            (deannotate_min, annotated(g, [], counters, 3 + seed % 2, 0, F(1, 4), MIN)),
+            (deannotate_max, annotated(g, [seed], counters | {seed: 0}, 2 + seed % 2, 0, F(1, 2), MAX)),
+        ):
+            opt = brute_force(inst).best_value
+            yield deann_fn(replace(inst, t=opt if seed % 2 else opt + inst.sign * F(1, 4))).plain.annotate()
+
+
+def test_twin_oracle_takes_at_most_k_prime_per_class(monkeypatch):
+    walk, walked = solve_mod._best_subset, []
+
+    def best_subset(inst, classes, need, base):
+        walked.append(max(map(len, classes)) <= need)
+        return walk(inst, classes, need, base)
+
+    monkeypatch.setattr(solve_mod, "_best_subset", best_subset)
+    for kernel in _long_class_kernels():
+        sizes = [len(c) for c in _twin_classes(kernel)]
+        assert max(sizes) > kernel.k_prime
+        ref = brute_force(kernel)
+        res = twin_oracle(kernel)
+        assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
+        vectors = _count_vectors(sizes, kernel.k_prime)
+        assert res.nodes_explored == vectors
+        assert twin_oracle(kernel, budget=vectors) == res
+        with pytest.raises(BudgetExceeded, match=f"needs {vectors} > {vectors - 1} count vectors"):
+            twin_oracle(kernel, budget=vectors - 1)
+    assert walked and all(walked)
 
 
 # -- branch_degrading --------------------------------------------------------------
