@@ -3,12 +3,15 @@
 Vertices are dense integer indices ``0..n-1``.  A graph is one neighbour
 bitmask per vertex, so set operations (common neighbours, degrees
 restricted to an alive-mask) are cheap and gadget graphs are built from
-runs of bits; the sorted neighbour tuples are derived on first read.
+runs of bits.  The sorted neighbour tuples serve the sparse scans: an edge
+list fills them as it is read, and a graph built from masks derives them
+on first read.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -51,8 +54,9 @@ class Graph:
     """Static undirected simple graph: bit u of ``masks[v]`` marks the edge uv.
 
     Invariants: no self-loops, masks symmetric, ``m`` equals half the
-    degree sum.  ``adj``, the neighbour tuples in ascending order, is
-    derived from the masks on its first read.
+    degree sum.  ``adj`` holds the neighbour tuples in ascending order:
+    :meth:`from_edges` fills it from its neighbour sets, and a graph built
+    by :meth:`from_masks` derives it from the masks on its first read.
     """
 
     n: int
@@ -61,21 +65,36 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph of an edge list, checked edge by edge in input order.
+
+        Duplicates are looked up in per-vertex neighbour sets, and ``adj``
+        is filled from them, sorted; reading bits of n-bit masks would cost
+        O(n) digit operations per edge."""
         if n < 0:
             raise ValueError("negative vertex count")
-        masks = [0] * n
+        nbrs: list[set[int]] = [set() for _ in range(n)]
         m = 0
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if (masks[u] >> v) & 1:
+            nu = nbrs[u]
+            if v in nu:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            nu.add(v)
+            nbrs[v].add(u)
             m += 1
-        return Graph(n=n, masks=tuple(masks), m=m)
+        adj = tuple([tuple(sorted(nu)) for nu in nbrs])
+        masks = []
+        for nu in adj:
+            mask = 0
+            for v in nu:
+                mask |= 1 << v
+            masks.append(mask)
+        g = Graph(n=n, masks=tuple(masks), m=m)
+        g.__dict__["adj"] = adj
+        return g
 
     @staticmethod
     def from_masks(masks: Iterable[int]) -> "Graph":
@@ -86,7 +105,8 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        # built through lists: tuple(<generator>) raised the peak RSS measurably
+        # read by graphs from from_masks; from_edges fills it.  Built through
+        # lists: tuple(<generator>) raised the peak RSS measurably
         return tuple([tuple(list(iter_mask(mask))) for mask in self.masks])
 
     def degree(self, v: int) -> int:
@@ -289,7 +309,7 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
     Ties go to the smallest index: a heap keyed on (degree, index), whose
     stale entries are skipped, gives the order in O(m log n).
     """
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = [len(a) for a in g.adj]
     heap = [(dv, v) for v, dv in enumerate(deg)]
     heapq.heapify(heap)
     done = [False] * g.n
@@ -310,7 +330,7 @@ def degeneracy_ordering(g: Graph) -> tuple[tuple[int, ...], int]:
 
 
 def h_index(g: Graph) -> int:
-    degs = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    degs = sorted(map(len, g.adj), reverse=True)
     h = 0
     for i, deg in enumerate(degs, start=1):
         if deg >= i:
@@ -321,17 +341,28 @@ def h_index(g: Graph) -> int:
 def c_closure(g: Graph) -> int:
     """One more than the most common neighbors of a non-adjacent pair.
 
-    Only pairs at distance two share a neighbor, so for each u the pairs
-    (u, v) with v > u are taken from the wedges centred on u's neighbors.
+    Wedge counting, O(sum of squared degrees): for each u, every wedge
+    u - w - v with v > u adds one to ``common[v]``; the counts of u's own
+    neighbors are cleared before the largest is read.
     """
+    adj = g.adj
+    common = [0] * g.n
     best = 0
-    for u in range(g.n):
-        far = 0
-        for w in g.adj[u]:
-            far |= g.masks[w]
-        far &= ~g.masks[u] & -(1 << (u + 1))
-        for v in iter_mask(far):
-            best = max(best, (g.masks[u] & g.masks[v]).bit_count())
+    for u, au in enumerate(adj):
+        reached = []
+        for w in au:
+            aw = adj[w]
+            for v in aw[bisect_right(aw, u):]:
+                c = common[v]
+                if not c:
+                    reached.append(v)
+                common[v] = c + 1
+        for v in au:
+            common[v] = 0
+        for v in reached:
+            if common[v] > best:
+                best = common[v]
+            common[v] = 0
     return best + 1
 
 
@@ -424,7 +455,7 @@ def compute_profile(g: Graph, vc_budget: int = 25) -> ParameterProfile:
     return ParameterProfile(
         graph=g,
         vc_budget=vc_budget,
-        max_degree=max((g.degree(v) for v in range(g.n)), default=0),
+        max_degree=max(map(len, g.adj), default=0),
         degeneracy=d,
         degeneracy_ordering=order,
         h_index=h_index(g),

@@ -16,6 +16,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from . import ramsey
 from .graph import Graph, ParameterProfile, RuleInternalError, compute_profile, degeneracy_ordering, iter_mask, mask_of
@@ -66,13 +67,19 @@ class InstanceSummary:
 
 
 def summarize(inst: AnnotatedInstance) -> InstanceSummary:
-    m2 = sum(inst.degree(v) for v in iter_mask(inst.alive))
-    try:
-        gamma = inst.gamma()
-    except GuardViolation:
+    st = _State(inst)
+    # inst.gamma(), or None outside standard-counter mode, read off the free
+    # weights (T has weight 0) without iterating the n-bit alive mask
+    a = inst.alpha_weight
+    weights = [w for w in map(st.weights.__getitem__, st.free) if w]
+    if not weights:
+        gamma = 1
+    elif not a or any(w % a for w in weights):
         gamma = None
+    else:
+        gamma = max(weights) // a + 1
     return InstanceSummary(
-        n=inst.n_alive, m=m2 // 2, k=inst.k, t=inst.t, gamma=gamma, delta_tbar=inst.delta_tbar()
+        n=st.n_alive, m=sum(compress(st.deg, st.where)) // 2, k=inst.k, t=inst.t, gamma=gamma, delta_tbar=st.delta_tbar()
     )
 
 
@@ -149,14 +156,6 @@ def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: boo
             raise GuardViolation(f"{rule} requires alpha > 0")
 
 
-def _step(inst: AnnotatedInstance, op: str, v: int, rule: str, note: str, trace: RuleTrace | None):
-    """Include or exclude v, logged with its change of t when traced."""
-    new = inst.include(v) if op == "include" else inst.exclude(v)
-    if trace is not None:
-        trace.log(rule, op, (v,), new.t - inst.t, note)
-    return new
-
-
 def _shortcircuit(inst: AnnotatedInstance):
     """Decision forced by cardinality: the solution set is over- or fully
     determined (too few vertices, T full, or every survivor needed).  A Min
@@ -172,33 +171,127 @@ def _shortcircuit(inst: AnnotatedInstance):
 
 
 # ---------------------------------------------------------------------------
-# Degree-bounded rules (maximum-degree kernel machinery)
+# The working state the rule loops run on
 # ---------------------------------------------------------------------------
 
-class _Ranking:
-    """The free vertices of an instance ranked by score, kept exact under
-    exclusion (and, for deg-bonus scores, inclusion).
+FREE, IN_T = 1, 2  # ``_State.where`` codes; 0 marks a deleted vertex
+_READ_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_ALIVE_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"011")
 
-    The score of a free vertex is the instance's score of its contribution
-    w.r.t. T (``wrt_t``) or of its deg-bonus.  Excluding u changes neither
-    for any other free vertex (a neighbor loses a degree and
-    gains alpha of bonus; a T-neighbor's credit goes into t), nor t'.
-    Including u leaves every deg-bonus alone.  A counter shift lowers every
-    free deg-bonus by the same amount; it is not applied, so deg-bonus
-    scores stay exact up to one common offset.  ``degrees`` is the histogram
-    of free degrees, so Delta_Tbar only moves down a pointer.
+
+class _State:
+    """One rule pass's mutable working copy of an annotated instance.
+
+    ``where[v]`` is 0 (deleted), FREE or IN_T; ``weights`` is a list;
+    ``deg[v]`` and ``tnb[v]`` count v's alive neighbors and its neighbors in
+    T (read for alive v only); ``hist`` is the histogram of free degrees, so
+    Delta_Tbar only moves down a pointer; ``zeros`` counts the free vertices
+    of weight 0.  An exclusion updates these along ``graph.adj`` in O(deg)
+    steps; a new instance per move would copy n weights and scan n-bit
+    masks.  :meth:`freeze` turns the state back into an instance.
+
+    After :meth:`rank` the free vertices are also ranked by score, the
+    contribution w.r.t. T (``wrt_t``) or the deg-bonus.  Excluding u changes
+    neither for any other free vertex (a neighbor loses a degree and gains
+    alpha of bonus; a T-neighbor's credit goes into t), nor t'.  Including
+    u leaves every deg-bonus alone; contribution ranks are not kept under
+    inclusion.  A counter shift lowers every free deg-bonus by the same
+    amount and is not applied to the ranks, so they stay exact up to one
+    common offset.
     """
 
-    def __init__(self, inst: AnnotatedInstance, wrt_t: bool):
-        self.inst = inst
-        free = inst.free_vertices()
-        tmask = inst.tmask
-        self.score = {v: inst.score_contribution(v, tmask) if wrt_t else inst.score_deg_bonus(v) for v in free}
-        self.ranked = sorted(self.score.values())
-        self.degrees = [0] * (inst.graph.n + 1)
-        for v in free:
-            self.degrees[inst.degree(v)] += 1
-        self.top = inst.graph.n
+    def __init__(self, inst: AnnotatedInstance):
+        graph = inst.graph
+        n = graph.n
+        self.inst, self.adj = inst, graph.adj
+        self.k, self.alpha, self.t, self.tmask = inst.k, inst.alpha, inst.t, inst.tmask
+        self.sign, self.alpha_weight, self.pair_score = inst.sign, inst.alpha_weight, inst.pair_score
+        adj = self.adj
+        self.deg = deg = list(map(len, adj))
+        self.n_alive = inst.n_alive
+        if self.n_alive == n:
+            self.where = where = bytearray(b"\x01") * n
+        else:
+            self.where = where = bytearray(f"{inst.alive:0{n}b}"[::-1], "ascii").translate(_READ_BITS)
+            v = where.find(0)
+            while v >= 0:
+                for u in adj[v]:
+                    deg[u] -= 1
+                v = where.find(0, v + 1)
+        self.free = free = list(compress(range(n), where))
+        self.tnb = tnb = [0] * n
+        self.t_size = 0
+        if self.tmask:
+            for v in iter_mask(self.tmask):
+                where[v] = IN_T
+                self.t_size += 1
+                for u in adj[v]:
+                    tnb[u] += 1
+            self.free = free = [v for v in free if where[v] == FREE]
+        self.weights = weights = list(inst.weights)
+        self.zeros = list(map(weights.__getitem__, free)).count(0)
+        degs = list(map(deg.__getitem__, free))
+        self.top = max(degs, default=0)
+        self.hist = hist = [0] * (self.top + 1)
+        for d in degs:
+            hist[d] += 1
+        self.score: dict[int, int] | None = None
+        self.moves = 0
+
+    # -- reads, as on the instance ----------------------------------------
+
+    @property
+    def k_prime(self) -> int:
+        return self.k - self.t_size
+
+    def score_deg_bonus(self, v: int) -> int:
+        return self.sign * (self.alpha_weight * self.deg[v] + self.weights[v])
+
+    def score_contribution(self, v: int) -> int:
+        """The score of v's contribution w.r.t. T."""
+        return self.score_deg_bonus(v) + self.pair_score * self.tnb[v]
+
+    def score_needed(self, x: Fraction) -> int:
+        return self.inst.score_needed(x)
+
+    def t_prime(self) -> Fraction:
+        """t - val(T); T has weight 0 and ``tnb`` counts each edge inside T twice."""
+        ts = list(iter_mask(self.tmask))
+        score = self.sign * self.alpha_weight * sum(self.deg[v] for v in ts)
+        score += self.pair_score * (sum(self.tnb[v] for v in ts) // 2)
+        return self.t - Fraction(self.sign * score, self.inst.scale)
+
+    def delta_tbar(self) -> int:
+        while self.top > 0 and not self.hist[self.top]:
+            self.top -= 1
+        return self.top
+
+    def decided(self):
+        """``_shortcircuit`` of the current instance plus that instance, or
+        None; the instance is frozen only when the forced set is scored."""
+        if self.n_alive > self.k > self.t_size and not (self.sign < 0 and self.t < 0):
+            return None
+        inst = self.freeze()
+        sc = _shortcircuit(inst)
+        return None if sc is None else sc + (inst,)
+
+    def freeze(self) -> AnnotatedInstance:
+        """The instance the moves so far lead to (the start one if none)."""
+        if not self.moves:
+            return self.inst
+        alive = int(self.where.translate(_ALIVE_DIGITS)[::-1], 2)
+        return self.inst._derive(alive=alive, tmask=self.tmask, weights=tuple(self.weights), t=self.t)
+
+    # -- ranking -------------------------------------------------------------
+
+    def rank(self, wrt_t: bool) -> None:
+        sign, a, deg, weights = self.sign, self.alpha_weight, self.deg, self.weights
+        self.score = score = {v: sign * (a * deg[v] + weights[v]) for v in self.free}
+        if wrt_t:
+            pair, tnb = self.pair_score, self.tnb
+            for v in score:
+                score[v] += pair * tnb[v]
+        self.ranked = sorted(score.values())
 
     def at_least(self, v: int, margin: int = 0) -> int:
         """Free vertices other than v scoring >= score(v) + margin (margin >= 0)."""
@@ -208,33 +301,91 @@ class _Ranking:
         """Free vertices other than v scoring > score(v) - margin (margin >= 0)."""
         return len(self.ranked) - bisect_right(self.ranked, self.score[v] - margin) - (margin > 0)
 
-    def delta_tbar(self) -> int:
-        while self.top > 0 and not self.degrees[self.top]:
-            self.top -= 1
-        return self.top
+    # -- moves: each returns the change of t ---------------------------------
 
-    def _forget(self, v: int) -> None:
-        self.degrees[self.inst.degree(v)] -= 1
-        del self.ranked[bisect_left(self.ranked, self.score.pop(v))]
+    def _leave_free(self, v: int, in_t: str) -> None:
+        if self.where[v] != FREE:
+            raise GuardViolation(f"vertex {v} {in_t if self.where[v] else 'is deleted'}")
+        self.hist[self.deg[v]] -= 1
+        if not self.weights[v]:
+            self.zeros -= 1
+        if self.score is not None:
+            del self.ranked[bisect_left(self.ranked, self.score.pop(v))]
+        self.moves += 1
 
     def exclude(self, v: int) -> Fraction:
-        """Exclude v; returns the change of t."""
-        inst = self.inst
-        for u in iter_mask(inst.graph.masks[v] & inst.alive & ~inst.tmask):
-            d = inst.degree(u)
-            self.degrees[d] -= 1
-            self.degrees[d - 1] += 1
-        self._forget(v)
-        self.inst = inst.exclude(v)
-        return self.inst.t - inst.t
+        """Delete v; each free neighbor gains bonus alpha, each T-neighbor's
+        credit alpha goes into t."""
+        self._leave_free(v, "is in T")
+        where, deg, weights, hist = self.where, self.deg, self.weights, self.hist
+        a = self.alpha_weight
+        where[v] = 0
+        weights[v] = 0
+        self.n_alive -= 1
+        for u in self.adj[v]:
+            state = where[u]
+            if state == FREE:
+                d = deg[u]
+                hist[d] -= 1
+                hist[d - 1] += 1
+                deg[u] = d - 1
+                w = weights[u]
+                if a and not w:
+                    self.zeros -= 1
+                weights[u] = w + a
+            elif state:
+                deg[u] -= 1
+        if not self.tnb[v]:
+            return ZERO
+        dt = -self.alpha * self.tnb[v]
+        self.t += dt
+        return dt
 
     def include(self, v: int) -> Fraction:
-        """Include v (deg-bonus scores only); returns the change of t."""
-        inst = self.inst
-        self._forget(v)
-        self.inst = inst.include(v)
-        return self.inst.t - inst.t
+        """Force v into T; its bonus is folded into t."""
+        self._leave_free(v, "already in T")
+        self.where[v] = IN_T
+        self.tmask |= 1 << v
+        self.t_size += 1
+        for u in self.adj[v]:
+            self.tnb[u] += 1
+        w, self.weights[v] = self.weights[v], 0
+        if not w:
+            return ZERO
+        dt = -Fraction(w, self.inst.scale)
+        self.t += dt
+        return dt
 
+    def shift(self, amount: Fraction) -> Fraction:
+        """Lower every free bonus by ``amount``, a whole multiple of 1/scale
+        at most the least free bonus; t drops by amount * k'."""
+        w, rest = divmod(amount.numerator * self.inst.scale, amount.denominator)
+        if amount < 0 or rest:
+            raise GuardViolation(f"shift amount {amount} is negative or not a multiple of 1/{self.inst.scale}")
+        weights, where = self.weights, self.where
+        free = [v for v in self.free if where[v] == FREE]
+        if any(weights[v] < w for v in free):
+            raise GuardViolation("a free bonus lies below the shift amount")
+        for v in free:
+            weights[v] -= w
+        self.zeros = sum(1 for v in free if not weights[v])
+        self.moves += 1
+        dt = -amount * self.k_prime
+        self.t += dt
+        return dt
+
+
+def _move(st: _State, op: str, v: int, rule: str, note: str, trace: RuleTrace | None) -> Fraction:
+    """Include or exclude v on the state, logged with its change of t when traced."""
+    dt = st.include(v) if op == "include" else st.exclude(v)
+    if trace is not None:
+        trace.log(rule, op, (v,), dt, note)
+    return dt
+
+
+# ---------------------------------------------------------------------------
+# Degree-bounded rules (maximum-degree kernel machinery)
+# ---------------------------------------------------------------------------
 
 def rr_delta_better(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
     """Exclude any vertex dominated by (Delta_Tbar+1)(k-1)+1 better vertices.
@@ -246,37 +397,43 @@ def rr_delta_better(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> 
     restarts only when the bound drops (at most Delta_Tbar times).
     """
     _require_degrading(inst, "rr_delta_better")
-    rank = _Ranking(inst, wrt_t=True)
-    free = inst.free_vertices()
-    bound = (rank.delta_tbar() + 1) * (inst.k - 1) + 1
+    st = _State(inst)
+    st.rank(wrt_t=True)
+    free, where = st.free, st.where
+    bound = (st.delta_tbar() + 1) * (inst.k - 1) + 1
     i = 0
     while i < len(free):
         v = free[i]
         i += 1
-        if v not in rank.score:
+        if where[v] != FREE:
             continue
-        better = rank.at_least(v)
+        better = st.at_least(v)
         if better < bound:
             continue
-        dt = rank.exclude(v)
-        if trace is not None:
-            trace.log("delta:better", "exclude", (v,), dt, f"better={better} bound={bound}")
-        lowered = (rank.delta_tbar() + 1) * (inst.k - 1) + 1
+        _move(st, "exclude", v, "delta:better", f"better={better} bound={bound}", trace)
+        lowered = (st.delta_tbar() + 1) * (inst.k - 1) + 1
         if lowered < bound:
             bound, i = lowered, 0
     if trace is not None:
-        trace.audit("delta_better_free", len(rank.score))
+        trace.audit("delta_better_free", len(st.score))
         trace.audit("delta_better_bound", bound)
-    return rank.inst
+    return st.freeze()
 
 
-def _satisfactory_threshold(inst: AnnotatedInstance) -> Fraction:
-    return inst.t_prime() / inst.k_prime + (3 * inst.alpha - 1) * (inst.k - 1)
+def _satisfactory_threshold(st: _State) -> Fraction:
+    return st.t_prime() / st.k_prime + (3 * st.alpha - 1) * (st.k - 1)
+
+
+def _satisfactory(st: _State) -> int | None:
+    """The lowest free vertex whose contribution clears the threshold."""
+    need = st.score_needed(_satisfactory_threshold(st))
+    where = st.where
+    return next((v for v in st.free if where[v] == FREE and st.score_contribution(v) >= need), None)
 
 
 def _find_satisfactory(inst: AnnotatedInstance) -> int | None:
-    need = inst.score_needed(_satisfactory_threshold(inst))
-    return next((v for v in inst.free_vertices() if inst.score_contribution(v, inst.tmask) >= need), None)
+    """The lowest satisfactory free vertex of an instance."""
+    return _satisfactory(_State(inst))
 
 
 def rr_include_satisfactory(inst: AnnotatedInstance, trace: RuleTrace | None = None):
@@ -287,14 +444,15 @@ def rr_include_satisfactory(inst: AnnotatedInstance, trace: RuleTrace | None = N
     triple once |T| reaches k (or too few vertices remain).
     """
     _require_degrading(inst, "rr_include_satisfactory")
+    st = _State(inst)
     while True:
-        sc = _shortcircuit(inst)
+        sc = st.decided()
         if sc is not None:
-            return sc + (inst,)
-        v = _find_satisfactory(inst)
+            return sc
+        v = _satisfactory(st)
         if v is None:
-            return inst
-        inst = _step(inst, "include", v, "general:include-high", "satisfactory", trace)
+            return st.freeze()
+        _move(st, "include", v, "general:include-high", "satisfactory", trace)
 
 
 def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
@@ -308,36 +466,39 @@ def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None)
     _require_degrading(inst, "rr_exclude_needless")
     if inst.k_prime <= 0:
         return inst
-    contrib = {v: inst.score_contribution(v, inst.tmask) for v in inst.free_vertices()}
-    satisfactory = inst.score_needed(_satisfactory_threshold(inst))
+    st = _State(inst)
+    contrib = {v: st.score_contribution(v) for v in st.free}
+    satisfactory = st.score_needed(_satisfactory_threshold(st))
     if any(c >= satisfactory for c in contrib.values()):
         raise GuardViolation("rr_exclude_needless requires the satisfactory-rule fixpoint")
-    need = inst.score_needed(inst.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2)
+    need = st.score_needed(st.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2)
     for v, c in contrib.items():
-        if inst.n_alive < inst.k:
+        if st.n_alive < inst.k:
             break
         if c >= need:
             continue
-        inst = _step(inst, "exclude", v, "general:exclude-low", "needless", trace)
-    if _find_satisfactory(inst) is not None:
+        _move(st, "exclude", v, "general:exclude-low", "needless", trace)
+    if _satisfactory(st) is not None:
         raise RuleInternalError("a needless exclusion created a satisfactory vertex")
-    return inst
+    return st.freeze()
 
 
 def rr_counter_shift(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
     """Lower all non-T bonuses by their minimum so some counter reaches zero."""
-    free = inst.free_vertices()
-    if not free:
-        return inst
-    low = min(free, key=inst.weights.__getitem__)
-    if not inst.weights[low]:
-        return inst
-    amount = inst.bonus[low]
-    before = inst.t
-    inst = inst.shift_bonus(amount)
+    st = _State(inst)
+    _shift_to_zero(st, trace)
+    return st.freeze()
+
+
+def _shift_to_zero(st: _State, trace: RuleTrace | None) -> None:
+    """The counter shift on a state: nothing while a free counter is zero."""
+    if st.zeros or st.n_alive == st.t_size:
+        return
+    weights, where = st.weights, st.where
+    amount = Fraction(min(weights[v] for v in st.free if where[v] == FREE), st.inst.scale)
+    dt = st.shift(amount)
     if trace is not None:
-        trace.log("general:no-zero-counter", "shift", (), inst.t - before, f"amount={amount}")
-    return inst
+        trace.log("general:no-zero-counter", "shift", (), dt, f"amount={amount}")
 
 
 def counter_bound_audit(inst: AnnotatedInstance) -> bool:
@@ -346,13 +507,14 @@ def counter_bound_audit(inst: AnnotatedInstance) -> bool:
     bonus(v) <= alpha*deg(u) + |3a-1| * (k(k-1) + k) for a zero-bonus vertex
     u outside T (the minimum-degree one gives the strongest check).
     """
-    free = inst.free_vertices()
+    st = _State(inst)
+    free = st.free
     if not free:
         return True
     zero = [v for v in free if not inst.weights[v]]
     if not zero:
         return False
-    deg_u = min(inst.degree(u) for u in zero)
+    deg_u = min(st.deg[u] for u in zero)
     # as weights: |3a-1| * (k(k-1) + k) is the score margin |(1-3a)k| times k
     cap = inst.alpha_weight * deg_u + inst.score_margin() * inst.k
     return all(inst.weights[v] <= cap for v in free)
@@ -381,28 +543,33 @@ def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None =
     if c < 1:
         raise GuardViolation("c must be >= 1")
     thr = _closure_better_threshold(c, inst.k)
-    masks = inst.graph.masks
+    st = _State(inst)
+    adj, where, score = st.adj, st.where, st.score_deg_bonus
 
     def count(v: int) -> int:
-        mine = inst.score_deg_bonus(v)
-        return sum(1 for u in iter_mask(masks[v] & inst.alive) if inst.score_deg_bonus(u) >= mine)
+        mine = score(v)
+        return sum(1 for u in adj[v] if where[u] and score(u) >= mine)
 
-    x = {v: count(v) for v in inst.free_vertices()}
+    x = {v: count(v) for v in st.free}
     heap = [v for v, xv in x.items() if xv > thr]
     while heap:
         v = heapq.heappop(heap)
         if x.get(v, thr) <= thr:
             continue
-        touched = masks[v]
-        for u in iter_mask(masks[v] & inst.tmask):
-            touched |= masks[u]
+        touched = adj[v]
+        if st.tnb[v]:
+            touched = set(touched)
+            for u in adj[v]:
+                if where[u] == IN_T:
+                    touched.update(adj[u])
         x_v = x.pop(v)
-        inst = _step(inst, "exclude", v, "closure:better", f"xv={x_v} thr={thr}", trace)
-        for u in iter_mask(touched & inst.alive & ~inst.tmask):
-            x[u] = count(u)
-            if x[u] > thr:
-                heapq.heappush(heap, u)
-    return inst
+        _move(st, "exclude", v, "closure:better", f"xv={x_v} thr={thr}", trace)
+        for u in touched:
+            if where[u] == FREE:
+                x[u] = count(u)
+                if x[u] > thr:
+                    heapq.heappush(heap, u)
+    return st.freeze()
 
 
 def closure_xi_degree_bound(c: int, k: int) -> int:
@@ -480,7 +647,9 @@ def _exclude_worst_of(inst: AnnotatedInstance, iset: tuple[int, ...], rule: str,
     if not candidates:
         raise GuardViolation("independent set lies inside T")
     v = min(candidates, key=lambda u: (inst.score_deg_bonus(u), u))
-    return _step(inst, "exclude", v, rule, f"|I|={len(iset)}", trace)
+    st = _State(inst)
+    _move(st, "exclude", v, rule, f"|I|={len(iset)}", trace)
+    return st.freeze()
 
 
 def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -637,12 +806,12 @@ def kernel_closure(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = No
         if sc is not None:
             return _decided(trace, inst, *sc)
         # for k >= 2 the bound is at least 2^(c-1), above delta_tbar once 2^(c-1) > n_alive: left unbuilt
-        if 2 <= c <= inst.n_alive.bit_length() and inst.k >= 2 and inst.delta_tbar() >= closure_xi_degree_bound(c, inst.k):
+        if 2 <= c <= inst.n_alive.bit_length() and inst.k >= 2 and _State(inst).delta_tbar() >= closure_xi_degree_bound(c, inst.k):
             xs, iset = find_closure_XI(inst, c, trace)
             inst = rr_closure_independent_set(inst, xs, iset, trace)
             continue
         break
-    trace.audit("closure_delta_tbar", inst.delta_tbar())
+    trace.audit("closure_delta_tbar", _State(inst).delta_tbar())
     return _finish_degrading(inst, trace)
 
 
@@ -661,11 +830,11 @@ def kernel_degeneracy_max(inst: AnnotatedInstance, d: int, trace: RuleTrace | No
         if sc is not None:
             return _decided(trace, inst, *sc)
         # for k >= 2 the bound is at least 2^d, above delta_tbar once 2^d > n_alive: left unbuilt
-        if (inst.k >= 2 and d >= inst.n_alive.bit_length()) or inst.delta_tbar() < bcfree_xi_degree_bound(a, b, inst.k, d):
+        if (inst.k >= 2 and d >= inst.n_alive.bit_length()) or _State(inst).delta_tbar() < bcfree_xi_degree_bound(a, b, inst.k, d):
             break
         xs, iset = find_bcfree_XI(inst, a, b, degeneracy=d, trace=trace)
         inst = rr_bcfree_independent_set(inst, xs, iset, trace)
-    trace.audit("bcfree_delta_tbar", inst.delta_tbar())
+    trace.audit("bcfree_delta_tbar", _State(inst).delta_tbar())
     return _finish_degrading(inst, trace)
 
 
@@ -722,23 +891,23 @@ def _exclude_high_degplus(inst: AnnotatedInstance, trace: RuleTrace):
     scan restarts from the lowest index only when t drops.  With Min scores
     negated, deg-bonus >= t + k reads -score >= score_needed(-(t + k)).
     """
-    free = inst.free_vertices()
-    bar = inst.score_needed(-(inst.t + inst.k))
+    st = _State(inst)
+    free, where = st.free, st.where
+    bar = st.score_needed(-(st.t + inst.k))
     i = 0
     while i < len(free):
         v = free[i]
         i += 1
-        if not (inst.alive >> v) & 1 or -inst.score_deg_bonus(v) < bar:
+        if where[v] != FREE or -st.score_deg_bonus(v) < bar:
             continue
-        before = inst.t
-        inst = _step(inst, "exclude", v, "min:high-degplus", "t+k bound", trace)
-        sc = _shortcircuit(inst)
+        dt = _move(st, "exclude", v, "min:high-degplus", "t+k bound", trace)
+        sc = st.decided()
         if sc is not None:
-            return sc + (inst,)
-        if inst.t != before:
+            return sc
+        if dt:
             i = 0
-            bar = inst.score_needed(-(inst.t + inst.k))
-    return inst
+            bar = st.score_needed(-(st.t + inst.k))
+    return st.freeze()
 
 
 def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
@@ -762,32 +931,33 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
     all vertices strictly better than w, which leaves w below the new k'.
     """
     margin = inst.score_margin()
-    rank = _Ranking(inst, wrt_t=False)
-    free = inst.free_vertices()
+    st = _State(inst)
+    st.rank(wrt_t=False)
+    free, where = st.free, st.where
     i = 0
     while True:
-        sc = _shortcircuit(rank.inst)
+        sc = st.decided()
         if sc is not None:
-            return sc + (rank.inst,)
-        rank.inst = rr_counter_shift(rank.inst, trace)
-        slots = rank.inst.k_prime
+            return sc
+        _shift_to_zero(st, trace)
+        slots = st.k_prime
         target = None
         while target is None and i < len(free):
             v = free[i]
             i += 1
             # w strictly better than v: score(w) >= score(v) + margin
-            if v in rank.score and rank.at_least(v, margin) >= slots:
+            if where[v] == FREE and st.at_least(v, margin) >= slots:
                 target = v
         if target is not None:
-            trace.log("hindex:counter-trim", "exclude", (target,), rank.exclude(target), "dominated")
+            _move(st, "exclude", target, "hindex:counter-trim", "dominated", trace)
             continue
         for v in free:
             # w not strictly worse than v: score(w) > score(v) - margin
-            if v in rank.score and rank.above(v, margin) <= slots - 1:
-                trace.log("hindex:counter-trim", "include", (v,), rank.include(v), "dominating")
+            if where[v] == FREE and st.above(v, margin) <= slots - 1:
+                _move(st, "include", v, "hindex:counter-trim", "dominating", trace)
                 break
         else:
-            return rank.inst
+            return st.freeze()
 
 
 def _vx_window(inst: AnnotatedInstance, base: int) -> tuple[Fraction, int, int]:
@@ -815,9 +985,10 @@ def _window_exclude_low(inst: AnnotatedInstance, cutoff: int, tag: str, trace: R
     """Case 1: every free vertex of deg-bonus below alpha*x - M (score below
     ``cutoff``) can be excluded; then counters are trimmed by exchanges and
     the rest de-annotated."""
-    for v in [u for u in inst.free_vertices() if inst.score_deg_bonus(u) < cutoff]:
-        inst = _step(inst, "exclude", v, f"{tag}:exclude-low", "below V_x window", trace)
-    got = _margin_trim_counters(inst, trace)
+    st = _State(inst)
+    for v in [u for u in st.free if st.score_deg_bonus(u) < cutoff]:
+        _move(st, "exclude", v, f"{tag}:exclude-low", "below V_x window", trace)
+    got = _margin_trim_counters(st.freeze(), trace)
     if isinstance(got, tuple):
         status, witness, final = got
         return _decided(trace, final, status, witness)
@@ -831,14 +1002,17 @@ def _window_include_high(inst: AnnotatedInstance, cutoff: int, tag: str, trace: 
     """Case 2: include free vertices of deg-bonus >= alpha*x + M (score at
     least ``cutoff``), lowest index first.  Returns the instance once none is
     left, or the outcome once the cardinality decides."""
+    st = _State(inst)
+    where = st.where
     while True:
-        sc = _shortcircuit(inst)
+        sc = st.decided()
         if sc is not None:
-            return _decided(trace, inst, *sc)
-        target = next((v for v in inst.free_vertices() if inst.score_deg_bonus(v) >= cutoff), None)
+            status, witness, final = sc
+            return _decided(trace, final, status, witness)
+        target = next((v for v in st.free if where[v] == FREE and st.score_deg_bonus(v) >= cutoff), None)
         if target is None:
-            return inst
-        inst = _step(inst, "include", target, f"{tag}:include-high", "above V_{x+M}", trace)
+            return st.freeze()
+        _move(st, "include", target, f"{tag}:include-high", "above V_{x+M}", trace)
 
 
 def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None = None) -> KernelOutcome:
@@ -891,16 +1065,15 @@ def kernel_vc_max(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
     if isinstance(inst, KernelOutcome):
         return inst
     cset = set(cover)
+    st = _State(inst)
+    where, adj = st.where, st.adj
     # independent-set vertices whose every alive neighbor already sits in T
-    fixed = [
-        v
-        for v in inst.free_vertices()
-        if v not in cset and not (inst.graph.masks[v] & inst.alive & ~inst.tmask)
-    ]
+    fixed = [v for v in st.free if v not in cset and all(where[u] != FREE for u in adj[v])]
     if len(fixed) > inst.k:
-        ranked = sorted(fixed, key=lambda v: (-inst.score_contribution(v, inst.tmask), v))
+        ranked = sorted(fixed, key=lambda v: (-st.score_contribution(v), v))
         for v in ranked[inst.k:]:
-            inst = _step(inst, "exclude", v, "vc:prune-fixed", "fixed contribution", trace)
+            _move(st, "exclude", v, "vc:prune-fixed", "fixed contribution", trace)
+    inst = st.freeze()
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)
@@ -939,23 +1112,26 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
     trace.audit("vc_x", x)
     # Exclusions keep every free deg-bonus and k', so better-counts only
     # fall and one pass in index order finds every target.
-    rank = _Ranking(inst, wrt_t=False)
-    for v in inst.free_vertices():
-        if inst.score_deg_bonus(v) > cut:  # outside V_x
+    st = _State(inst)
+    st.rank(wrt_t=False)
+    free, where = st.free, st.where
+    for v in free:
+        if st.score_deg_bonus(v) > cut:  # outside V_x
             continue
         # w better than v: deg_bonus(w) <= deg_bonus(v) - margin
-        if rank.at_least(v, margin) < inst.k_prime:
+        if st.at_least(v, margin) < inst.k_prime:
             continue
-        trace.log("vc:exclude-vx", "exclude", (v,), rank.exclude(v), "I beats V_x")
-        inst = rank.inst
-        sc = _shortcircuit(inst)
+        _move(st, "exclude", v, "vc:exclude-vx", "I beats V_x", trace)
+        sc = st.decided()
         if sc is not None:
-            return _decided(trace, inst, *sc)
-    isolated = [v for v in inst.free_vertices() if inst.degree(v) == 0]
+            status, witness, final = sc
+            return _decided(trace, final, status, witness)
+    isolated = [v for v in free if where[v] == FREE and st.deg[v] == 0]
     if len(isolated) > inst.k:
-        ranked = sorted(isolated, key=lambda v: (inst.weights[v], v))
+        ranked = sorted(isolated, key=lambda v: (st.weights[v], v))
         for v in ranked[inst.k:]:
-            inst = _step(inst, "exclude", v, "vc:prune-isolated", "fixed contribution", trace)
+            _move(st, "exclude", v, "vc:prune-isolated", "fixed contribution", trace)
+    inst = st.freeze()
     sc = _shortcircuit(inst)
     if sc is not None:
         return _decided(trace, inst, *sc)

@@ -158,6 +158,49 @@ def test_c_closure_tiny_graphs():
     assert compute_profile(Graph.from_edges(1, [])).c_closure == 1
 
 
+def c_closure_by_masks(g: Graph) -> int:
+    """The c-closure as computed before wedge counting, kept as the reference:
+    for each u, the vertices above u at distance two as one mask union, then
+    a popcount of each pair's common neighbours."""
+    best = 0
+    for u in range(g.n):
+        far = 0
+        for w in g.adj[u]:
+            far |= g.masks[w]
+        far &= ~g.masks[u] & -(1 << (u + 1))
+        for v in iter_mask(far):
+            best = max(best, (g.masks[u] & g.masks[v]).bit_count())
+    return best + 1
+
+
+def _hub_graph(n: int, rng: random.Random, chords: int) -> Graph:
+    """A tree grown by preferential attachment (each new vertex joins an
+    endpoint drawn in proportion to degree, which grows hubs), plus chords."""
+    edges = set()
+    ends = [0]
+    for v in range(1, n):
+        u = rng.choice(ends)
+        edges.add((u, v))
+        ends += [u, v]
+    for _ in range(chords if n > 1 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(st.integers(0, 10**6), st.integers(0, 90), st.sampled_from(("gnp", "degenerate", "hub tree", "hub tree + chords")))
+@settings(max_examples=200, deadline=None)
+def test_c_closure_by_wedges_matches_masks(seed, n, family):
+    rng = random.Random(seed)
+    if family == "gnp":
+        g = gen_gnp(n, rng.randint(1, 4), rng.choice((4, 8, max(n, 4))), seed)
+    elif family == "degenerate":
+        g = gen_degenerate(n, rng.randint(1, 4), seed)
+    else:
+        g = _hub_graph(n, rng, 0 if family == "hub tree" else rng.randint(1, 2 * n + 1))
+    assert compute_profile(g).c_closure == c_closure_by_masks(g)
+
+
 def test_vertex_cover_minimality_exhaustive():
     from itertools import combinations
 

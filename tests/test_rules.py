@@ -14,8 +14,9 @@ from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     DECIDED_NO,
     DECIDED_YES,
+    FREE,
     KERNELIZED,
-    _Ranking,
+    _State,
     _vx_window,
     alive_profile,
     counter_bound_audit,
@@ -39,6 +40,8 @@ from fcgp.rules import (
     select_pipeline,
 )
 from fcgp.solve import brute_force
+
+from test_acceptance import ALPHAS
 
 from conftest import (
     annotated,
@@ -596,39 +599,64 @@ def test_auto_without_a_cover_in_budget_ends_fast(t):
     assert time.monotonic() - started < 2
 
 
-# -- incremental ranking ------------------------------------------------------
+# -- the rules' working state ---------------------------------------------------
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    alpha=st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(1))),
+    alpha=st.sampled_from(ALPHAS),
     variant=st.sampled_from((MAX, MIN)),
-    wrt_t=st.booleans(),
-    moves=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), max_size=8),
+    ranks=st.sampled_from((None, "contribution", "deg-bonus")),
+    moves=st.lists(st.tuples(st.sampled_from(("exclude", "include", "shift")), st.integers(0, 99)), max_size=10),
 )
-def test_ranking_matches_fresh_recount(seed, alpha, variant, wrt_t, moves):
+def test_working_state_matches_the_instance_chain(seed, alpha, variant, ranks, moves):
     rng = random.Random(seed)
     n = rng.randint(1, 9)
     g = gen_gnp(n, 1, 2, seed) if seed % 2 else gen_degenerate(n, 2, seed)
     tset = rng.sample(range(n), rng.randint(0, min(2, n)))
+    dead = [v for v in range(n) if v not in tset and rng.random() < 0.2]
     # bonuses need not be multiples of alpha here
     bonus = tuple(F(0) if v in tset else F(rng.randint(0, 12), rng.choice((1, 2, 3, 5))) for v in range(n))
-    inst = replace(annotated(g, tset, {}, 3, 0, alpha, variant), bonus=bonus)
-    rank = _Ranking(inst, wrt_t)
-    for include, pick in moves:
-        free = rank.inst.free_vertices()
-        if not free:
-            break
-        v = free[pick % len(free)]
-        before = rank.inst
-        # contribution scores are kept under exclusion only
-        dt = rank.include(v) if include and not wrt_t else rank.exclude(v)
-        assert dt == rank.inst.t - before.t
-        fresh = _Ranking(rank.inst, wrt_t)
-        assert rank.score == fresh.score
-        assert rank.ranked == fresh.ranked
-        assert rank.degrees == fresh.degrees
-        assert rank.delta_tbar() == rank.inst.delta_tbar()
+    chain = replace(annotated(g, tset, {}, 3, 0, alpha, variant), bonus=bonus)
+    chain = replace(chain, alive=chain.alive & ~sum(1 << v for v in dead))
+    state = _State(chain)
+    if ranks is not None:
+        state.rank(wrt_t=ranks == "contribution")
+    shifted = False
+    for op, pick in moves:
+        free = chain.free_vertices()
+        if op == "shift":
+            least = min((chain.weights[v] for v in free), default=0)
+            amount = F(pick % (least + 1), chain.scale)
+            dt, after = state.shift(amount), chain.shift_bonus(amount)
+            shifted = shifted or amount > 0
+        elif not free:
+            continue
+        elif op == "include" and ranks != "contribution":  # contribution ranks are kept under exclusion only
+            v = free[pick % len(free)]
+            dt, after = state.include(v), chain.include(v)
+        else:
+            v = free[pick % len(free)]
+            dt, after = state.exclude(v), chain.exclude(v)
+        assert dt == after.t - chain.t
+        chain = after
+        got = state.freeze()
+        assert (got.alive, got.tmask, got.weights, got.t) == (chain.alive, chain.tmask, chain.weights, chain.t)
+        assert (state.n_alive, state.t_size) == (chain.n_alive, chain.t_size)
+        for v in chain.alive_vertices():
+            assert state.deg[v] == chain.degree(v)
+            assert state.tnb[v] == (g.masks[v] & chain.tmask).bit_count()
+        free = chain.free_vertices()
+        assert [v for v in state.free if state.where[v] == FREE] == list(free)
+        assert state.delta_tbar() == chain.delta_tbar()
+        assert state.zeros == sum(1 for v in free if not chain.weights[v])
+        if ranks is not None:
+            fresh = {v: chain.score_contribution(v, chain.tmask) if ranks == "contribution" else chain.score_deg_bonus(v) for v in free}
+            assert state.score.keys() == fresh.keys()
+            # a counter shift moves every score by one amount and is not applied to the ranks
+            offsets = {state.score[v] - fresh[v] for v in free}
+            assert len(offsets) <= 1 and (shifted or offsets <= {0})
+            assert state.ranked == sorted(state.score.values())
 
 
 # -- min with t < 0 -------------------------------------------------------------

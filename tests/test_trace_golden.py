@@ -15,6 +15,10 @@ independent-set rules and the V_x windows of the h-index and vertex-cover
 kernels, which the first never reaches.  It was generated before the two
 extractions and the two windows were merged into shared code.
 
+A third, ``SCALE_GOLDEN``, runs four pipelines on 3,200-vertex graphs,
+where every rule loop makes thousands of moves.  It was generated on the
+code before the rule loops moved onto one mutable working state.
+
 Both digests were regenerated once, when the always-zero ``dk`` field left
 the trace entry lines: on the code before that change, with only the
 `` dk=0`` token removed from each entry line and nothing else changed.
@@ -299,3 +303,52 @@ def xi_digest() -> str:
 
 def test_extraction_window_golden():
     assert xi_digest() == XI_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# Digest at scale
+# ---------------------------------------------------------------------------
+#
+# The graphs above have at most 170 vertices.  Below, the delta, closure,
+# degeneracy and auto pipelines run on gen_degenerate(3200, 3) for Max with
+# alpha 1/2 and 1 and for Min with alpha 1/4, at a threshold the
+# satisfactory rule decides at once and at one that takes about 3,000
+# exclusions.  The Min rows also run on the graph without its isolated
+# vertices, where the optimum is above 0.
+
+SCALE_GOLDEN = "d7d7bc2879d9e411b33cf7eda26a2f4e857b89ee5e5a893cf05be2b8560b6b89"
+
+SCALE_N = 3200
+SCALE_PIPELINES = ("delta", "closure", "degeneracy", "auto")
+# (variant, alpha, seed, thresholds, drop isolated vertices)
+SCALE_ROWS = [
+    (MAX, F(1, 2), 7, (F(22), F(45)), False),
+    (MAX, F(1), 8, (F(44), F(88)), False),
+    (MIN, F(1, 4), 9, (F(0),), False),
+    (MIN, F(1, 4), 9, (F(1), F(2)), True),
+]
+
+
+def scale_records():
+    for variant, alpha, seed, thresholds, connected in SCALE_ROWS:
+        g = gen_degenerate(SCALE_N, 3, seed)
+        if connected:
+            g, _ = g.induced(v for v in range(g.n) if g.degree(v))
+        profile = compute_profile(g, vc_budget=-1)
+        yield f"scale n={g.n} seed={seed}\n{_profile_text(profile)}\n"
+        for t in thresholds:
+            inst = PlainInstance(g, 6, t, alpha, variant).annotate()
+            label = f"scale/n={g.n}/seed={seed}/{variant}/{alpha}/k=6/t={t}"
+            for name in SCALE_PIPELINES:
+                yield _run(label, inst, name, profile)
+
+
+def scale_digest() -> str:
+    h = hashlib.sha256()
+    for rec in scale_records():
+        h.update(rec.encode())
+    return h.hexdigest()
+
+
+def test_scale_golden():
+    assert scale_digest() == SCALE_GOLDEN
