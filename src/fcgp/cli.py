@@ -288,6 +288,8 @@ def cmd_verify(args) -> int:
         print(f"MISMATCH: {msg}")
         return EXIT_MISMATCH
 
+    if args.trace and _read_text(args.trace, "trace file") != outcome.trace.to_text():
+        return fail("trace file does not match the regenerated trace")
     if outcome.status in (DECIDED_YES, DECIDED_NO):
         my_decision = outcome.status == DECIDED_YES
         if my_decision:
@@ -309,9 +311,6 @@ def cmd_verify(args) -> int:
             return fail(
                 f"kernel file decision {res_file.decision} != regenerated kernel decision {res_mine.decision}"
             )
-        if args.trace:
-            if _read_text(args.trace, "trace file") != outcome.trace.to_text():
-                return fail("trace file does not match the regenerated trace")
         my_decision = res_mine.decision
         lifted = None
         if my_decision:

@@ -1,10 +1,12 @@
 """Reduction-rule catalog and the kernelization pipelines composing them.
 
-Every rule is an answer-preserving transformation of an annotated instance;
+Every rule is an answer-preserving transformation of an annotated instance,
+applied in place to the pipeline run's one working state (:class:`_State`);
 pipelines string them together, short-circuit to a decision whenever
 |T| = k or fewer than k vertices remain, and finish by removing the
-annotations.  Each primitive application is logged into a replayable
-:class:`RuleTrace`.
+annotations.  A decision leaves the rules as :class:`_Decided` and becomes
+the outcome in :func:`_pipeline`.  Each primitive application is logged
+into a replayable :class:`RuleTrace`.
 
 Tie-breaking is smallest vertex index everywhere, so identical inputs give
 identical traces.
@@ -12,6 +14,7 @@ identical traces.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -66,11 +69,11 @@ class InstanceSummary:
         return f"{tag} n={self.n} m={self.m} k={self.k} t={self.t} gamma={gamma} delta_tbar={self.delta_tbar}"
 
 
-def summarize(inst: AnnotatedInstance) -> InstanceSummary:
-    st = _State(inst)
+def summarize(st: _State) -> InstanceSummary:
     # inst.gamma(), or None outside standard-counter mode, read off the free
-    # weights (T has weight 0) without iterating the n-bit alive mask
-    a = inst.alpha_weight
+    # weights (T and deleted vertices have weight 0) without iterating the
+    # n-bit alive mask
+    a = st.alpha_weight
     weights = [w for w in map(st.weights.__getitem__, st.free) if w]
     if not weights:
         gamma = 1
@@ -79,7 +82,7 @@ def summarize(inst: AnnotatedInstance) -> InstanceSummary:
     else:
         gamma = max(weights) // a + 1
     return InstanceSummary(
-        n=st.n_alive, m=sum(compress(st.deg, st.where)) // 2, k=inst.k, t=inst.t, gamma=gamma, delta_tbar=st.delta_tbar()
+        n=st.n_alive, m=sum(compress(st.deg, st.where)) // 2, k=st.k, t=st.t, gamma=gamma, delta_tbar=st.delta_tbar()
     )
 
 
@@ -170,6 +173,15 @@ def _shortcircuit(inst: AnnotatedInstance):
     return None
 
 
+class _Decided(Exception):
+    """A decision reached inside the rules, on its way to the one exit in
+    :func:`_pipeline`; the witness is a tuple for YES, else None."""
+
+    def __init__(self, status: str, witness: tuple[int, ...] | None = None):
+        super().__init__(status)
+        self.status, self.witness = status, witness
+
+
 # ---------------------------------------------------------------------------
 # The working state the rule loops run on
 # ---------------------------------------------------------------------------
@@ -180,24 +192,27 @@ _ALIVE_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"011")
 
 
 class _State:
-    """One rule pass's mutable working copy of an annotated instance.
+    """The mutable working copy of an annotated instance that every rule of
+    one pipeline run applies its moves to.
 
-    ``where[v]`` is 0 (deleted), FREE or IN_T; ``weights`` is a list;
-    ``deg[v]`` and ``tnb[v]`` count v's alive neighbors and its neighbors in
-    T (read for alive v only); ``hist`` is the histogram of free degrees, so
-    Delta_Tbar only moves down a pointer; ``zeros`` counts the free vertices
-    of weight 0.  An exclusion updates these along ``graph.adj`` in O(deg)
-    steps; a new instance per move would copy n weights and scan n-bit
-    masks.  :meth:`freeze` turns the state back into an instance.
+    ``where[v]`` is 0 (deleted), FREE or IN_T; ``free`` lists the vertices
+    free at the start, so readers filter it on ``where``; ``weights`` is a
+    list; ``deg[v]`` and ``tnb[v]`` count v's alive neighbors and its
+    neighbors in T (read for alive v only); ``hist`` is the histogram of
+    free degrees, so Delta_Tbar only moves down a pointer; ``zeros`` counts
+    the free vertices of weight 0.  An exclusion updates these along
+    ``graph.adj`` in O(deg) steps; a new instance per move would copy n
+    weights and scan n-bit masks.  :meth:`freeze` turns the state back into
+    an instance.
 
     After :meth:`rank` the free vertices are also ranked by score, the
-    contribution w.r.t. T (``wrt_t``) or the deg-bonus.  Excluding u changes
-    neither for any other free vertex (a neighbor loses a degree and gains
-    alpha of bonus; a T-neighbor's credit goes into t), nor t'.  Including
-    u leaves every deg-bonus alone; contribution ranks are not kept under
-    inclusion.  A counter shift lowers every free deg-bonus by the same
-    amount and is not applied to the ranks, so they stay exact up to one
-    common offset.
+    contribution w.r.t. T (``wrt_t``) or the deg-bonus, until the ranking
+    rule drops them (``score = None``).  Excluding u changes neither for any
+    other free vertex (a neighbor loses a degree and gains alpha of bonus; a
+    T-neighbor's credit goes into t), nor t'.  Including u leaves every
+    deg-bonus alone; contribution ranks are not kept under inclusion.  A
+    counter shift lowers every free deg-bonus by the same amount and is not
+    applied to the ranks, so they stay exact up to one common offset.
     """
 
     def __init__(self, inst: AnnotatedInstance):
@@ -266,14 +281,18 @@ class _State:
             self.top -= 1
         return self.top
 
-    def decided(self):
-        """``_shortcircuit`` of the current instance plus that instance, or
-        None; the instance is frozen only when the forced set is scored."""
+    def alive_vertices(self):
+        """The alive vertices, T included, in index order, as on the instance."""
+        return compress(range(len(self.where)), self.where)
+
+    def settle(self) -> None:
+        """Raise :class:`_Decided` when ``_shortcircuit`` decides the current
+        instance; it is frozen only when the forced set is scored."""
         if self.n_alive > self.k > self.t_size and not (self.sign < 0 and self.t < 0):
-            return None
-        inst = self.freeze()
-        sc = _shortcircuit(inst)
-        return None if sc is None else sc + (inst,)
+            return
+        sc = _shortcircuit(self.freeze())
+        if sc is not None:
+            raise _Decided(*sc)
 
     def freeze(self) -> AnnotatedInstance:
         """The instance the moves so far lead to (the start one if none)."""
@@ -285,8 +304,8 @@ class _State:
     # -- ranking -------------------------------------------------------------
 
     def rank(self, wrt_t: bool) -> None:
-        sign, a, deg, weights = self.sign, self.alpha_weight, self.deg, self.weights
-        self.score = score = {v: sign * (a * deg[v] + weights[v]) for v in self.free}
+        sign, a, deg, weights, where = self.sign, self.alpha_weight, self.deg, self.weights, self.where
+        self.score = score = {v: sign * (a * deg[v] + weights[v]) for v in self.free if where[v] == FREE}
         if wrt_t:
             pair, tnb = self.pair_score, self.tnb
             for v in score:
@@ -387,7 +406,7 @@ def _move(st: _State, op: str, v: int, rule: str, note: str, trace: RuleTrace | 
 # Degree-bounded rules (maximum-degree kernel machinery)
 # ---------------------------------------------------------------------------
 
-def rr_delta_better(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
+def rr_delta_better(st: _State, trace: RuleTrace | None = None) -> None:
     """Exclude any vertex dominated by (Delta_Tbar+1)(k-1)+1 better vertices.
 
     "Better" is contribution w.r.t. T in the variant's direction; ties count,
@@ -396,11 +415,10 @@ def rr_delta_better(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> 
     the lowest qualifying index is found by one scan in index order, which
     restarts only when the bound drops (at most Delta_Tbar times).
     """
-    _require_degrading(inst, "rr_delta_better")
-    st = _State(inst)
+    _require_degrading(st.inst, "rr_delta_better")
     st.rank(wrt_t=True)
     free, where = st.free, st.where
-    bound = (st.delta_tbar() + 1) * (inst.k - 1) + 1
+    bound = (st.delta_tbar() + 1) * (st.k - 1) + 1
     i = 0
     while i < len(free):
         v = free[i]
@@ -411,13 +429,13 @@ def rr_delta_better(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> 
         if better < bound:
             continue
         _move(st, "exclude", v, "delta:better", f"better={better} bound={bound}", trace)
-        lowered = (st.delta_tbar() + 1) * (inst.k - 1) + 1
+        lowered = (st.delta_tbar() + 1) * (st.k - 1) + 1
         if lowered < bound:
             bound, i = lowered, 0
     if trace is not None:
         trace.audit("delta_better_free", len(st.score))
         trace.audit("delta_better_bound", bound)
-    return st.freeze()
+    st.score = None
 
 
 def _satisfactory_threshold(st: _State) -> Fraction:
@@ -431,31 +449,21 @@ def _satisfactory(st: _State) -> int | None:
     return next((v for v in st.free if where[v] == FREE and st.score_contribution(v) >= need), None)
 
 
-def _find_satisfactory(inst: AnnotatedInstance) -> int | None:
-    """The lowest satisfactory free vertex of an instance."""
-    return _satisfactory(_State(inst))
-
-
-def rr_include_satisfactory(inst: AnnotatedInstance, trace: RuleTrace | None = None):
+def rr_include_satisfactory(st: _State, trace: RuleTrace | None = None) -> None:
     """Repeatedly include vertices whose contribution clears t'/k' by the
-    (3a-1)(k-1) margin.
-
-    Returns the new instance, or a ``(status, witness, instance)`` decision
-    triple once |T| reaches k (or too few vertices remain).
+    (3a-1)(k-1) margin; settles once |T| reaches k (or too few vertices
+    remain).
     """
-    _require_degrading(inst, "rr_include_satisfactory")
-    st = _State(inst)
+    _require_degrading(st.inst, "rr_include_satisfactory")
     while True:
-        sc = st.decided()
-        if sc is not None:
-            return sc
+        st.settle()
         v = _satisfactory(st)
         if v is None:
-            return st.freeze()
+            return
         _move(st, "include", v, "general:include-high", "satisfactory", trace)
 
 
-def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
+def rr_exclude_needless(st: _State, trace: RuleTrace | None = None) -> None:
     """Exclude vertices far below t'/k' (above, for Min).
 
     Must start at the satisfactory fixpoint.  An exclusion changes neither
@@ -463,35 +471,29 @@ def rr_exclude_needless(inst: AnnotatedInstance, trace: RuleTrace | None = None)
     fixed: one pass in index order, stopping once fewer than k vertices
     remain.  No exclusion can create a satisfactory vertex; that is checked.
     """
-    _require_degrading(inst, "rr_exclude_needless")
-    if inst.k_prime <= 0:
-        return inst
-    st = _State(inst)
-    contrib = {v: st.score_contribution(v) for v in st.free}
+    _require_degrading(st.inst, "rr_exclude_needless")
+    k_prime = st.k_prime
+    if k_prime <= 0:
+        return
+    where = st.where
+    contrib = {v: st.score_contribution(v) for v in st.free if where[v] == FREE}
     satisfactory = st.score_needed(_satisfactory_threshold(st))
     if any(c >= satisfactory for c in contrib.values()):
         raise GuardViolation("rr_exclude_needless requires the satisfactory-rule fixpoint")
-    need = st.score_needed(st.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2)
+    need = st.score_needed(st.t_prime() / k_prime - (3 * st.alpha - 1) * (st.k - 1) ** 2)
     for v, c in contrib.items():
-        if st.n_alive < inst.k:
+        if st.n_alive < st.k:
             break
         if c >= need:
             continue
         _move(st, "exclude", v, "general:exclude-low", "needless", trace)
     if _satisfactory(st) is not None:
         raise RuleInternalError("a needless exclusion created a satisfactory vertex")
-    return st.freeze()
 
 
-def rr_counter_shift(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> AnnotatedInstance:
-    """Lower all non-T bonuses by their minimum so some counter reaches zero."""
-    st = _State(inst)
-    _shift_to_zero(st, trace)
-    return st.freeze()
-
-
-def _shift_to_zero(st: _State, trace: RuleTrace | None) -> None:
-    """The counter shift on a state: nothing while a free counter is zero."""
+def rr_counter_shift(st: _State, trace: RuleTrace | None = None) -> None:
+    """Lower all non-T bonuses by their minimum so some counter reaches zero;
+    nothing while a free counter is zero."""
     if st.zeros or st.n_alive == st.t_size:
         return
     weights, where = st.weights, st.where
@@ -501,23 +503,23 @@ def _shift_to_zero(st: _State, trace: RuleTrace | None) -> None:
         trace.log("general:no-zero-counter", "shift", (), dt, f"amount={amount}")
 
 
-def counter_bound_audit(inst: AnnotatedInstance) -> bool:
+def counter_bound_audit(st: _State) -> bool:
     """Explicit counter bound after the include/exclude/shift fixpoint:
 
     bonus(v) <= alpha*deg(u) + |3a-1| * (k(k-1) + k) for a zero-bonus vertex
     u outside T (the minimum-degree one gives the strongest check).
     """
-    st = _State(inst)
-    free = st.free
+    weights, where = st.weights, st.where
+    free = [v for v in st.free if where[v] == FREE]
     if not free:
         return True
-    zero = [v for v in free if not inst.weights[v]]
+    zero = [v for v in free if not weights[v]]
     if not zero:
         return False
     deg_u = min(st.deg[u] for u in zero)
     # as weights: |3a-1| * (k(k-1) + k) is the score margin |(1-3a)k| times k
-    cap = inst.alpha_weight * deg_u + inst.score_margin() * inst.k
-    return all(inst.weights[v] <= cap for v in free)
+    cap = st.alpha_weight * deg_u + st.inst.score_margin() * st.k
+    return all(weights[v] <= cap for v in free)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +532,7 @@ def _closure_better_threshold(c: int, k: int) -> int:
     return max(k - 1, (c - 1) * (k - 1))
 
 
-def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> AnnotatedInstance:
+def rr_closure_better(st: _State, c: int, trace: RuleTrace | None = None) -> None:
     """Exclude v once too many of its neighbors are better (w.r.t. the empty set).
 
     x_v counts the alive neighbors, T included, whose deg-bonus is at least
@@ -539,18 +541,17 @@ def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None =
     the neighborhoods of w's T-neighbors; a heap yields the lowest
     qualifying index.
     """
-    _require_degrading(inst, "rr_closure_better", allow_alpha_zero=True)
+    _require_degrading(st.inst, "rr_closure_better", allow_alpha_zero=True)
     if c < 1:
         raise GuardViolation("c must be >= 1")
-    thr = _closure_better_threshold(c, inst.k)
-    st = _State(inst)
+    thr = _closure_better_threshold(c, st.k)
     adj, where, score = st.adj, st.where, st.score_deg_bonus
 
     def count(v: int) -> int:
         mine = score(v)
         return sum(1 for u in adj[v] if where[u] and score(u) >= mine)
 
-    x = {v: count(v) for v in st.free}
+    x = {v: count(v) for v in st.free if where[v] == FREE}
     heap = [v for v, xv in x.items() if xv > thr]
     while heap:
         v = heapq.heappop(heap)
@@ -569,7 +570,6 @@ def rr_closure_better(inst: AnnotatedInstance, c: int, trace: RuleTrace | None =
                 x[u] = count(u)
                 if x[u] > thr:
                     heapq.heappush(heap, u)
-    return st.freeze()
 
 
 def closure_xi_degree_bound(c: int, k: int) -> int:
@@ -640,19 +640,17 @@ def _descend_XI(
     return tuple(xs), iset
 
 
-def _exclude_worst_of(inst: AnnotatedInstance, iset: tuple[int, ...], rule: str, trace: RuleTrace | None):
+def _exclude_worst_of(st: _State, iset: tuple[int, ...], rule: str, trace: RuleTrace | None) -> None:
     """Exclude the vertex of I outside T that every other one is better than:
     min deg-bonus for Max, max for Min, lowest index on ties."""
-    candidates = [v for v in iset if not (inst.tmask >> v) & 1]
+    candidates = [v for v in iset if st.where[v] != IN_T]
     if not candidates:
         raise GuardViolation("independent set lies inside T")
-    v = min(candidates, key=lambda u: (inst.score_deg_bonus(u), u))
-    st = _State(inst)
+    v = min(candidates, key=lambda u: (st.score_deg_bonus(u), u))
     _move(st, "exclude", v, rule, f"|I|={len(iset)}", trace)
-    return st.freeze()
 
 
-def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def find_closure_XI(st: _State, c: int, trace: RuleTrace | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy common-neighborhood descent around a max-degree vertex.
 
     Returns (X, I) with I an independent set inside the common neighborhood
@@ -660,11 +658,12 @@ def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = N
     having at most (k+1)k^(c-i-1) neighbors in I.  Both properties are
     verified before returning.
     """
-    k = inst.k
+    k = st.k
     if c < 2:
         raise GuardViolation("X/I extraction needs c >= 2")
     if k < 1:
         raise GuardViolation("X/I extraction needs k >= 1")
+    inst = st.freeze()
     v, sub, back = _max_degree_neighborhood(inst, closure_xi_degree_bound(c, k))
     witness = ramsey.cclosed_ramsey(sub, (c - 1) * k + 1, (k + 1) * k ** (c - 1), c)
     if witness.kind == ramsey.CLIQUE:
@@ -676,12 +675,12 @@ def find_closure_XI(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = N
 
 
 def rr_closure_independent_set(
-    inst: AnnotatedInstance, xs: tuple[int, ...], iset: tuple[int, ...], trace: RuleTrace | None = None
-) -> AnnotatedInstance:
+    st: _State, xs: tuple[int, ...], iset: tuple[int, ...], trace: RuleTrace | None = None
+) -> None:
     """Exclude the worst vertex of the extracted independent set (k >= 2)."""
-    if inst.k < 2:
+    if st.k < 2:
         raise GuardViolation("closure independent-set rule needs k >= 2")
-    return _exclude_worst_of(inst, iset, "closure:independent-set", trace)
+    _exclude_worst_of(st, iset, "closure:independent-set", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +695,7 @@ def bcfree_xi_degree_bound(a: int, b: int, k: int, degeneracy: int | None = None
 
 
 def find_bcfree_XI(
-    inst: AnnotatedInstance,
+    st: _State,
     a: int,
     b: int,
     degeneracy: int | None = None,
@@ -707,10 +706,11 @@ def find_bcfree_XI(
     Returns (X, I) with |X| = i <= a-1, |I| >= b*k^(a-i) + 1 and every vertex
     outside X having at most b*k^(a-i-1) neighbors in I; verified.
     """
-    k = inst.k
+    k = st.k
     if a < 2:
         raise GuardViolation("X/I extraction needs a >= 2")
     target = b * k ** (a - 1) + 1
+    inst = st.freeze()
     v, sub, back = _max_degree_neighborhood(inst, bcfree_xi_degree_bound(a, b, k, degeneracy))
     if degeneracy is not None:
         picked = ramsey.degenerate_independent_set(sub, degeneracy, target)
@@ -721,179 +721,158 @@ def find_bcfree_XI(
 
 
 def rr_bcfree_independent_set(
-    inst: AnnotatedInstance, xs: tuple[int, ...], iset: tuple[int, ...], trace: RuleTrace | None = None
-) -> AnnotatedInstance:
+    st: _State, xs: tuple[int, ...], iset: tuple[int, ...], trace: RuleTrace | None = None
+) -> None:
     """Exclude the worst vertex of the extracted independent set."""
-    return _exclude_worst_of(inst, iset, "bc-free:independent-set", trace)
+    _exclude_worst_of(st, iset, "bc-free:independent-set", trace)
 
 
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _decided(trace: RuleTrace, inst: AnnotatedInstance, status: str, witness=None) -> KernelOutcome:
-    trace.log("pipeline", "decide", tuple(witness) if witness else (), ZERO, status)
-    trace.final = summarize(inst)
-    return KernelOutcome(status=status, plain=None, witness=None if witness is None else tuple(witness), trace=trace)
+def _pipeline(name: str):
+    """Turn a kernel body ``body(st, trace, *params) -> Deannotation`` into
+    ``kernel(inst, *params) -> KernelOutcome``: the run's one working state
+    and its trace are built here, and every decision the body raises as
+    :class:`_Decided` leaves here."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def kernel(inst: AnnotatedInstance, *params) -> KernelOutcome:
+            st = _State(inst)
+            trace = RuleTrace(pipeline=name, initial=summarize(st))
+            try:
+                deann = body(st, trace, *params)
+            except _Decided as got:
+                trace.log("pipeline", "decide", got.witness or (), ZERO, got.status)
+                trace.final = summarize(st)
+                return KernelOutcome(status=got.status, plain=None, witness=got.witness, trace=trace)
+            trace.final = summarize(st)
+            trace.deann = deann
+            trace.audit("kernel_n", deann.plain.graph.n)
+            trace.audit("kernel_m", deann.plain.graph.m)
+            return KernelOutcome(status=KERNELIZED, plain=deann.plain, witness=None, trace=trace)
+
+        return kernel
+
+    return wrap
 
 
-def _finish_degrading(inst: AnnotatedInstance, trace: RuleTrace) -> KernelOutcome:
+def _finish_degrading(st: _State, trace: RuleTrace) -> Deannotation:
     """Shared tail: satisfactory/needless to a joint fixpoint, counter shift,
     counter audit, the degree-bounded better rule, then de-annotation.
 
     One round of satisfactory then needless reaches the joint fixpoint, as
-    needless exclusions create no satisfactory vertex."""
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    got = rr_include_satisfactory(inst, trace)
-    if isinstance(got, tuple):
-        status, witness, final = got
-        return _decided(trace, final, status, witness)
-    inst = rr_exclude_needless(got, trace)
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    inst = rr_counter_shift(inst, trace)
-    audit_ok = counter_bound_audit(inst)
+    needless exclusions create no satisfactory vertex.  The satisfactory
+    rule settles first thing."""
+    rr_include_satisfactory(st, trace)
+    rr_exclude_needless(st, trace)
+    st.settle()
+    rr_counter_shift(st, trace)
+    audit_ok = counter_bound_audit(st)
     trace.audit("counter_bound_ok", audit_ok)
     if not audit_ok:
         raise RuleInternalError("counter bound audit failed after rule fixpoint")
-    inst = rr_delta_better(inst, trace)
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    deann = deannotate_max(inst) if inst.variant == MAX else deannotate_min(inst)
-    return _emit_kernel(trace, inst, deann)
+    rr_delta_better(st, trace)
+    st.settle()
+    inst = st.freeze()
+    return deannotate_max(inst) if inst.variant == MAX else deannotate_min(inst)
 
 
-def _emit_kernel(trace: RuleTrace, inst: AnnotatedInstance, deann: Deannotation) -> KernelOutcome:
-    trace.final = summarize(inst)
-    trace.deann = deann
-    trace.audit("kernel_n", deann.plain.graph.n)
-    trace.audit("kernel_m", deann.plain.graph.m)
-    return KernelOutcome(status=KERNELIZED, plain=deann.plain, witness=None, trace=trace)
-
-
-def _start(inst: AnnotatedInstance, name: str) -> RuleTrace:
-    trace = RuleTrace(pipeline=name)
-    trace.initial = summarize(inst)
-    return trace
-
-
-def kernel_delta(inst: AnnotatedInstance, trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("delta")
+def kernel_delta(st: _State, trace: RuleTrace) -> Deannotation:
     """(Delta + k)-polynomial kernel for the degrading cases with alpha > 0."""
-    _require_degrading(inst, "pipeline=delta")
-    if trace is None:
-        trace = _start(inst, "delta")
-    return _finish_degrading(inst, trace)
+    _require_degrading(st.inst, "pipeline=delta")
+    return _finish_degrading(st, trace)
 
 
-def kernel_closure(inst: AnnotatedInstance, c: int, trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("closure")
+def kernel_closure(st: _State, trace: RuleTrace, c: int) -> Deannotation:
     """k^O(c) kernel: trim by the closure better rule and X/I extraction, then delta."""
-    _require_degrading(inst, "pipeline=closure")
+    _require_degrading(st.inst, "pipeline=closure")
     if c < 1:
         raise GuardViolation("pipeline=closure requires c >= 1")
-    if trace is None:
-        trace = _start(inst, "closure")
     trace.audit("closure_c", c)
     while True:
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
-        inst = rr_closure_better(inst, c, trace)
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
+        st.settle()
+        rr_closure_better(st, c, trace)
+        st.settle()
         # for k >= 2 the bound is at least 2^(c-1), above delta_tbar once 2^(c-1) > n_alive: left unbuilt
-        if 2 <= c <= inst.n_alive.bit_length() and inst.k >= 2 and _State(inst).delta_tbar() >= closure_xi_degree_bound(c, inst.k):
-            xs, iset = find_closure_XI(inst, c, trace)
-            inst = rr_closure_independent_set(inst, xs, iset, trace)
-            continue
-        break
-    trace.audit("closure_delta_tbar", _State(inst).delta_tbar())
-    return _finish_degrading(inst, trace)
+        if not (2 <= c <= st.n_alive.bit_length() and st.k >= 2 and st.delta_tbar() >= closure_xi_degree_bound(c, st.k)):
+            break
+        xs, iset = find_closure_XI(st, c, trace)
+        rr_closure_independent_set(st, xs, iset, trace)
+    trace.audit("closure_delta_tbar", st.delta_tbar())
+    return _finish_degrading(st, trace)
 
 
-def kernel_degeneracy_max(inst: AnnotatedInstance, d: int, trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("degeneracy-max")
+def kernel_degeneracy_max(st: _State, trace: RuleTrace, d: int) -> Deannotation:
     """k^O(d) kernel for degrading Max via the biclique-free extraction."""
-    if inst.variant != MAX:
+    if st.inst.variant != MAX:
         raise GuardViolation("pipeline=degeneracy (max) requires the maximization variant")
-    _require_degrading(inst, "pipeline=degeneracy")
+    _require_degrading(st.inst, "pipeline=degeneracy")
     if d < 0:
         raise GuardViolation("degeneracy must be >= 0")
-    if trace is None:
-        trace = _start(inst, "degeneracy-max")
     a = b = d + 1
     while d >= 1:
-        sc = _shortcircuit(inst)
-        if sc is not None:
-            return _decided(trace, inst, *sc)
+        st.settle()
         # for k >= 2 the bound is at least 2^d, above delta_tbar once 2^d > n_alive: left unbuilt
-        if (inst.k >= 2 and d >= inst.n_alive.bit_length()) or _State(inst).delta_tbar() < bcfree_xi_degree_bound(a, b, inst.k, d):
+        if (st.k >= 2 and d >= st.n_alive.bit_length()) or st.delta_tbar() < bcfree_xi_degree_bound(a, b, st.k, d):
             break
-        xs, iset = find_bcfree_XI(inst, a, b, degeneracy=d, trace=trace)
-        inst = rr_bcfree_independent_set(inst, xs, iset, trace)
-    trace.audit("bcfree_delta_tbar", _State(inst).delta_tbar())
-    return _finish_degrading(inst, trace)
+        xs, iset = find_bcfree_XI(st, a, b, degeneracy=d, trace=trace)
+        rr_bcfree_independent_set(st, xs, iset, trace)
+    trace.audit("bcfree_delta_tbar", st.delta_tbar())
+    return _finish_degrading(st, trace)
 
 
-def kernel_degeneracy_min(inst: AnnotatedInstance, d: int, trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("degeneracy-min")
+def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> Deannotation:
     """(d + k)-polynomial kernel for Min with alpha < 1/3 (alpha = 0 included)."""
+    inst = st.inst
     if inst.variant != MIN:
         raise GuardViolation("pipeline=degeneracy (min) requires the minimization variant")
     if inst.alpha >= THIRD:
         raise GuardViolation(f"pipeline=degeneracy (min) needs alpha<1/3, got {inst.alpha}")
-    if trace is None:
-        trace = _start(inst, "degeneracy-min")
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
+    st.settle()
 
     if inst.tmask == 0 and inst.t >= d * inst.k:
         witness = _degeneracy_prefix(inst, inst.k)
         if inst.val(witness) <= inst.t:
             trace.audit("min_trivial", f"t={inst.t} dk={d * inst.k}")
-            return _decided(trace, inst, DECIDED_YES, witness)
+            raise _Decided(DECIDED_YES, witness)
 
     if inst.alpha == 0:
         if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
             raise GuardViolation("alpha=0 minimization pipeline needs a plain instance (empty T, zero counters)")
         if inst.t < 0:
-            return _decided(trace, inst, DECIDED_NO)
+            raise _Decided(DECIDED_NO)
         if inst.n_alive >= (d + 1) * inst.k:
             sub, back = inst.graph.induced(inst.alive_vertices())
             picked = ramsey.degenerate_independent_set(sub, d, inst.k)
             witness = tuple(sorted(back[i] for i in picked))
             if inst.val(witness) > inst.t:
                 raise RuleInternalError("independent-set witness has positive value")
-            return _decided(trace, inst, DECIDED_YES, witness)
-        return _emit_kernel(trace, inst, deannotate_identity(inst))
+            raise _Decided(DECIDED_YES, witness)
+        return deannotate_identity(inst)
 
-    got = _exclude_high_degplus(inst, trace)
-    if isinstance(got, tuple):
-        status, witness, final = got
-        return _decided(trace, final, status, witness)
-    inst = got
-    inst = rr_delta_better(inst, trace)
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    return _emit_kernel(trace, inst, deannotate_min(inst))
+    _exclude_high_degplus(st, trace)
+    rr_delta_better(st, trace)
+    st.settle()
+    return deannotate_min(st.freeze())
 
 
-def _exclude_high_degplus(inst: AnnotatedInstance, trace: RuleTrace):
+def _exclude_high_degplus(st: _State, trace: RuleTrace | None) -> None:
     """For Min with alpha in (0, 1/3): vertices of deg-bonus >= t + k are in
-    no solution.  Returns the instance, or a ``(status, witness, instance)``
-    triple once a decision is forced.
+    no solution; settles after each exclusion.
 
     Exclusions leave free deg-bonuses alone and can only lower t, so the
     scan restarts from the lowest index only when t drops.  With Min scores
     negated, deg-bonus >= t + k reads -score >= score_needed(-(t + k)).
     """
-    st = _State(inst)
     free, where = st.free, st.where
-    bar = st.score_needed(-(st.t + inst.k))
+    bar = st.score_needed(-(st.t + st.k))
     i = 0
     while i < len(free):
         v = free[i]
@@ -901,13 +880,10 @@ def _exclude_high_degplus(inst: AnnotatedInstance, trace: RuleTrace):
         if where[v] != FREE or -st.score_deg_bonus(v) < bar:
             continue
         dt = _move(st, "exclude", v, "min:high-degplus", "t+k bound", trace)
-        sc = st.decided()
-        if sc is not None:
-            return sc
+        st.settle()
         if dt:
             i = 0
-            bar = st.score_needed(-(st.t + inst.k))
-    return st.freeze()
+            bar = st.score_needed(-(st.t + st.k))
 
 
 def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
@@ -916,7 +892,7 @@ def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
     return tuple(sorted(back[i] for i in order[:k]))
 
 
-def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
+def _margin_trim_counters(st: _State, trace: RuleTrace | None) -> None:
     """Bound the counters via strictly-better exchanges.
 
     Exclude u once k-|T| vertices are strictly better than it; include u once
@@ -930,16 +906,13 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
     among the at most k'-1 vertices not strictly worse than v, and so are
     all vertices strictly better than w, which leaves w below the new k'.
     """
-    margin = inst.score_margin()
-    st = _State(inst)
+    margin = st.inst.score_margin()
     st.rank(wrt_t=False)
     free, where = st.free, st.where
     i = 0
     while True:
-        sc = st.decided()
-        if sc is not None:
-            return sc
-        _shift_to_zero(st, trace)
+        st.settle()
+        rr_counter_shift(st, trace)
         slots = st.k_prime
         target = None
         while target is None and i < len(free):
@@ -957,141 +930,123 @@ def _margin_trim_counters(inst: AnnotatedInstance, trace: RuleTrace):
                 _move(st, "include", v, "hindex:counter-trim", "dominating", trace)
                 break
         else:
-            return st.freeze()
+            st.score = None
+            return
 
 
-def _vx_window(inst: AnnotatedInstance, base: int) -> tuple[Fraction, int, int]:
+def _vx_window(src, base: int) -> tuple[Fraction, int, int]:
     """x = base + |(1-3a)k/a|, the score ``cut`` of alpha*x and |V_x| for the
-    h-index and vertex-cover kernels (alpha > 0).  V_x holds the alive
-    vertices of deg-bonus >= alpha*x; alpha*x is a whole multiple of 1/scale,
-    so that is score >= cut for Max and score <= cut for Min."""
-    x = base + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
-    cut = inst.score_needed(inst.alpha * x)
-    vx = sum(1 for v in iter_mask(inst.alive) if inst.sign * (inst.score_deg_bonus(v) - cut) >= 0)
+    h-index and vertex-cover kernels (alpha > 0), on an instance or a
+    working state.  V_x holds the alive vertices, T included, of deg-bonus
+    >= alpha*x; alpha*x is a whole multiple of 1/scale, so that is
+    score >= cut for Max and score <= cut for Min."""
+    x = base + abs((1 - 3 * src.alpha) * src.k / src.alpha)
+    cut = src.score_needed(src.alpha * x)
+    vx = sum(1 for v in src.alive_vertices() if src.sign * (src.score_deg_bonus(v) - cut) >= 0)
     return x, cut, vx
 
 
-def _audit_window(inst: AnnotatedInstance, base: int, tag: str, trace: RuleTrace):
+def _audit_window(st: _State, base: int, tag: str, trace: RuleTrace):
     """The V_x window of a Max kernel, audited under ``tag``: the margin and
     cut as scores, and case 1 when at least k vertices lie in V_x."""
-    x, cut, vx = _vx_window(inst, base)
+    x, cut, vx = _vx_window(st, base)
     trace.audit(f"{tag}_x", x)
     trace.audit(f"{tag}_vx", vx)
-    trace.audit(f"{tag}_case", 1 if vx >= inst.k else 2)
-    return inst.score_margin(), cut, vx >= inst.k
+    trace.audit(f"{tag}_case", 1 if vx >= st.k else 2)
+    return st.inst.score_margin(), cut, vx >= st.k
 
 
-def _window_exclude_low(inst: AnnotatedInstance, cutoff: int, tag: str, trace: RuleTrace) -> KernelOutcome:
+def _window_exclude_low(st: _State, cutoff: int, tag: str, trace: RuleTrace) -> Deannotation:
     """Case 1: every free vertex of deg-bonus below alpha*x - M (score below
     ``cutoff``) can be excluded; then counters are trimmed by exchanges and
     the rest de-annotated."""
-    st = _State(inst)
-    for v in [u for u in st.free if st.score_deg_bonus(u) < cutoff]:
+    where = st.where
+    for v in [u for u in st.free if where[u] == FREE and st.score_deg_bonus(u) < cutoff]:
         _move(st, "exclude", v, f"{tag}:exclude-low", "below V_x window", trace)
-    got = _margin_trim_counters(st.freeze(), trace)
-    if isinstance(got, tuple):
-        status, witness, final = got
-        return _decided(trace, final, status, witness)
-    sc = _shortcircuit(got)
-    if sc is not None:
-        return _decided(trace, got, *sc)
-    return _emit_kernel(trace, got, deannotate_max(got))
+    _margin_trim_counters(st, trace)
+    st.settle()
+    return deannotate_max(st.freeze())
 
 
-def _window_include_high(inst: AnnotatedInstance, cutoff: int, tag: str, trace: RuleTrace):
+def _window_include_high(st: _State, cutoff: int, tag: str, trace: RuleTrace) -> None:
     """Case 2: include free vertices of deg-bonus >= alpha*x + M (score at
-    least ``cutoff``), lowest index first.  Returns the instance once none is
-    left, or the outcome once the cardinality decides."""
-    st = _State(inst)
+    least ``cutoff``), lowest index first, settling before each."""
     where = st.where
     while True:
-        sc = st.decided()
-        if sc is not None:
-            status, witness, final = sc
-            return _decided(trace, final, status, witness)
+        st.settle()
         target = next((v for v in st.free if where[v] == FREE and st.score_deg_bonus(v) >= cutoff), None)
         if target is None:
-            return st.freeze()
+            return
         _move(st, "include", target, f"{tag}:include-high", "above V_{x+M}", trace)
 
 
-def kernel_hindex_max(inst: AnnotatedInstance, h: int, trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("hindex-max")
+def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> Deannotation:
     """Two-case h-index kernel for Max with alpha > 0.
 
     Case 1 (at least k vertices of deg+ >= x): every low-deg+ vertex can be
     excluded, then counters are trimmed by exchanges.  Case 2 (alpha > 1/3):
     all very-high-deg+ vertices join T, then the degree-bounded tail runs.
     """
+    inst = st.inst
     if inst.variant != MAX:
         raise GuardViolation("pipeline=hindex requires the maximization variant")
     if inst.alpha == 0:
         raise GuardViolation("pipeline=hindex requires alpha > 0")
     if inst.tmask != 0:
         raise GuardViolation("pipeline=hindex starts from an empty partial solution")
-    if trace is None:
-        trace = _start(inst, "hindex-max")
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    margin, cut, case1 = _audit_window(inst, h + 1, "hindex", trace)
+    st.settle()
+    margin, cut, case1 = _audit_window(st, h + 1, "hindex", trace)
     if case1:
-        return _window_exclude_low(inst, cut - margin, "hindex", trace)
+        return _window_exclude_low(st, cut - margin, "hindex", trace)
     if not inst.alpha > THIRD:
         raise GuardViolation(
             f"pipeline=hindex case 2 requires alpha>1/3, got {inst.alpha} (fewer than k high-degree vertices)"
         )
-    got = _window_include_high(inst, cut + margin, "hindex", trace)
-    return got if isinstance(got, KernelOutcome) else _finish_degrading(got, trace)
+    _window_include_high(st, cut + margin, "hindex", trace)
+    return _finish_degrading(st, trace)
 
 
-def kernel_vc_max(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("vc-max")
+def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deannotation:
     """Vertex-cover kernel for Max, all alpha > 0."""
+    inst = st.inst
     if inst.variant != MAX:
         raise GuardViolation("pipeline=vc (max) requires the maximization variant")
     if inst.alpha == 0:
         raise GuardViolation("pipeline=vc (max) requires alpha > 0")
     if inst.tmask != 0:
         raise GuardViolation("pipeline=vc starts from an empty partial solution")
-    if trace is None:
-        trace = _start(inst, "vc-max")
     cover = inst.check_cover(cover)
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    margin, cut, case1 = _audit_window(inst, len(cover), "vc", trace)
+    st.settle()
+    margin, cut, case1 = _audit_window(st, len(cover), "vc", trace)
     if case1:
-        return _window_exclude_low(inst, cut - margin, "vc", trace)
-    inst = _window_include_high(inst, cut + margin, "vc", trace)
-    if isinstance(inst, KernelOutcome):
-        return inst
+        return _window_exclude_low(st, cut - margin, "vc", trace)
+    _window_include_high(st, cut + margin, "vc", trace)
     cset = set(cover)
-    st = _State(inst)
     where, adj = st.where, st.adj
     # independent-set vertices whose every alive neighbor already sits in T
-    fixed = [v for v in st.free if v not in cset and all(where[u] != FREE for u in adj[v])]
-    if len(fixed) > inst.k:
+    fixed = [
+        v for v in st.free if where[v] == FREE and v not in cset and all(where[u] != FREE for u in adj[v])
+    ]
+    if len(fixed) > st.k:
         ranked = sorted(fixed, key=lambda v: (-st.score_contribution(v), v))
-        for v in ranked[inst.k:]:
+        for v in ranked[st.k:]:
             _move(st, "exclude", v, "vc:prune-fixed", "fixed contribution", trace)
-    inst = st.freeze()
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    return _emit_kernel(trace, inst, deannotate_max(inst))
+    st.settle()
+    return deannotate_max(st.freeze())
 
 
-def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTrace | None = None) -> KernelOutcome:
+@_pipeline("vc-min")
+def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deannotation:
     """Vertex-cover kernel for Min; alpha = 0 is decided outright when possible."""
+    inst = st.inst
     if inst.variant != MIN:
         raise GuardViolation("pipeline=vc (min) requires the minimization variant")
     if inst.tmask != 0:
         raise GuardViolation("pipeline=vc starts from an empty partial solution")
-    if trace is None:
-        trace = _start(inst, "vc-min")
     cover = inst.check_cover(cover)
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
+    st.settle()
     cset = set(cover)
     iset = [v for v in inst.alive_vertices() if v not in cset]
 
@@ -1099,43 +1054,37 @@ def kernel_vc_min(inst: AnnotatedInstance, cover: tuple[int, ...], trace: RuleTr
         if any(inst.weights[v] for v in iter_mask(inst.alive)):
             raise GuardViolation("alpha=0 vc pipeline needs zero counters")
         if inst.t < 0:
-            return _decided(trace, inst, DECIDED_NO)
+            raise _Decided(DECIDED_NO)
         if len(iset) >= inst.k:
             witness = tuple(sorted(iset)[: inst.k])
             if inst.val(witness) > inst.t:
                 raise RuleInternalError("independent witness has positive value")
-            return _decided(trace, inst, DECIDED_YES, witness)
-        return _emit_kernel(trace, inst, deannotate_identity(inst))
+            raise _Decided(DECIDED_YES, witness)
+        return deannotate_identity(inst)
 
-    x, cut, _ = _vx_window(inst, len(cover))
+    x, cut, _ = _vx_window(st, len(cover))
     margin = inst.score_margin()
     trace.audit("vc_x", x)
     # Exclusions keep every free deg-bonus and k', so better-counts only
     # fall and one pass in index order finds every target.
-    st = _State(inst)
     st.rank(wrt_t=False)
-    free, where = st.free, st.where
-    for v in free:
-        if st.score_deg_bonus(v) > cut:  # outside V_x
+    where = st.where
+    for v in st.free:
+        if where[v] != FREE or st.score_deg_bonus(v) > cut:  # outside V_x
             continue
         # w better than v: deg_bonus(w) <= deg_bonus(v) - margin
-        if st.at_least(v, margin) < inst.k_prime:
+        if st.at_least(v, margin) < st.k_prime:
             continue
         _move(st, "exclude", v, "vc:exclude-vx", "I beats V_x", trace)
-        sc = st.decided()
-        if sc is not None:
-            status, witness, final = sc
-            return _decided(trace, final, status, witness)
-    isolated = [v for v in free if where[v] == FREE and st.deg[v] == 0]
-    if len(isolated) > inst.k:
+        st.settle()
+    st.score = None
+    isolated = [v for v in st.free if where[v] == FREE and st.deg[v] == 0]
+    if len(isolated) > st.k:
         ranked = sorted(isolated, key=lambda v: (st.weights[v], v))
-        for v in ranked[inst.k:]:
+        for v in ranked[st.k:]:
             _move(st, "exclude", v, "vc:prune-isolated", "fixed contribution", trace)
-    inst = st.freeze()
-    sc = _shortcircuit(inst)
-    if sc is not None:
-        return _decided(trace, inst, *sc)
-    return _emit_kernel(trace, inst, deannotate_min(inst))
+    st.settle()
+    return deannotate_min(st.freeze())
 
 
 # ---------------------------------------------------------------------------
@@ -1172,8 +1121,11 @@ def select_pipeline(inst: AnnotatedInstance, profile: ParameterProfile) -> str:
 
 def alive_profile(inst: AnnotatedInstance) -> ParameterProfile:
     """Profile of the alive part of ``inst`` in its own indices; dead vertices
-    stay as isolated ones, which change no parameter and join no cover."""
+    stay as isolated ones, which change no parameter and join no cover.
+    With every vertex alive that is the instance's own graph, ``adj`` built."""
     alive = inst.alive
+    if inst.n_alive == inst.graph.n:
+        return compute_profile(inst.graph)
     return compute_profile(Graph.from_masks([
         mask & alive if (alive >> v) & 1 else 0 for v, mask in enumerate(inst.graph.masks)
     ]))

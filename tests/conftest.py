@@ -20,6 +20,7 @@ import fcgp
 from fcgp.graph import Graph, ParameterProfile, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import AnnotatedInstance, PlainInstance
+from fcgp.rules import _Decided, _State
 
 
 def path_graph(n: int) -> Graph:
@@ -111,6 +112,18 @@ def seeded_instances(count, alpha, variant, *, base_seed=0, allow_t=True, counte
             continue
         made += 1
         yield seed, inst
+
+
+def apply_rule(rule, inst: AnnotatedInstance, *args):
+    """Run one rule on a fresh working state of ``inst``: the instance its
+    moves lead to, or the ``(status, witness, instance)`` triple once it
+    decides."""
+    st = _State(inst)
+    try:
+        rule(st, *args)
+    except _Decided as got:
+        return got.status, got.witness, st.freeze()
+    return st.freeze()
 
 
 def run_optimized(code: str) -> str:

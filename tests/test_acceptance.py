@@ -44,6 +44,8 @@ from fcgp.solve import (
     solve_third,
 )
 
+from conftest import apply_rule
+
 ALPHAS = (F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
 
 # (target, variant, alphas, allow_t) -- guard-permitting combinations only
@@ -96,23 +98,23 @@ def _instances(variant, alpha, count, tag, allow_t):
 def _apply_rule(name, inst):
     """Run one rule (or pipeline) and return something check_equivalence accepts."""
     if name == "rr_delta_better":
-        return rr_delta_better(inst)
+        return apply_rule(rr_delta_better, inst)
     if name == "rr_include_satisfactory":
-        got = rr_include_satisfactory(inst)
+        got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
             status, witness, _final = got
             return KernelOutcome(status, None, witness, RuleTrace(pipeline=name))
         return got
     if name == "rr_exclude_needless":
-        got = rr_include_satisfactory(inst)
+        got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
             raise GuardViolation("decided before the needless rule became applicable")
-        return rr_exclude_needless(got)
+        return apply_rule(rr_exclude_needless, got)
     if name == "rr_counter_shift":
-        return rr_counter_shift(inst)
+        return apply_rule(rr_counter_shift, inst)
     if name == "rr_closure_better":
         sub, _ = inst.graph.induced(inst.alive_vertices())
-        return rr_closure_better(inst, compute_profile(sub).c_closure)
+        return apply_rule(rr_closure_better, inst, compute_profile(sub).c_closure)
     return run_pipeline(inst, name)
 
 

@@ -236,6 +236,28 @@ def test_verify_decided_instance_checks_witness(graph_file, capsys):
     assert code == EXIT_OK
 
 
+def test_verify_decided_outcome_checks_the_trace(tmp_path, capsys):
+    # k = 4 on a path of four vertices is decided by cardinality; a given
+    # trace must still match the regenerated one
+    graph, garbage, trace = tmp_path / "p4.txt", tmp_path / "garbage.txt", tmp_path / "trace.txt"
+    graph.write_text("4 3\n0 1\n1 2\n2 3\n")
+    garbage.write_text("garbage\n")
+    argv = ["verify", str(graph), "--alpha", "1/2", "--k", "4", "--t", "0", "--variant", "max"]
+    assert main(["kernelize", *argv[1:], "--trace", str(trace)]) == EXIT_OK
+    assert "decided: YES" in capsys.readouterr().out
+    assert main(argv + ["--trace", str(trace)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("verified: decision=YES")
+    assert main(argv + ["--trace", str(garbage)]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == "MISMATCH: trace file does not match the regenerated trace\n"
+
+
+def test_verify_kernelized_outcome_rejects_a_foreign_trace(graph_file, tmp_path, capsys):
+    garbage = tmp_path / "garbage.txt"
+    garbage.write_text("garbage\n")
+    assert main(["verify", graph_file, *VERIFY_DELTA, "--trace", str(garbage)]) == EXIT_MISMATCH
+    assert "trace file does not match" in capsys.readouterr().out
+
+
 def test_solve_accepts_kernel_files(graph_file, tmp_path, capsys):
     kern = tmp_path / "k.txt"
     main([

@@ -16,6 +16,7 @@ from fcgp.rules import (
     DECIDED_YES,
     FREE,
     KERNELIZED,
+    PIPELINES,
     _State,
     _vx_window,
     alive_profile,
@@ -38,6 +39,7 @@ from fcgp.rules import (
     rr_include_satisfactory,
     run_pipeline,
     select_pipeline,
+    summarize,
 )
 from fcgp.solve import brute_force
 
@@ -45,6 +47,7 @@ from test_acceptance import ALPHAS
 
 from conftest import (
     annotated,
+    apply_rule,
     complete_graph,
     greedy_cover_profile,
     path_graph,
@@ -65,7 +68,7 @@ def equivalent(before, after):
 def test_delta_better_isolated_counters():
     g = Graph.from_edges(10, [])
     inst = annotated(g, [], {v: 9 - v for v in range(10)}, 2, 0, F(1, 2), MAX)
-    out = rr_delta_better(inst)
+    out = apply_rule(rr_delta_better, inst)
     # threshold (0+1)(k-1)+1 = 2 keeps the two best counters
     assert out.free_vertices() == (0, 1)
     equivalent(inst, out)
@@ -73,19 +76,19 @@ def test_delta_better_isolated_counters():
 
 def test_delta_better_star_unchanged():
     inst = plain(star_graph(6), 2, 0, F(1, 2), MAX)
-    out = rr_delta_better(inst)
+    out = apply_rule(rr_delta_better, inst)
     assert out.n_alive == 7
 
 
 def test_delta_better_guard():
     with pytest.raises(GuardViolation, match="degrading"):
-        rr_delta_better(plain(path_graph(3), 1, 0, F(1, 4), MAX))
+        apply_rule(rr_delta_better, plain(path_graph(3), 1, 0, F(1, 4), MAX))
 
 
 @pytest.mark.parametrize("variant,alpha", [(MAX, F(1, 2)), (MAX, F(1)), (MIN, F(1, 4))])
 def test_delta_better_random_equivalence(variant, alpha):
     for _, inst in seeded_instances(30, alpha, variant, base_seed=1000):
-        out = rr_delta_better(inst)
+        out = apply_rule(rr_delta_better, inst)
         equivalent(inst, out)
         bound = (out.delta_tbar() + 1) * (out.k - 1) + 1
         assert len(out.free_vertices()) <= bound
@@ -95,46 +98,46 @@ def test_delta_better_random_equivalence(variant, alpha):
 
 def test_satisfactory_k1_is_val_threshold():
     inst = plain(star_graph(6), 1, 3, F(1, 2), MAX)
-    got = rr_include_satisfactory(inst)
+    got = apply_rule(rr_include_satisfactory, inst)
     assert got[:2] == (DECIDED_YES, (0,))
 
 
 def test_satisfactory_no_vertex_meets_threshold():
     inst = plain(path_graph(4), 2, 100, F(1, 2), MAX)
-    got = rr_include_satisfactory(inst)
+    got = apply_rule(rr_include_satisfactory, inst)
     assert got.t_size == 0
 
 
 def test_needless_isolated_vertex_excluded():
     g = Graph.from_edges(3, [(1, 2)])
     inst = plain(g, 1, 10, F(1, 2), MAX)
-    out = rr_exclude_needless(inst)
+    out = apply_rule(rr_exclude_needless, inst)
     assert 0 not in out.free_vertices()
 
 
 def test_needless_noop_when_all_above():
     # contributions 3/2 fall between needless (3/2) and satisfactory (5/2) cuts
     inst = plain(complete_graph(4), 2, 4, F(1, 2), MAX)
-    out = rr_exclude_needless(inst)
+    out = apply_rule(rr_exclude_needless, inst)
     assert out.n_alive == 4
 
 
 def test_needless_requires_satisfactory_fixpoint():
     inst = plain(star_graph(6), 1, 3, F(1, 2), MAX)
     with pytest.raises(GuardViolation, match="fixpoint"):
-        rr_exclude_needless(inst)
+        apply_rule(rr_exclude_needless, inst)
 
 
 @pytest.mark.parametrize("variant,alpha", [(MAX, F(2, 3)), (MIN, F(1, 4))])
 def test_satisfactory_then_needless_random_equivalence(variant, alpha):
     for _, inst in seeded_instances(30, alpha, variant, base_seed=2000):
-        got = rr_include_satisfactory(inst)
+        got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
             status, witness, _final = got
             rep = check_equivalence(inst, _as_outcome(inst, status, witness))
             assert rep.ok, rep.detail
             continue
-        out = rr_exclude_needless(got)
+        out = apply_rule(rr_exclude_needless, got)
         equivalent(inst, out)
 
 
@@ -149,7 +152,7 @@ def _as_outcome(inst, status, witness):
 def test_counter_shift_example():
     g = Graph.from_edges(2, [])
     inst = annotated(g, [], {0: 2, 1: 3}, 2, 0, F(1, 2), MAX)
-    out = rr_counter_shift(inst)
+    out = apply_rule(rr_counter_shift, inst)
     assert out.bonus[0] == 0 and out.bonus[1] == F(1, 2)
     assert inst.t - out.t == 2  # two unit applications at alpha*k' = 1 each
 
@@ -157,12 +160,12 @@ def test_counter_shift_example():
 def test_counter_shift_noop_with_zero():
     g = Graph.from_edges(2, [])
     inst = annotated(g, [], {0: 0, 1: 3}, 1, 0, F(1, 2), MAX)
-    assert rr_counter_shift(inst) is inst
+    assert apply_rule(rr_counter_shift, inst) is inst
 
 
 def test_counter_shift_random_equivalence():
     for _, inst in seeded_instances(20, F(1, 2), MAX, base_seed=3000, counters=(1, 3)):
-        out = rr_counter_shift(inst)
+        out = apply_rule(rr_counter_shift, inst)
         equivalent(inst, out)
         assert min((out.bonus[v] for v in out.free_vertices()), default=0) == 0
 
@@ -171,36 +174,36 @@ def test_counter_shift_random_equivalence():
 
 def test_counter_bound_audit_post_rules():
     for _, inst in seeded_instances(15, F(1, 2), MAX, base_seed=4000, counters=(0, 3)):
-        got = rr_include_satisfactory(inst)
+        got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
             continue
-        out = rr_counter_shift(rr_exclude_needless(got))
-        assert counter_bound_audit(out)
+        out = apply_rule(rr_counter_shift, apply_rule(rr_exclude_needless, got))
+        assert counter_bound_audit(_State(out))
 
 
 def test_counter_bound_audit_violation():
     g = Graph.from_edges(2, [])
     inst = annotated(g, [], {0: 0, 1: 50}, 1, 0, F(1, 2), MAX)
-    assert counter_bound_audit(inst) is False
+    assert counter_bound_audit(_State(inst)) is False
 
 
 def test_counter_bound_audit_zero_counters():
     inst = plain(path_graph(4), 2, 0, F(1, 2), MAX)
-    assert counter_bound_audit(inst) is True
+    assert counter_bound_audit(_State(inst)) is True
 
 
 # -- closure rules -----------------------------------------------------------------------
 
 def test_closure_better_trims_cliques():
     inst = plain(complete_graph(5), 2, 0, F(1, 2), MAX)
-    out = rr_closure_better(inst, 1)
+    out = apply_rule(rr_closure_better, inst, 1)
     assert out.n_alive <= 3
     equivalent(inst, out)
 
 
 def test_closure_better_edgeless_noop():
     inst = plain(Graph.from_edges(4, []), 2, 0, F(1, 2), MAX)
-    assert rr_closure_better(inst, 2).n_alive == 4
+    assert apply_rule(rr_closure_better, inst, 2).n_alive == 4
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -208,7 +211,7 @@ def test_closure_better_random_equivalence(c):
     for _, inst in seeded_instances(25, F(1, 2), MAX, base_seed=5000 + c):
         sub, _ = inst.graph.induced(inst.alive_vertices())
         realized = compute_profile(sub).c_closure
-        out = rr_closure_better(inst, max(c, realized))
+        out = apply_rule(rr_closure_better, inst, max(c, realized))
         equivalent(inst, out)
 
 
@@ -218,7 +221,7 @@ def test_closure_better_removes_large_cliques():
     for _, inst in seeded_instances(20, F(2, 3), MAX, base_seed=5500):
         sub, _ = inst.graph.induced(inst.alive_vertices())
         c = max(2, compute_profile(sub).c_closure)
-        out = rr_closure_better(inst, c)
+        out = apply_rule(rr_closure_better, inst, c)
         size = (c - 1) * out.k + 1
         alive = out.alive_vertices()
         if size <= len(alive):
@@ -236,7 +239,7 @@ def _star_instance(leaves, k=2, alpha=F(1, 2), extra_counters=0):
 
 def test_find_closure_xi_on_star():
     inst = _star_instance(90)
-    xs, iset = find_closure_XI(inst, 2)
+    xs, iset = find_closure_XI(_State(inst), 2)
     assert xs == (0,)
     k = inst.k
     assert len(iset) >= (k + 1) * k ** (2 - len(xs))
@@ -248,29 +251,29 @@ def test_find_closure_xi_on_star():
 def test_find_closure_xi_below_threshold():
     inst = _star_instance(10)
     with pytest.raises(ExtractionPreconditionError):
-        find_closure_XI(inst, 2)
+        find_closure_XI(_State(inst), 2)
 
 
 def test_closure_independent_set_rule_on_star():
     inst = _star_instance(90)
-    xs, iset = find_closure_XI(inst, 2)
-    out = rr_closure_independent_set(inst, xs, iset)
+    xs, iset = find_closure_XI(_State(inst), 2)
+    out = apply_rule(rr_closure_independent_set, inst, xs, iset)
     assert out.n_alive == inst.n_alive - 1
     equivalent(inst, out)
 
 
 def test_closure_independent_set_needs_k2():
     inst = _star_instance(90, k=2)
-    xs, iset = find_closure_XI(inst, 2)
+    xs, iset = find_closure_XI(_State(inst), 2)
     small = annotated(inst.graph, [], {}, 1, 0, F(1, 2), MAX)
     with pytest.raises(GuardViolation, match="k >= 2"):
-        rr_closure_independent_set(small, xs, iset)
+        apply_rule(rr_closure_independent_set, small, xs, iset)
 
 
 def test_closure_worst_vertex_tiebreak():
     inst = _star_instance(90)
-    xs, iset = find_closure_XI(inst, 2)
-    out = rr_closure_independent_set(inst, xs, iset)
+    xs, iset = find_closure_XI(_State(inst), 2)
+    out = apply_rule(rr_closure_independent_set, inst, xs, iset)
     gone = set(inst.alive_vertices()) - set(out.alive_vertices())
     assert gone == {min(iset)}  # all leaves tie; smallest index goes
 
@@ -295,7 +298,7 @@ def test_find_closure_xi_grows_x():
     # the common-neighborhood descent must add the second hub
     inst = _book_instance(170)
     assert compute_profile(inst.graph).c_closure == 3
-    xs, iset = find_closure_XI(inst, 3)
+    xs, iset = find_closure_XI(_State(inst), 3)
     assert xs == (0, 1)
     k = inst.k
     assert len(iset) >= (k + 1) * k ** (3 - 2)
@@ -314,17 +317,17 @@ def test_kernel_closure_with_grown_x_preserves_answers():
 
 def test_find_bcfree_xi_on_star():
     inst = _star_instance(30)
-    xs, iset = find_bcfree_XI(inst, 2, 2, degeneracy=1)
+    xs, iset = find_bcfree_XI(_State(inst), 2, 2, degeneracy=1)
     assert xs == (0,)
     assert len(iset) >= 2 * inst.k + 1
-    out = rr_bcfree_independent_set(inst, xs, iset)
+    out = apply_rule(rr_bcfree_independent_set, inst, xs, iset)
     equivalent(inst, out)
 
 
 def test_find_bcfree_xi_guard():
     inst = _star_instance(5)
     with pytest.raises(ExtractionPreconditionError):
-        find_bcfree_XI(inst, 2, 2, degeneracy=1)
+        find_bcfree_XI(_State(inst), 2, 2, degeneracy=1)
 
 
 def test_kernel_degeneracy_max_star():
@@ -437,35 +440,35 @@ def test_pipeline_guard_message_names_precondition():
 
 def test_rules_idempotent_at_fixpoint():
     for _, inst in seeded_instances(10, F(1, 2), MAX, base_seed=8000, counters=(0, 2)):
-        got = rr_include_satisfactory(inst)
+        got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
             continue
         cur = got
         while True:
-            nxt = rr_exclude_needless(cur)
+            nxt = apply_rule(rr_exclude_needless, cur)
             if nxt is cur:
                 break
             cur = nxt
-            again = rr_include_satisfactory(cur)
+            again = apply_rule(rr_include_satisfactory, cur)
             if isinstance(again, tuple):
                 cur = None
                 break
             cur = again
         if cur is None:
             continue
-        got2 = rr_include_satisfactory(cur)
+        got2 = apply_rule(rr_include_satisfactory, cur)
         assert got2 is cur or got2.t_size == cur.t_size
-        shifted = rr_counter_shift(cur)
-        assert rr_counter_shift(shifted) is shifted
-        reduced = rr_delta_better(shifted)
-        assert rr_delta_better(reduced).n_alive == reduced.n_alive
+        shifted = apply_rule(rr_counter_shift, cur)
+        assert apply_rule(rr_counter_shift, shifted) is shifted
+        reduced = apply_rule(rr_delta_better, shifted)
+        assert apply_rule(rr_delta_better, reduced).n_alive == reduced.n_alive
 
 
 def test_parameters_never_increase_under_rules():
     for _, inst in seeded_instances(8, F(1, 2), MAX, base_seed=9000):
         sub, _ = inst.graph.induced(inst.alive_vertices())
         before = compute_profile(sub)
-        out = rr_delta_better(inst)
+        out = apply_rule(rr_delta_better, inst)
         sub2, _ = out.graph.induced(out.alive_vertices())
         after = compute_profile(sub2)
         assert after.max_degree <= before.max_degree
@@ -477,13 +480,70 @@ def test_parameters_never_increase_under_rules():
 
 # -- traces -------------------------------------------------------------------------------------
 
+# every pipeline on both variants, alpha on both sides of 1/3 (and 0)
+RUN_ALPHAS = {MAX: (F(1, 4), F(1, 2), F(1)), MIN: (F(0), F(1, 4), F(1, 2))}
+
+
+def _pipeline_runs(count: int, base_seed: int):
+    """(pipeline, variant, instance, outcome or None on a guard) over seeded
+    instances, plus a path of k = 4 vertices, which every pipeline decides
+    before its first move."""
+    for variant, alphas in RUN_ALPHAS.items():
+        for alpha in alphas:
+            for name in PIPELINES:
+                forced = plain(path_graph(4), 4, 0, alpha, variant)
+                streams = (
+                    [forced],
+                    (inst for _, inst in seeded_instances(count, alpha, variant, base_seed=base_seed)),
+                    (inst for _, inst in seeded_instances(count, alpha, variant, base_seed=base_seed, allow_t=False)),
+                )
+                for inst in (inst for stream in streams for inst in stream):
+                    try:
+                        yield name, variant, inst, run_pipeline(inst, name)
+                    except GuardViolation:
+                        yield name, variant, inst, None
+
+
+def _kind(out) -> str:
+    if out is None:
+        return "guard"
+    if out.status == KERNELIZED:
+        return "kernelized"
+    return "decided at once" if len(out.trace.entries) == 1 else "decided after moves"
+
+
+def test_one_working_state_per_pipeline_run(monkeypatch):
+    made = []
+    build = _State.__init__
+
+    def counted(self, inst):
+        made.append(inst)
+        build(self, inst)
+
+    monkeypatch.setattr(_State, "__init__", counted)
+    kinds = {}
+    for name, variant, inst, out in _pipeline_runs(12, 12_000):
+        # a guard of run_pipeline itself may refuse before any kernel runs
+        assert len(made) == 1 or (out is None and not made), (name, variant, _kind(out))
+        assert all(m is inst for m in made)
+        made.clear()
+        kinds.setdefault((name, variant), set()).add(_kind(out))
+    every = {"kernelized", "decided at once", "decided after moves"}
+    for (name, variant), seen in kinds.items():
+        if (name, variant) != ("hindex", MIN):  # the h-index kernel is for Max only
+            assert every <= seen, (name, variant, seen)
+
+
 def test_trace_replay_reproduces_final_instance():
-    for _, inst in seeded_instances(10, F(1, 2), MAX, base_seed=10_000, counters=(0, 2)):
-        out = kernel_delta(inst)
-        final = out.trace.replay(inst)
-        assert final.t == out.trace.final.t
-        assert final.n_alive == out.trace.final.n
-        assert final.k == out.trace.final.k
+    # the replay walks the independent instance chain; the summary the
+    # pipeline logged was read off its one working state
+    kinds = set()
+    for name, variant, inst, out in _pipeline_runs(6, 10_000):
+        if out is None:
+            continue
+        kinds.add(_kind(out))
+        assert summarize(_State(out.trace.replay(inst))) == out.trace.final, (name, variant)
+    assert kinds == {"kernelized", "decided at once", "decided after moves"}
 
 
 def test_trace_deltas_sum_to_threshold_change():
@@ -586,6 +646,25 @@ def test_alive_profile_cover_in_instance_indices():
     for name in ("vc", "auto"):
         out = run_pipeline(inst, name)
         assert check_equivalence(inst, out).status == "match"
+
+
+def test_alive_profile_with_every_vertex_alive_profiles_the_graph():
+    # with nothing dead the profile is read off inst.graph itself; it must
+    # equal the profile of the alive-masked copy, with and without dead vertices
+    for seed in range(6):
+        g = gen_degenerate(30, 1 + seed % 3, seed) if seed % 2 else gen_gnp(30, 3, 30, seed)
+        inst = plain(g, 3, 1, F(1, 2), MAX)
+        for dead in ((), (0,), tuple(range(0, 30, 3))):
+            cur = inst
+            for v in dead:
+                cur = cur.exclude(v)
+            alive = cur.alive
+            masked = compute_profile(Graph.from_masks(
+                [mask & alive if (alive >> v) & 1 else 0 for v, mask in enumerate(g.masks)]
+            ))
+            got = alive_profile(cur)
+            assert (got, got.vertex_cover) == (masked, masked.vertex_cover)
+            assert (got.graph is g) == (not dead)
 
 
 @pytest.mark.parametrize("t", [1, 5, 10, 20])

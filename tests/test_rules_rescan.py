@@ -21,9 +21,10 @@ from fcgp.rules import (
     RuleTrace,
     _closure_better_threshold,
     _exclude_high_degplus,
-    _find_satisfactory,
     _margin_trim_counters,
+    _satisfactory,
     _shortcircuit,
+    _State,
     rr_closure_better,
     rr_counter_shift,
     rr_delta_better,
@@ -31,7 +32,7 @@ from fcgp.rules import (
     rr_include_satisfactory,
 )
 
-from conftest import annotated
+from conftest import annotated, apply_rule
 
 
 def _instance(seed: int, variant: str, alpha: F, top: int = 3, t_hi: int = 6):
@@ -83,7 +84,7 @@ def rescan_exclude_needless(inst, trace):
             return inst
         before, inst = inst.t, inst.exclude(v)
         trace.log("general:exclude-low", "exclude", (v,), inst.t - before, "needless")
-        if _find_satisfactory(inst) is not None:
+        if _satisfactory(_State(inst)) is not None:
             return inst
     return inst
 
@@ -110,7 +111,7 @@ def rescan_margin_trim(inst, trace):
         sc = _shortcircuit(inst)
         if sc is not None:
             return sc + (inst,)
-        inst = rr_counter_shift(inst, trace)
+        inst = apply_rule(rr_counter_shift, inst, trace)
         free = inst.free_vertices()
         sign = 1 if inst.variant == MAX else -1
 
@@ -143,7 +144,7 @@ def rescan_high_degplus(inst, trace):
 
 def _same(rule, reference, inst, *args):
     got, want = RuleTrace(pipeline="rule"), RuleTrace(pipeline="rule")
-    out = rule(inst, *args, got)
+    out = apply_rule(rule, inst, *args, got)
     ref = reference(inst, *args, want)
     assert got.to_text() == want.to_text()
     if isinstance(out, tuple):
@@ -163,7 +164,7 @@ def test_delta_better_matches_rescan(case):
 def test_exclude_needless_matches_rescan(case, t2):
     seed, (variant, alpha) = case
     # thresholds up to 20 leave few satisfactory and many needless vertices
-    start = rr_include_satisfactory(replace(_instance(seed, variant, alpha), t=F(t2, 2)))
+    start = apply_rule(rr_include_satisfactory, replace(_instance(seed, variant, alpha), t=F(t2, 2)))
     if not isinstance(start, tuple):
         _same(rr_exclude_needless, rescan_exclude_needless, start)
 

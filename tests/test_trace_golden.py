@@ -38,6 +38,7 @@ from fcgp.instance import MAX, MIN, GuardViolation, PlainInstance
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     RuleTrace,
+    _State,
     find_bcfree_XI,
     find_closure_XI,
     rr_bcfree_independent_set,
@@ -49,7 +50,7 @@ from fcgp.rules import (
     run_pipeline,
 )
 
-from conftest import greedy_cover_profile, star_graph
+from conftest import apply_rule, greedy_cover_profile, star_graph
 
 GOLDEN = "d89fe9adf0d9cdc745de96774025a36e79077c9e17b4342fbd509715d3d076ea"
 
@@ -119,16 +120,16 @@ def _run_rule(label: str, inst, rule: str) -> str:
     trace = RuleTrace(pipeline=rule)
     try:
         if rule == "delta-better":
-            out = rr_delta_better(inst, trace).to_text()
+            out = apply_rule(rr_delta_better, inst, trace).to_text()
         elif rule == "closure-better":
             sub, _ = inst.graph.induced(inst.alive_vertices())
-            out = rr_closure_better(inst, compute_profile(sub).c_closure, trace).to_text()
+            out = apply_rule(rr_closure_better, inst, compute_profile(sub).c_closure, trace).to_text()
         else:
-            got = rr_include_satisfactory(inst, trace)
+            got = apply_rule(rr_include_satisfactory, inst, trace)
             if isinstance(got, tuple):
                 out = f"decided {got[0]}\n"
             else:
-                out = rr_exclude_needless(got, trace).to_text()
+                out = apply_rule(rr_exclude_needless, got, trace).to_text()
     except GuardViolation as exc:
         return f"case {label} {rule}\nerror {type(exc).__name__}: {exc}\n"
     return f"case {label} {rule}\n{trace.to_text()}{out}"
@@ -259,14 +260,14 @@ def _extract(label: str, inst, how: str, param: int) -> str:
     trace = RuleTrace(pipeline=how)
     try:
         if how == "closure":
-            xs, iset = find_closure_XI(inst, param, trace)
-            out = rr_closure_independent_set(inst, xs, iset, trace)
+            xs, iset = find_closure_XI(_State(inst), param, trace)
+            out = apply_rule(rr_closure_independent_set, inst, xs, iset, trace)
         else:
             if how == "bcfree":
-                xs, iset = find_bcfree_XI(inst, param + 1, param + 1, degeneracy=param, trace=trace)
+                xs, iset = find_bcfree_XI(_State(inst), param + 1, param + 1, degeneracy=param, trace=trace)
             else:
-                xs, iset = find_bcfree_XI(inst, param, param, trace=trace)
-            out = rr_bcfree_independent_set(inst, xs, iset, trace)
+                xs, iset = find_bcfree_XI(_State(inst), param, param, trace=trace)
+            out = apply_rule(rr_bcfree_independent_set, inst, xs, iset, trace)
     except (GuardViolation, ExtractionPreconditionError) as exc:
         return f"extract {label} {how} {param}\nerror {type(exc).__name__}: {exc}\n"
     return f"extract {label} {how} {param}\nX {xs}\nI {iset}\n{trace.to_text()}{out.to_text()}"
