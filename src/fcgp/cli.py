@@ -315,7 +315,7 @@ def cmd_verify(args) -> int:
         lifted = None
         if my_decision:
             try:
-                lifted = lift_witness(outcome.trace.deann, outcome.trace.replay(inst), res_mine.witness)
+                lifted = lift_witness(outcome.trace.deann, outcome.final, res_mine.witness)
             except LiftError as exc:
                 return fail(f"witness lifting failed: {exc}")
             value = inst.val(lifted)

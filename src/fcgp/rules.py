@@ -4,9 +4,9 @@ Every rule is an answer-preserving transformation of an annotated instance,
 applied in place to the pipeline run's one working state (:class:`_State`);
 pipelines string them together, short-circuit to a decision whenever
 |T| = k or fewer than k vertices remain, and finish by removing the
-annotations.  A decision leaves the rules as :class:`_Decided` and becomes
-the outcome in :func:`_pipeline`.  Each primitive application is logged
-into a replayable :class:`RuleTrace`.
+annotations.  Every run ends in :func:`_pipeline`: a decision leaves the
+rules as :class:`_Decided`, a kernel de-annotates the run's final instance,
+and the outcome carries that instance.  Each move is logged in a :class:`RuleTrace`.
 
 Tie-breaking is smallest vertex index everywhere, so identical inputs give
 identical traces.
@@ -31,6 +31,7 @@ from .instance import (
     AnnotatedInstance,
     Deannotation,
     GuardViolation,
+    PlainInstance,
     deannotate_identity,
     deannotate_max,
     deannotate_min,
@@ -88,7 +89,7 @@ def summarize(st: _State) -> InstanceSummary:
 
 @dataclass
 class RuleTrace:
-    """Ordered, replayable log of rule applications."""
+    """Ordered log of rule applications."""
 
     pipeline: str
     initial: InstanceSummary | None = None
@@ -119,33 +120,14 @@ class RuleTrace:
             lines.append("anchor " + ",".join(map(str, d.anchor)))
         return "\n".join(lines) + "\n"
 
-    def replay(self, initial: AnnotatedInstance) -> AnnotatedInstance:
-        """Re-apply every primitive op; asserts the logged t-deltas match."""
-        inst = initial
-        for e in self.entries:
-            before_t = inst.t
-            if e.op == "include":
-                inst = inst.include(e.verts[0])
-            elif e.op == "exclude":
-                inst = inst.exclude(e.verts[0])
-            elif e.op == "shift":
-                amount = Fraction(e.note.split("=", 1)[1])
-                inst = inst.shift_bonus(amount)
-            elif e.op == "decide":
-                continue
-            else:
-                raise ValueError(f"unknown op {e.op!r}")
-            if inst.t - before_t != e.dt:
-                raise RuleInternalError(f"replay t-delta mismatch at {e}")
-        return inst
-
 
 @dataclass(frozen=True)
 class KernelOutcome:
     status: str  # kernelized | decided_yes | decided_no
-    plain: "object | None"  # PlainInstance when kernelized
+    plain: PlainInstance | None  # when kernelized
     witness: tuple[int, ...] | None
     trace: RuleTrace
+    final: AnnotatedInstance  # the instance the run's moves lead to; kernels lift against it
 
 
 def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: bool = False) -> None:
@@ -732,10 +714,11 @@ def rr_bcfree_independent_set(
 # ---------------------------------------------------------------------------
 
 def _pipeline(name: str):
-    """Turn a kernel body ``body(st, trace, *params) -> Deannotation`` into
-    ``kernel(inst, *params) -> KernelOutcome``: the run's one working state
-    and its trace are built here, and every decision the body raises as
-    :class:`_Decided` leaves here."""
+    """Turn a kernel body ``body(st, trace, *params)`` into ``kernel(inst,
+    *params) -> KernelOutcome``; every run ends here.  The run's one working
+    state and its trace are built here, a decision the body raises as
+    :class:`_Decided` leaves here, and otherwise the state is settled, frozen
+    once and de-annotated: identity for alpha = 0, else by variant."""
 
     def wrap(body):
         @functools.wraps(body)
@@ -743,25 +726,28 @@ def _pipeline(name: str):
             st = _State(inst)
             trace = RuleTrace(pipeline=name, initial=summarize(st))
             try:
-                deann = body(st, trace, *params)
+                body(st, trace, *params)
+                st.settle()
             except _Decided as got:
                 trace.log("pipeline", "decide", got.witness or (), ZERO, got.status)
                 trace.final = summarize(st)
-                return KernelOutcome(status=got.status, plain=None, witness=got.witness, trace=trace)
+                return KernelOutcome(got.status, None, got.witness, trace, st.freeze())
             trace.final = summarize(st)
-            trace.deann = deann
+            final = st.freeze()
+            gadget = deannotate_max if final.variant == MAX else deannotate_min
+            trace.deann = deann = gadget(final) if final.alpha else deannotate_identity(final)
             trace.audit("kernel_n", deann.plain.graph.n)
             trace.audit("kernel_m", deann.plain.graph.m)
-            return KernelOutcome(status=KERNELIZED, plain=deann.plain, witness=None, trace=trace)
+            return KernelOutcome(KERNELIZED, deann.plain, None, trace, final)
 
         return kernel
 
     return wrap
 
 
-def _finish_degrading(st: _State, trace: RuleTrace) -> Deannotation:
+def _finish_degrading(st: _State, trace: RuleTrace) -> None:
     """Shared tail: satisfactory/needless to a joint fixpoint, counter shift,
-    counter audit, the degree-bounded better rule, then de-annotation.
+    counter audit, then the degree-bounded better rule.
 
     One round of satisfactory then needless reaches the joint fixpoint, as
     needless exclusions create no satisfactory vertex.  The satisfactory
@@ -775,20 +761,17 @@ def _finish_degrading(st: _State, trace: RuleTrace) -> Deannotation:
     if not audit_ok:
         raise RuleInternalError("counter bound audit failed after rule fixpoint")
     rr_delta_better(st, trace)
-    st.settle()
-    inst = st.freeze()
-    return deannotate_max(inst) if inst.variant == MAX else deannotate_min(inst)
 
 
 @_pipeline("delta")
-def kernel_delta(st: _State, trace: RuleTrace) -> Deannotation:
+def kernel_delta(st: _State, trace: RuleTrace) -> None:
     """(Delta + k)-polynomial kernel for the degrading cases with alpha > 0."""
     _require_degrading(st.inst, "pipeline=delta")
-    return _finish_degrading(st, trace)
+    _finish_degrading(st, trace)
 
 
 @_pipeline("closure")
-def kernel_closure(st: _State, trace: RuleTrace, c: int) -> Deannotation:
+def kernel_closure(st: _State, trace: RuleTrace, c: int) -> None:
     """k^O(c) kernel: trim by the closure better rule and X/I extraction, then delta."""
     _require_degrading(st.inst, "pipeline=closure")
     if c < 1:
@@ -804,11 +787,11 @@ def kernel_closure(st: _State, trace: RuleTrace, c: int) -> Deannotation:
         xs, iset = find_closure_XI(st, c, trace)
         rr_closure_independent_set(st, xs, iset, trace)
     trace.audit("closure_delta_tbar", st.delta_tbar())
-    return _finish_degrading(st, trace)
+    _finish_degrading(st, trace)
 
 
 @_pipeline("degeneracy-max")
-def kernel_degeneracy_max(st: _State, trace: RuleTrace, d: int) -> Deannotation:
+def kernel_degeneracy_max(st: _State, trace: RuleTrace, d: int) -> None:
     """k^O(d) kernel for degrading Max via the biclique-free extraction."""
     if st.inst.variant != MAX:
         raise GuardViolation("pipeline=degeneracy (max) requires the maximization variant")
@@ -824,11 +807,11 @@ def kernel_degeneracy_max(st: _State, trace: RuleTrace, d: int) -> Deannotation:
         xs, iset = find_bcfree_XI(st, a, b, degeneracy=d, trace=trace)
         rr_bcfree_independent_set(st, xs, iset, trace)
     trace.audit("bcfree_delta_tbar", st.delta_tbar())
-    return _finish_degrading(st, trace)
+    _finish_degrading(st, trace)
 
 
 @_pipeline("degeneracy-min")
-def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> Deannotation:
+def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> None:
     """(d + k)-polynomial kernel for Min with alpha < 1/3 (alpha = 0 included)."""
     inst = st.inst
     if inst.variant != MIN:
@@ -855,12 +838,10 @@ def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> Deannotation:
             if inst.val(witness) > inst.t:
                 raise RuleInternalError("independent-set witness has positive value")
             raise _Decided(DECIDED_YES, witness)
-        return deannotate_identity(inst)
+        return
 
     _exclude_high_degplus(st, trace)
     rr_delta_better(st, trace)
-    st.settle()
-    return deannotate_min(st.freeze())
 
 
 def _exclude_high_degplus(st: _State, trace: RuleTrace | None) -> None:
@@ -956,16 +937,13 @@ def _audit_window(st: _State, base: int, tag: str, trace: RuleTrace):
     return st.inst.score_margin(), cut, vx >= st.k
 
 
-def _window_exclude_low(st: _State, cutoff: int, tag: str, trace: RuleTrace) -> Deannotation:
+def _window_exclude_low(st: _State, cutoff: int, tag: str, trace: RuleTrace) -> None:
     """Case 1: every free vertex of deg-bonus below alpha*x - M (score below
-    ``cutoff``) can be excluded; then counters are trimmed by exchanges and
-    the rest de-annotated."""
+    ``cutoff``) can be excluded; then counters are trimmed by exchanges."""
     where = st.where
     for v in [u for u in st.free if where[u] == FREE and st.score_deg_bonus(u) < cutoff]:
         _move(st, "exclude", v, f"{tag}:exclude-low", "below V_x window", trace)
     _margin_trim_counters(st, trace)
-    st.settle()
-    return deannotate_max(st.freeze())
 
 
 def _window_include_high(st: _State, cutoff: int, tag: str, trace: RuleTrace) -> None:
@@ -981,7 +959,7 @@ def _window_include_high(st: _State, cutoff: int, tag: str, trace: RuleTrace) ->
 
 
 @_pipeline("hindex-max")
-def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> Deannotation:
+def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> None:
     """Two-case h-index kernel for Max with alpha > 0.
 
     Case 1 (at least k vertices of deg+ >= x): every low-deg+ vertex can be
@@ -998,17 +976,18 @@ def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> Deannotation:
     st.settle()
     margin, cut, case1 = _audit_window(st, h + 1, "hindex", trace)
     if case1:
-        return _window_exclude_low(st, cut - margin, "hindex", trace)
-    if not inst.alpha > THIRD:
+        _window_exclude_low(st, cut - margin, "hindex", trace)
+    elif not inst.alpha > THIRD:
         raise GuardViolation(
             f"pipeline=hindex case 2 requires alpha>1/3, got {inst.alpha} (fewer than k high-degree vertices)"
         )
-    _window_include_high(st, cut + margin, "hindex", trace)
-    return _finish_degrading(st, trace)
+    else:
+        _window_include_high(st, cut + margin, "hindex", trace)
+        _finish_degrading(st, trace)
 
 
 @_pipeline("vc-max")
-def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deannotation:
+def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
     """Vertex-cover kernel for Max, all alpha > 0."""
     inst = st.inst
     if inst.variant != MAX:
@@ -1021,7 +1000,8 @@ def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deann
     st.settle()
     margin, cut, case1 = _audit_window(st, len(cover), "vc", trace)
     if case1:
-        return _window_exclude_low(st, cut - margin, "vc", trace)
+        _window_exclude_low(st, cut - margin, "vc", trace)
+        return
     _window_include_high(st, cut + margin, "vc", trace)
     cset = set(cover)
     where, adj = st.where, st.adj
@@ -1033,12 +1013,10 @@ def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deann
         ranked = sorted(fixed, key=lambda v: (-st.score_contribution(v), v))
         for v in ranked[st.k:]:
             _move(st, "exclude", v, "vc:prune-fixed", "fixed contribution", trace)
-    st.settle()
-    return deannotate_max(st.freeze())
 
 
 @_pipeline("vc-min")
-def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deannotation:
+def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
     """Vertex-cover kernel for Min; alpha = 0 is decided outright when possible."""
     inst = st.inst
     if inst.variant != MIN:
@@ -1060,7 +1038,7 @@ def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deann
             if inst.val(witness) > inst.t:
                 raise RuleInternalError("independent witness has positive value")
             raise _Decided(DECIDED_YES, witness)
-        return deannotate_identity(inst)
+        return
 
     x, cut, _ = _vx_window(st, len(cover))
     margin = inst.score_margin()
@@ -1083,8 +1061,6 @@ def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> Deann
         ranked = sorted(isolated, key=lambda v: (st.weights[v], v))
         for v in ranked[st.k:]:
             _move(st, "exclude", v, "vc:prune-isolated", "fixed contribution", trace)
-    st.settle()
-    return deannotate_min(st.freeze())
 
 
 # ---------------------------------------------------------------------------

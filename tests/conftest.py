@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import fcgp
-from fcgp.graph import Graph, ParameterProfile, compute_profile
+from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import AnnotatedInstance, PlainInstance
-from fcgp.rules import _Decided, _State
+from fcgp.rules import RuleTrace, _Decided, _State
 
 
 def path_graph(n: int) -> Graph:
@@ -124,6 +124,28 @@ def apply_rule(rule, inst: AnnotatedInstance, *args):
     except _Decided as got:
         return got.status, got.witness, st.freeze()
     return st.freeze()
+
+
+def replay(trace: RuleTrace, initial: AnnotatedInstance) -> AnnotatedInstance:
+    """Re-apply every primitive op of ``trace`` along the instance chain,
+    independently of the working state; the logged t-deltas must match."""
+    inst = initial
+    for e in trace.entries:
+        before_t = inst.t
+        if e.op == "include":
+            inst = inst.include(e.verts[0])
+        elif e.op == "exclude":
+            inst = inst.exclude(e.verts[0])
+        elif e.op == "shift":
+            amount = Fraction(e.note.split("=", 1)[1])
+            inst = inst.shift_bonus(amount)
+        elif e.op == "decide":
+            continue
+        else:
+            raise ValueError(f"unknown op {e.op!r}")
+        if inst.t - before_t != e.dt:
+            raise RuleInternalError(f"replay t-delta mismatch at {e}")
+    return inst
 
 
 def run_optimized(code: str) -> str:

@@ -102,8 +102,8 @@ def _apply_rule(name, inst):
     if name == "rr_include_satisfactory":
         got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
-            status, witness, _final = got
-            return KernelOutcome(status, None, witness, RuleTrace(pipeline=name))
+            status, witness, final = got
+            return KernelOutcome(status, None, witness, RuleTrace(pipeline=name), final)
         return got
     if name == "rr_exclude_needless":
         got = apply_rule(rr_include_satisfactory, inst)
@@ -341,7 +341,7 @@ def test_criterion_7_kernel_size_audits(rule_sweep):
             assert int(audits["delta_better_free"]) <= int(audits["delta_better_bound"]), tag
         if "counter_bound_ok" in audits:
             assert audits["counter_bound_ok"] == "True", tag
-        final = outcome.trace.replay(inst)
+        final = outcome.final
         assert final.n_alive == outcome.trace.final.n, tag
         predicted = _predicted_kernel_n(final, outcome.trace.deann)
         assert predicted == outcome.plain.graph.n == int(audits["kernel_n"]), tag

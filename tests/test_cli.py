@@ -25,7 +25,7 @@ from fcgp.cli import (
 import fcgp.graph as graph_mod
 from fcgp.graph import RuleInternalError, minimum_vertex_cover
 from fcgp.harness import gen_degenerate
-from fcgp.instance import LiftError
+from fcgp.instance import AnnotatedInstance, LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
 from fcgp.rules import PIPELINES
 
@@ -258,6 +258,33 @@ def test_verify_kernelized_outcome_rejects_a_foreign_trace(graph_file, tmp_path,
     assert "trace file does not match" in capsys.readouterr().out
 
 
+def test_verify_lifts_against_the_final_instance_without_moves(tmp_path, monkeypatch, capsys):
+    # a kernelized YES whose run makes 17 moves: verify lifts the kernel's
+    # witness against the run's final instance and re-applies none of them
+    graph, trace = tmp_path / "d30.el", tmp_path / "t.txt"
+    graph.write_text(_graph_text(gen_degenerate(30, 3, seed=7)))
+    argv = ["verify", str(graph), "--alpha", "1/2", "--k", "3", "--t", "7", "--variant", "max"]
+    assert main(["kernelize", *argv[1:], "--trace", str(trace), "--out", str(tmp_path / "k.txt")]) == EXIT_OK
+    assert sum(trace.read_text().count(f" op={op} ") for op in ("include", "exclude", "shift")) == 17
+    calls = []
+
+    def counting(name):
+        move = getattr(AnnotatedInstance, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return move(self, *args)
+
+        return counted
+
+    for name in ("include", "exclude", "shift_bonus"):
+        monkeypatch.setattr(AnnotatedInstance, name, counting(name))
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "verified: decision=YES witness=0,14,15\n"
+    assert calls == []
+
+
 def test_solve_accepts_kernel_files(graph_file, tmp_path, capsys):
     kern = tmp_path / "k.txt"
     main([
@@ -280,7 +307,7 @@ def test_battery_failure_dump(tmp_path, capsys, monkeypatch):
     from fcgp.rules import DECIDED_NO, KernelOutcome, RuleTrace
 
     def broken(inst, name, profile=None, param_override=None):
-        return KernelOutcome(DECIDED_NO, None, None, RuleTrace(pipeline="broken"))
+        return KernelOutcome(DECIDED_NO, None, None, RuleTrace(pipeline="broken"), inst)
 
     monkeypatch.setattr(harness_mod, "run_pipeline", broken)
     man = tmp_path / "man.txt"

@@ -95,10 +95,10 @@ def test_check_equivalence_decided_yes_verifies_witness():
 
         inst = replace(inst, t=res.best_value)
         res = brute_force(inst)
-    good = KernelOutcome(DECIDED_YES, None, res.witness, RuleTrace(pipeline="x"))
+    good = KernelOutcome(DECIDED_YES, None, res.witness, RuleTrace(pipeline="x"), inst)
     assert check_equivalence(inst, good).ok
     bad_witness = tuple(sorted(inst.free_vertices()[: inst.k]))
-    bad = KernelOutcome(DECIDED_YES, None, bad_witness, RuleTrace(pipeline="x"))
+    bad = KernelOutcome(DECIDED_YES, None, bad_witness, RuleTrace(pipeline="x"), inst)
     rep = check_equivalence(inst, bad)
     assert rep.ok or rep.status == "mismatch"  # flagged unless accidentally optimal
 
@@ -114,6 +114,7 @@ def test_check_equivalence_detects_wrong_decision():
         None,
         None if res.decision else tuple(range(inst.k)),
         RuleTrace(pipeline="x"),
+        inst,
     )
     assert not check_equivalence(inst, wrong).ok
 

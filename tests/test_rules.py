@@ -52,6 +52,7 @@ from conftest import (
     greedy_cover_profile,
     path_graph,
     plain,
+    replay,
     seeded_instances,
     star_graph,
 )
@@ -133,18 +134,17 @@ def test_satisfactory_then_needless_random_equivalence(variant, alpha):
     for _, inst in seeded_instances(30, alpha, variant, base_seed=2000):
         got = apply_rule(rr_include_satisfactory, inst)
         if isinstance(got, tuple):
-            status, witness, _final = got
-            rep = check_equivalence(inst, _as_outcome(inst, status, witness))
+            rep = check_equivalence(inst, _as_outcome(*got))
             assert rep.ok, rep.detail
             continue
         out = apply_rule(rr_exclude_needless, got)
         equivalent(inst, out)
 
 
-def _as_outcome(inst, status, witness):
+def _as_outcome(status, witness, final):
     from fcgp.rules import KernelOutcome, RuleTrace
 
-    return KernelOutcome(status=status, plain=None, witness=witness, trace=RuleTrace(pipeline="test"))
+    return KernelOutcome(status=status, plain=None, witness=witness, trace=RuleTrace(pipeline="test"), final=final)
 
 
 # -- counter shift -------------------------------------------------------------------
@@ -535,15 +535,20 @@ def test_one_working_state_per_pipeline_run(monkeypatch):
 
 
 def test_trace_replay_reproduces_final_instance():
-    # the replay walks the independent instance chain; the summary the
-    # pipeline logged was read off its one working state
-    kinds = set()
-    for name, variant, inst, out in _pipeline_runs(6, 10_000):
+    # the replay walks the independent instance chain; the final instance
+    # and the summary the pipeline logged were read off its one working state
+    kinds = {}
+    for name, variant, inst, out in _pipeline_runs(12, 12_000):
         if out is None:
             continue
-        kinds.add(_kind(out))
-        assert summarize(_State(out.trace.replay(inst))) == out.trace.final, (name, variant)
-    assert kinds == {"kernelized", "decided at once", "decided after moves"}
+        kinds.setdefault((name, variant), set()).add(_kind(out))
+        final = replay(out.trace, inst)
+        assert out.final == final and out.final.weights == final.weights, (name, variant, _kind(out))
+        assert summarize(_State(final)) == out.trace.final, (name, variant)
+    every = {"kernelized", "decided at once", "decided after moves"}
+    assert {name for name, _ in kinds} == set(PIPELINES)
+    for (name, variant), seen in kinds.items():
+        assert every <= seen, (name, variant, seen)
 
 
 def test_trace_deltas_sum_to_threshold_change():
