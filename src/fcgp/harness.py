@@ -276,10 +276,7 @@ def run_battery(rows: list[ManifestRow], budget: int = 2_000_000) -> BatterySumm
         for seed, inst in row.instances():
             try:
                 outcome = run_pipeline(inst, row.pipeline)
-            except GuardViolation as exc:
-                summary.skipped += 1
-                continue
-            except BudgetExceeded:
+            except (GuardViolation, BudgetExceeded):
                 summary.skipped += 1
                 continue
             report = check_equivalence(inst, outcome, budget=budget)

@@ -7,7 +7,10 @@ optimum back into a rational.  One enumerator, ``_best_subset``, scores
 the k-sets of the exhaustive solvers: ``brute_force``, the reference oracle
 the whole test suite leans on; ``twin_oracle``, its answer over twin-class
 count vectors, which the equivalence checks and ``verify`` run; and the
-per-component tables of ``solve_bounded_degree``.
+per-component tables of ``solve_bounded_degree``.  Its walk cuts every
+subtree that cannot beat the best set found so far, and keeps the first
+optimum, so the answers are those of the full enumeration; the budgets
+still count the sets before the walk starts.
 """
 
 from __future__ import annotations
@@ -109,21 +112,18 @@ def _twin_classes(inst: AnnotatedInstance) -> list[tuple[int, ...]]:
     be u's neighbour.
     """
     masks, alive, weights = inst.graph.masks, inst.alive, inst.weights
-    free = inst.free_vertices()
     opened: dict[tuple[int, int], list[int]] = {}
+    for v in inst.free_vertices():
+        opened.setdefault((masks[v] & alive, weights[v]), []).append(v)
     closed: dict[tuple[int, int], list[int]] = {}
-    for v in free:
-        around = masks[v] & alive
-        opened.setdefault((around, weights[v]), []).append(v)
-        closed.setdefault((around | 1 << v, weights[v]), []).append(v)
     classes = []
-    for v in free:
-        around = masks[v] & alive
-        group = opened[around, weights[v]]
-        if len(group) == 1:
-            group = closed[around | 1 << v, weights[v]]
-        if group[0] == v:
+    for (around, w), group in opened.items():
+        if len(group) > 1:
             classes.append(tuple(group))
+        else:  # only a vertex without false twins can have true twins
+            closed.setdefault((around | 1 << group[0], w), []).append(group[0])
+    classes += map(tuple, closed.values())
+    classes.sort()  # disjoint, so by first vertex
     return classes
 
 
@@ -167,6 +167,14 @@ def _best_subset(
     is the index order the walk meets the sets in lexicographic order, and
     the strict ``>`` keeps the first optimum; otherwise an equal score goes
     to the smaller sorted set.
+
+    The walk is bounded: a vertex adds at most its score plus
+    ``max(pair_score, 0)`` per edge it may close (need - 1 at most), and
+    ``top[p]`` is the most any vertex at a position >= p adds.  A set that
+    takes position p at depth d scores at most got + (need - d) * top[p];
+    when that cannot beat the best, p and, as ``top`` never rises, the rest
+    of its depth are cut.  In index order a later tie never replaces the
+    best, so ties are cut too; out of it only a bound below the best is.
     """
     if not need:
         return base, ()
@@ -185,11 +193,20 @@ def _best_subset(
     best: int | None = None
     best_at: list[int] = []
     best_key: list[int] | None = None  # sorted best set, built on the first tie
+    # the bound's top[p]; with need 1 the walk never reads it
+    gain = [s + pair * min(m.bit_count(), last) for s, m in zip(score, masks)] if pair > 0 else score
+    top = list(accumulate(reversed(gain), max))[::-1] if last else []
     d = 0
     while True:
-        if d == last:
-            g, c, p = got[d], chosen[d], idx[d]
-            r = later[p]  # p, then the class starts after it; p may go on with its class
+        p = idx[d]
+        if p <= n - need + d and (best is None or got[d] + (need - d) * top[p] + shuffled > best):
+            if d < last:
+                got[d + 1] = got[d] + score[p] + pair * (masks[p] & chosen[d]).bit_count()
+                chosen[d + 1] = chosen[d] | 1 << free[p]
+                idx[d + 1] = p + 1
+                d += 1
+                continue
+            g, c, r = got[d], chosen[d], later[p]  # p, then the class starts after it; p may go on with its class
             for i in starts[r - 1:-1] if starts[r - 1] == p else [p, *starts[r:-1]]:
                 s = g + score[i] + pair * (masks[i] & c).bit_count()
                 if best is None or s > best:
@@ -200,13 +217,6 @@ def _best_subset(
                         best_key = sorted(free[j] for j in best_at)
                     if key < best_key:
                         best_at, best_key = idx[:d] + [i], key
-        elif idx[d] <= n - need + d:
-            i = idx[d]
-            got[d + 1] = got[d] + score[i] + pair * (masks[i] & chosen[d]).bit_count()
-            chosen[d + 1] = chosen[d] | 1 << free[i]
-            idx[d + 1] = i + 1
-            d += 1
-            continue
         if not d:
             break
         d -= 1

@@ -12,6 +12,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ import pytest
 import fcgp
 from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import AnnotatedInstance, PlainInstance
+from fcgp.instance import MAX, AnnotatedInstance, PlainInstance
 from fcgp.rules import RuleTrace, _Decided, _State
 
 
@@ -146,6 +147,22 @@ def replay(trace: RuleTrace, initial: AnnotatedInstance) -> AnnotatedInstance:
         if inst.t - before_t != e.dt:
             raise RuleInternalError(f"replay t-delta mismatch at {e}")
     return inst
+
+
+def scan_optimum(inst: AnnotatedInstance):
+    """(decision, optimum, witness) by a plain ``combinations`` scan over
+    ``inst.val``, sharing no code with the solvers' walk: the optimum over
+    the k-sets containing T, whether it meets t, and on YES the
+    lexicographically first optimal k-set.  (False, None, None) when no
+    k-set contains T."""
+    tset, free = inst.t_vertices(), inst.free_vertices()
+    need = inst.k - len(tset)
+    if not 0 <= need <= len(free):
+        return False, None, None
+    values = {tuple(sorted(combo + tset)): inst.val(combo + tset) for combo in combinations(free, need)}
+    best = (max if inst.variant == MAX else min)(values.values())
+    decision = inst.better_cmp(best, inst.t)
+    return decision, best, min(s for s, value in values.items() if value == best) if decision else None
 
 
 def run_optimized(code: str) -> str:

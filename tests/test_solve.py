@@ -11,7 +11,7 @@ import fcgp.solve as solve_mod
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import MAX, MIN, GuardViolation, deannotate_max, deannotate_min
-from fcgp.rules import KERNELIZED, KernelOutcome
+from fcgp.rules import KERNELIZED, KernelOutcome, alive_profile
 from fcgp.solve import (
     BudgetExceeded,
     UndecidedWithinBudget,
@@ -27,8 +27,8 @@ from fcgp.solve import (
     twin_oracle,
 )
 
-from conftest import annotated, complete_graph, path_graph, plain, seeded_instances, star_graph
-from test_acceptance import RULE_MATRIX, _apply_rule, _instances
+from conftest import annotated, complete_graph, path_graph, plain, scan_optimum, seeded_instances, star_graph
+from test_acceptance import ALPHAS, RULE_MATRIX, _apply_rule, _instances
 
 
 # -- brute force ----------------------------------------------------------------
@@ -171,10 +171,11 @@ def test_twin_oracle_matches_brute_on_the_acceptance_families():
 
 
 @st.composite
-def _planted_twins(draw):
+def _planted_twins(draw, alpha=None, variant=None):
     """A small instance with planted twin classes: pendant leaves on one anchor
     and a clique wired by prefix, as the de-annotations build them, under a
-    random relabelling, with T, counters and excluded vertices."""
+    random relabelling, with T, counters and excluded vertices.  Alpha and
+    the variant are drawn unless given."""
     base = draw(st.integers(2, 5))
     edges = [(u, v) for u in range(base) for v in range(u + 1, base) if draw(st.booleans())]
     n = base
@@ -191,8 +192,10 @@ def _planted_twins(draw):
     g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
     tset = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     counters = {v: draw(st.sampled_from((0, 0, 0, 1, 2))) for v in range(n) if v not in tset}
-    alpha = draw(st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))))
-    variant = draw(st.sampled_from((MAX, MIN)))
+    if alpha is None:
+        alpha = draw(st.sampled_from(ALPHAS))
+    if variant is None:
+        variant = draw(st.sampled_from((MAX, MIN)))
     k = draw(st.integers(len(tset), min(len(tset) + 4, n)))
     t = draw(st.sampled_from((None, F(0), F(3), F(13, 2), F(12))))
     if t is None:  # always met, so the witness is compared too
@@ -210,6 +213,30 @@ def _planted_twins(draw):
 def test_twin_oracle_matches_brute_on_planted_twins(inst):
     _assert_twin_partition(inst, _twin_classes(inst))
     _assert_same_answer(inst)
+
+
+@pytest.mark.parametrize("variant", (MAX, MIN))
+@pytest.mark.parametrize("alpha", ALPHAS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_solvers_match_a_combinations_scan(alpha, variant, data):
+    # the relabelling puts the twin classes out of index order, so equal
+    # scores go through the walk's tie branch; pair_score is positive below
+    # alpha = 1/3 for Max (above it for Min), zero at 1/3, negative otherwise
+    inst = data.draw(_planted_twins(alpha, variant))
+    _, opt, _ = scan_optimum(inst)
+    free, need = inst.free_vertices(), inst.k_prime
+    for t in (opt, opt + inst.sign * F(1, inst.scale)):  # the optimum, one score step past it
+        cur = replace(inst, t=t)
+        want = scan_optimum(cur)
+        assert want[0] == (t == opt)
+        results = [brute_force(cur), twin_oracle(cur), solve_bounded_degree(cur)]
+        if variant == MAX and alpha < F(1, 3):
+            results.append(hindex_fpt_max(cur, alive_profile(cur).h_index))
+        for res in results:
+            assert (res.decision, res.best_value, res.witness) == want, (res.solver_id, cur.to_text())
+        assert results[0].nodes_explored == comb(len(free), need)
+        assert results[1].nodes_explored == _count_vectors([len(c) for c in _twin_classes(cur)], need)
 
 
 def _long_class_kernels():
