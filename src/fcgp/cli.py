@@ -21,15 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .graph import GraphFormatError, ParameterProfile, RuleInternalError, compute_profile, parse_graph, sniff_format
-from .harness import parse_manifest, run_battery
-from .instance import (
-    MAX,
-    MIN,
-    GuardViolation,
-    PlainInstance,
-    lift_witness,
-    LiftError,
-)
+from .harness import AnswerMismatch, outcome_answer, parse_manifest, run_battery
+from .instance import MAX, MIN, GuardViolation, LiftError, PlainInstance
 from .ramsey import ExtractionPreconditionError, WitnessVerificationError
 from .rules import DECIDED_NO, DECIDED_YES, PIPELINES, run_pipeline
 from .solve import (
@@ -290,37 +283,17 @@ def cmd_verify(args) -> int:
 
     if args.trace and _read_text(args.trace, "trace file") != outcome.trace.to_text():
         return fail("trace file does not match the regenerated trace")
-    if outcome.status in (DECIDED_YES, DECIDED_NO):
-        my_decision = outcome.status == DECIDED_YES
-        if my_decision:
-            value = inst.val(outcome.witness)
-            if not inst.better_cmp(value, inst.t) or len(outcome.witness) != inst.k:
-                return fail(f"decided witness evaluates to {value} vs t {inst.t}")
-        lifted = outcome.witness
-    else:
-        regenerated = kernel_file_text(outcome.plain)
-        kernel_text = _read_text(args.kernel, "kernel file") if args.kernel else regenerated
-        file_plain = parse_kernel_file(kernel_text)
-        res_file = twin_oracle(file_plain.annotate(), budget=args.budget)
-        res_mine = (
-            res_file
-            if kernel_text == regenerated
-            else twin_oracle(outcome.plain.annotate(), budget=args.budget)
-        )
-        if res_file.decision != res_mine.decision:
-            return fail(
-                f"kernel file decision {res_file.decision} != regenerated kernel decision {res_mine.decision}"
-            )
-        my_decision = res_mine.decision
-        lifted = None
-        if my_decision:
-            try:
-                lifted = lift_witness(outcome.trace.deann, outcome.final, res_mine.witness)
-            except LiftError as exc:
-                return fail(f"witness lifting failed: {exc}")
-            value = inst.val(lifted)
-            if not inst.better_cmp(value, inst.t):
-                return fail(f"lifted witness evaluates to {value} vs t {inst.t}")
+    try:
+        my_decision, lifted = outcome_answer(inst, outcome, args.budget)
+    except AnswerMismatch as exc:
+        return fail(str(exc))
+    # a kernel file that differs from the regenerated kernel must decide alike
+    if args.kernel and outcome.plain is not None:
+        kernel_text = _read_text(args.kernel, "kernel file")
+        if kernel_text != kernel_file_text(outcome.plain):
+            res_file = twin_oracle(parse_kernel_file(kernel_text).annotate(), budget=args.budget)
+            if res_file.decision != my_decision:
+                return fail(f"kernel file decision {res_file.decision} != regenerated kernel decision {my_decision}")
 
     if args.oracle:
         res = twin_oracle(inst, budget=args.budget)

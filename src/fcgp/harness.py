@@ -9,12 +9,12 @@ neither the rules nor the solvers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .graph import Graph, mask_of
-from .instance import AnnotatedInstance, GuardViolation, PlainInstance
-from .rules import DECIDED_NO, DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
+from .instance import AnnotatedInstance, GuardViolation, LiftError, PlainInstance, lift_witness
+from .rules import DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
 from .solve import BudgetExceeded, brute_force, twin_oracle
 
 
@@ -89,16 +89,7 @@ def gen_annotated(
     if opt is None:
         raise ValueError("instance has no candidate solution")
     shift = Fraction(rng.randint(-8, 8), 4)
-    return AnnotatedInstance(
-        graph=inst.graph,
-        alive=inst.alive,
-        tmask=inst.tmask,
-        bonus=inst.bonus,
-        k=inst.k,
-        t=opt + shift,
-        alpha=inst.alpha,
-        variant=inst.variant,
-    )
+    return replace(inst, t=opt + shift)
 
 
 @dataclass(frozen=True)
@@ -113,55 +104,70 @@ class EquivalenceReport:
         return self.status == "match"
 
 
+class AnswerMismatch(RuntimeError):
+    """A kernel outcome's YES has no witness on its input: lifting failed, or
+    the decided or lifted witness is not a solution there."""
+
+
+def outcome_answer(
+    inst: AnnotatedInstance, outcome: KernelOutcome, budget: int
+) -> tuple[bool, tuple[int, ...] | None]:
+    """The decision ``outcome`` gives for its input ``inst`` and, on YES, a
+    witness of ``inst``.
+
+    A decided outcome answers with its own witness.  A kernelized one is
+    decided by :func:`~fcgp.solve.twin_oracle` on ``outcome.plain`` (within
+    ``budget`` count vectors; :class:`BudgetExceeded` passes through), and a
+    YES witness of the kernel is lifted through the de-annotation to the
+    run's final instance.  The witness must be a solution of ``inst``; when
+    it is not, or lifting fails, :class:`AnswerMismatch` says why.
+    """
+    if outcome.status == KERNELIZED:
+        res = twin_oracle(outcome.plain.annotate(), budget=budget)
+        if not res.decision:
+            return False, None
+        kind = "lifted"
+        try:
+            witness = lift_witness(outcome.trace.deann, outcome.final, res.witness)
+        except LiftError as exc:
+            raise AnswerMismatch(f"witness lifting failed: {exc}") from None
+    elif outcome.status == DECIDED_YES:
+        kind, witness = "decided", outcome.witness
+    else:
+        return False, None
+    if not inst.is_solution(witness):
+        if mask_of(witness) & ~inst.alive:
+            raise AnswerMismatch(f"{kind} witness {witness} has deleted vertices")
+        raise AnswerMismatch(f"{kind} witness evaluates to {inst.val(witness)} vs t {inst.t}")
+    return True, witness
+
+
 def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000) -> EquivalenceReport:
     """Compare the exact oracle's decisions before and after a transformation.
 
     ``after`` may be an annotated instance, a plain instance, or a
-    :class:`KernelOutcome`; decided outcomes additionally have their witness
-    re-evaluated on the *before* instance.  The oracle is
-    :func:`~fcgp.solve.twin_oracle`, which returns brute force's exact answer
-    from one k-set per twin-class count vector; ``budget`` bounds those
-    vectors per instance, and an instance over it makes the report "skipped".
+    :class:`KernelOutcome`, whose answer comes from :func:`outcome_answer`:
+    the witness of a YES, decided or lifted from the kernel, must be a
+    solution of *before*, and a failed lift or check reports "mismatch".
+    The oracle is :func:`~fcgp.solve.twin_oracle`, which returns brute
+    force's exact answer from one k-set per twin-class count vector;
+    ``budget`` bounds those vectors per instance, and an instance over it
+    makes the report "skipped".
     """
+    if isinstance(after, PlainInstance):
+        after = after.annotate()
+    elif not isinstance(after, (AnnotatedInstance, KernelOutcome)):
+        raise TypeError(f"cannot check equivalence against {type(after)!r}")
     try:
         res_before = twin_oracle(before, budget=budget)
+        if isinstance(after, KernelOutcome):
+            after_dec, _ = outcome_answer(before, after, budget)
+        else:
+            after_dec = twin_oracle(after, budget=budget).decision
     except BudgetExceeded as exc:
         return EquivalenceReport("skipped", detail=f"oracle budget: {exc}")
-
-    if isinstance(after, KernelOutcome):
-        if after.status == DECIDED_YES:
-            after_dec = True
-            witness = after.witness
-            if witness is not None:
-                value = before.val(witness)
-                meets = before.better_cmp(value, before.t)
-                contains_t = not (before.tmask & ~mask_of(witness))
-                if not (meets and len(witness) == before.k and contains_t):
-                    return EquivalenceReport(
-                        "mismatch",
-                        res_before.decision,
-                        True,
-                        f"decided_yes witness {witness} invalid on the original (value {value} vs t {before.t})",
-                    )
-        elif after.status == DECIDED_NO:
-            after_dec = False
-        elif after.status == KERNELIZED:
-            after_dec = _plain_decision(after.plain, budget)
-            if after_dec is None:
-                return EquivalenceReport("skipped", detail="kernel too large for the oracle budget")
-        else:
-            return EquivalenceReport("skipped", detail=f"unknown outcome status {after.status}")
-    elif isinstance(after, PlainInstance):
-        after_dec = _plain_decision(after, budget)
-        if after_dec is None:
-            return EquivalenceReport("skipped", detail="plain instance too large for the oracle budget")
-    elif isinstance(after, AnnotatedInstance):
-        try:
-            after_dec = twin_oracle(after, budget=budget).decision
-        except BudgetExceeded as exc:
-            return EquivalenceReport("skipped", detail=f"oracle budget: {exc}")
-    else:
-        raise TypeError(f"cannot check equivalence against {type(after)!r}")
+    except AnswerMismatch as exc:
+        return EquivalenceReport("mismatch", res_before.decision, True, str(exc))
 
     if res_before.decision == after_dec:
         return EquivalenceReport("match", res_before.decision, after_dec)
@@ -171,13 +177,6 @@ def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000)
         after_dec,
         f"before optimum {res_before.best_value} vs t {before.t}",
     )
-
-
-def _plain_decision(plain: PlainInstance, budget: int) -> bool | None:
-    try:
-        return twin_oracle(plain.annotate(), budget=budget).decision
-    except BudgetExceeded:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +261,7 @@ class BatterySummary:
     passed: int = 0
     failed: int = 0
     skipped: int = 0
-    failures: list[tuple[ManifestRow, int, str]] = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: list[tuple[ManifestRow, int, str]] = field(default_factory=list)
 
 
 def run_battery(rows: list[ManifestRow], budget: int = 2_000_000) -> BatterySummary:

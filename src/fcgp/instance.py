@@ -238,6 +238,14 @@ class AnnotatedInstance:
         """x at least as good as y in the variant's direction."""
         return x >= y if self.variant == MAX else x <= y
 
+    def is_solution(self, s: Iterable[int]) -> bool:
+        """Whether s is k distinct alive vertices, T among them, whose value
+        meets t; a deleted vertex makes it False, not an error."""
+        s = tuple(s)
+        m = mask_of(s)
+        return (len(s) == m.bit_count() == self.k and not m & ~self.alive and not self.tmask & ~m
+                and self.score_val(m) >= self.score_needed(self.t))
+
     # -- inclusion / exclusion ---------------------------------------------
 
     def _derive(self, **changes) -> "AnnotatedInstance":
@@ -363,14 +371,6 @@ def telescope_check(inst: AnnotatedInstance, ordering: Sequence[int]) -> Fractio
     return total
 
 
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 @dataclass(frozen=True)
 class Deannotation:
     """A plain instance plus enough structure to lift witnesses back.
@@ -417,12 +417,12 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     counters = inst.counters()  # also validates standard-counter mode
     if inst.n_alive < inst.k:
         raise GuardViolation("de-annotation needs at least k alive vertices")
-    inv_floor = floor_frac(1 / inst.alpha)
-    pad = ceil_frac(max(ZERO, 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
+    inv_floor = math.floor(1 / inst.alpha)
+    pad = math.ceil(max(ZERO, 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
     gamma = inst.gamma()
     dtb = inst.delta_tbar()
     # ceil keeps the strictly-better margin when |1/alpha - 3| * k is fractional
-    ell = dtb + gamma + ceil_frac(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
+    ell = dtb + gamma + math.ceil(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
 
     sub, keep = inst.graph.induced(inst.alive_vertices())
     masks = list(sub.masks)
@@ -459,7 +459,7 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         raise GuardViolation("de-annotation needs at least k alive vertices")
     gamma = inst.gamma()
     delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
-    ell = floor_frac((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
+    ell = math.floor((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
 
     sub, keep = inst.graph.induced(inst.alive_vertices())
     masks = list(sub.masks)

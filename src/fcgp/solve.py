@@ -23,7 +23,7 @@ from itertools import accumulate, chain, combinations
 from .graph import iter_mask, mask_of
 from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
 from .ramsey import peeling_independent_set
-from .rules import DECIDED_YES, alive_profile, kernel_degeneracy_min
+from .rules import _degeneracy_prefix, alive_profile
 
 DEFAULT_SUBSET_BUDGET = 2_000_000
 
@@ -43,15 +43,6 @@ class SolveResult:
     best_value: Fraction | None
     solver_id: str
     nodes_explored: int = 0
-
-    def check_witness(self, inst: AnnotatedInstance) -> bool:
-        """Witness sanity on the given instance: size k, contains T, meets t."""
-        if not self.decision:
-            return self.witness is None
-        w = self.witness
-        if w is None or len(w) != inst.k or (inst.tmask & ~mask_of(w)):
-            return False
-        return inst.better_cmp(inst.val(w), inst.t)
 
 
 def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
@@ -505,10 +496,10 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
             and inst.n_alive >= inst.k
             and inst.t >= profile.degeneracy * inst.k
         ):
-            outcome = kernel_degeneracy_min(inst, profile.degeneracy)
-            if outcome.status == DECIDED_YES:
-                value = inst.val(outcome.witness)
-                return SolveResult(True, outcome.witness, value, "auto:min-trivial", 0)
+            witness = _degeneracy_prefix(inst, inst.k)
+            value = inst.val(witness)
+            if value <= inst.t:
+                return SolveResult(True, witness, value, "auto:min-trivial", 0)
         if (inst.variant == MAX and inst.alpha > THIRD) or (
             inst.variant == MIN and 0 < inst.alpha < THIRD
         ):

@@ -18,6 +18,7 @@ from fcgp.cli import (
     EXIT_NO,
     EXIT_OK,
     EXIT_USAGE,
+    kernel_file_text,
     main,
     parse_fraction,
     parse_kernel_file,
@@ -27,9 +28,10 @@ from fcgp.graph import RuleInternalError, minimum_vertex_cover
 from fcgp.harness import gen_degenerate
 from fcgp.instance import AnnotatedInstance, LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
-from fcgp.rules import PIPELINES
+from fcgp.rules import KERNELIZED, PIPELINES
 
 from conftest import complete_graph, disjoint_triangles
+from test_rules import _pipeline_runs
 
 
 @pytest.fixture
@@ -283,6 +285,32 @@ def test_verify_lifts_against_the_final_instance_without_moves(tmp_path, monkeyp
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == "verified: decision=YES witness=0,14,15\n"
     assert calls == []
+
+
+def test_verify_parses_no_kernel_it_regenerated(tmp_path, monkeypatch, capsys):
+    # a --kernel file equal to the regenerated kernel text is not parsed
+    # again, and neither is the regenerated kernel itself
+    graph, kern = tmp_path / "d30.el", tmp_path / "k.txt"
+    graph.write_text(_graph_text(gen_degenerate(30, 3, seed=7)))
+    argv = ["verify", str(graph), "--alpha", "1/2", "--k", "3", "--t", "7", "--variant", "max"]
+    assert main(["kernelize", *argv[1:], "--out", str(kern)]) == EXIT_OK
+    capsys.readouterr()
+
+    def unparsed(text):
+        raise AssertionError("verify parsed a kernel file")
+
+    monkeypatch.setattr(cli_mod, "parse_kernel_file", unparsed)
+    assert main(argv) == EXIT_OK
+    assert main(argv + ["--kernel", str(kern)]) == EXIT_OK
+    assert capsys.readouterr().out == "verified: decision=YES witness=0,14,15\n" * 2
+
+
+def test_kernel_files_read_back_as_the_kernels_they_were_written_from():
+    kernels = [out.plain for _, _, _, out in _pipeline_runs(12, 12_000) if out and out.status == KERNELIZED]
+    assert len(kernels) > 100
+    for plain in kernels:
+        back = parse_kernel_file(kernel_file_text(plain))
+        assert back == plain and back.graph.masks == plain.graph.masks
 
 
 def test_solve_accepts_kernel_files(graph_file, tmp_path, capsys):

@@ -1,18 +1,21 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from fcgp.graph import compute_profile
 from fcgp.harness import (
+    AnswerMismatch,
     BatterySummary,
     check_equivalence,
     gen_annotated,
     gen_degenerate,
     gen_gnp,
+    outcome_answer,
     parse_manifest,
     run_battery,
 )
-from fcgp.instance import MAX, MIN
+from fcgp.instance import MAX, MIN, PlainInstance
 from fcgp.rules import DECIDED_YES, KERNELIZED, KernelOutcome, RuleTrace, run_pipeline
 from fcgp.solve import BudgetExceeded, brute_force
 
@@ -97,6 +100,9 @@ def test_check_equivalence_decided_yes_verifies_witness():
         res = brute_force(inst)
     good = KernelOutcome(DECIDED_YES, None, res.witness, RuleTrace(pipeline="x"), inst)
     assert check_equivalence(inst, good).ok
+    gone = next(v for v in res.witness if not (inst.tmask >> v) & 1)
+    rep = check_equivalence(inst.exclude(gone), good)
+    assert (rep.status, rep.detail) == ("mismatch", f"decided witness {res.witness} has deleted vertices")
     bad_witness = tuple(sorted(inst.free_vertices()[: inst.k]))
     bad = KernelOutcome(DECIDED_YES, None, bad_witness, RuleTrace(pipeline="x"), inst)
     rep = check_equivalence(inst, bad)
@@ -117,6 +123,46 @@ def test_check_equivalence_detects_wrong_decision():
         inst,
     )
     assert not check_equivalence(inst, wrong).ok
+
+
+def test_check_equivalence_lifts_every_kernelized_yes():
+    # a kernelized YES of a 30-vertex graph (69-vertex leaf kernel): the
+    # kernel's witness is lifted and checked on the original; a tampered
+    # final instance or de-annotation makes that fail, and the report says so
+    inst = PlainInstance(gen_degenerate(30, 3, seed=7), 3, F(7), F(1, 2), MAX).annotate()
+    out = run_pipeline(inst, "auto")
+    assert out.status == KERNELIZED and out.trace.deann.kind == "max-leaves"
+    assert outcome_answer(inst, out, 2_000_000) == (True, (0, 14, 15))
+    assert check_equivalence(inst, out).ok
+
+    unreachable = replace(out, final=replace(out.final, t=out.final.t + 100))
+    rep = check_equivalence(inst, unreachable)
+    assert (rep.status, rep.before_decision, rep.after_decision) == ("mismatch", True, True)
+    assert rep.detail == "witness lifting failed: lifted witness value 13/2 misses threshold 211/2"
+
+    # the originals mapped back in reverse, and a final threshold the lift
+    # meets: the lifted set is a solution of the final instance only
+    deann = out.trace.deann
+    n_orig = sum(o >= 0 for o in deann.origin)
+    reversed_origin = deann.origin[n_orig - 1::-1] + deann.origin[n_orig:]
+    remapped = replace(
+        out,
+        trace=replace(out.trace, deann=replace(deann, origin=reversed_origin)),
+        final=replace(out.final, t=out.final.t - 100),
+    )
+    rep = check_equivalence(inst, remapped)
+    assert (rep.status, rep.before_decision, rep.after_decision) == ("mismatch", True, True)
+    assert rep.detail == "lifted witness evaluates to 6 vs t 7"
+    with pytest.raises(AnswerMismatch, match="lifted witness evaluates to 6 vs t 7"):
+        outcome_answer(inst, remapped, 2_000_000)
+
+
+def test_outcome_answer_passes_the_oracle_budget_through():
+    inst = gen_annotated(gen_gnp(10, 1, 2, 4), 4, F(1, 4), MIN, (4, 4), (0, 2))
+    outcome = run_pipeline(inst, "delta")
+    assert outcome.status == KERNELIZED
+    with pytest.raises(BudgetExceeded):
+        outcome_answer(inst, outcome, 10)
 
 
 def test_manifest_parse_and_battery():

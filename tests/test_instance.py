@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -15,16 +17,23 @@ from fcgp.instance import (
     AnnotatedInstance,
     GuardViolation,
     PlainInstance,
-    ceil_frac,
     deannotate_max,
     deannotate_min,
-    floor_frac,
     lift_witness,
     telescope_check,
 )
 from fcgp.solve import brute_force
 
-from conftest import annotated, complete_graph, path_graph, plain, run_optimized, star_graph
+from conftest import (
+    annotated,
+    complete_graph,
+    path_graph,
+    plain,
+    run_optimized,
+    scan_optimum,
+    seeded_instances,
+    star_graph,
+)
 from test_acceptance import ALPHAS
 
 
@@ -89,6 +98,32 @@ def test_telescope_rejects_repeats():
     inst = plain(path_graph(3), 2, 0, F(1, 2), MAX)
     with pytest.raises(GuardViolation):
         telescope_check(inst, [1, 1])
+
+
+@pytest.mark.parametrize("variant,alpha", [(MAX, F(1, 2)), (MIN, F(1, 4))])
+def test_is_solution(variant, alpha):
+    checked = 0
+    for _, inst in seeded_instances(40, alpha, variant, base_seed=5_100):
+        decision, best, witness = scan_optimum(inst)
+        if not decision:
+            continue
+        assert inst.is_solution(witness) and inst.is_solution(iter(witness))
+        outside = [v for v in inst.free_vertices() if v not in witness]
+        assert not inst.is_solution(witness[:-1])
+        if inst.k >= 2:
+            assert not inst.is_solution(witness[:-1] + witness[:1])  # k entries, one repeated
+        if outside:
+            assert not inst.is_solution(witness + (outside[0],))
+        if inst.t_size and outside:
+            tv = inst.t_vertices()[0]
+            assert not inst.is_solution(tuple(v for v in witness if v != tv) + (outside[0],))
+        free_member = next((v for v in witness if not (inst.tmask >> v) & 1), None)
+        if free_member is not None:
+            assert not inst.exclude(free_member).is_solution(witness)  # a deleted vertex
+        step = F(1, inst.scale) if variant == MAX else -F(1, inst.scale)
+        assert not replace(inst, t=best + step).is_solution(witness)
+        checked += 1
+    assert checked >= 10
 
 
 # -- better / strictly better ---------------------------------------------------------
@@ -449,9 +484,9 @@ def _edge_list_deannotation(inst):
     edges = [(index[u], index[v]) for u, v in inst.graph.edges() if u in index and v in index]
     origin, anchor = list(keep), [-1] * len(keep)
     if inst.variant == MAX:
-        inv_floor = floor_frac(1 / inst.alpha)
-        pad = ceil_frac(max(F(0), 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
-        ell = inst.delta_tbar() + inst.gamma() + ceil_frac(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
+        inv_floor = math.floor(1 / inst.alpha)
+        pad = math.ceil(max(F(0), 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
+        ell = inst.delta_tbar() + inst.gamma() + math.ceil(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
         for i, old_v in enumerate(keep):
             leaves = counters[old_v] + inv_floor + pad + (ell if (inst.tmask >> old_v) & 1 else 0)
             for _ in range(leaves):
@@ -461,7 +496,7 @@ def _edge_list_deannotation(inst):
         t = inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
     else:
         delta = max((inst.degree(v) for v in keep), default=0)
-        ell = floor_frac((delta + inst.gamma() + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
+        ell = math.floor((delta + inst.gamma() + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
         clique = range(len(keep), len(keep) + 2 * ell + 1)
         edges.extend(combinations(clique, 2))
         for i, old_v in enumerate(keep):

@@ -449,7 +449,7 @@ def test_hindex_agrees_with_brute(alpha):
         res = hindex_fpt_max(inst, h)
         assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
         if res.decision:
-            assert res.check_witness(inst)
+            assert inst.is_solution(res.witness)
 
 
 def test_hindex_guard():
@@ -516,7 +516,7 @@ def test_auto_routes_and_agrees():
                 res = solve_auto(inst)
                 assert res.decision == ref.decision
                 if res.decision:
-                    assert res.check_witness(inst)
+                    assert inst.is_solution(res.witness)
                 routes.add(res.solver_id)
     assert "auto:third" in routes
     assert "auto:branch" in routes
@@ -531,7 +531,7 @@ def test_auto_cover_of_an_instance_with_dead_vertices():
     res = solve_auto(inst)
     assert res.solver_id == "auto:densest-vc"
     assert (res.decision, res.best_value) == (ref.decision, ref.best_value) == (True, 1)
-    assert res.check_witness(inst)
+    assert inst.is_solution(res.witness)
 
 
 def test_auto_min_trivial_route():
