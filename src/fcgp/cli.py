@@ -94,7 +94,7 @@ def _report_flags(sub: argparse.ArgumentParser) -> None:
 
 def _instance_from_args(args):
     """The plain instance the flags describe, its annotated form and the
-    structural profile of its graph (exact cover within --vc-budget, on read)."""
+    structural profile of its graph (each parameter computed on read)."""
     g = _read_graph(args.graph, args.format)
     plain = PlainInstance(
         graph=g, k=args.k, t=parse_fraction(args.t), alpha=parse_fraction(args.alpha), variant=args.variant
@@ -114,7 +114,7 @@ def _profile_dict(profile) -> dict:
 
 
 def _json_value(obj):
-    # profiles take their report form here only: a run without --json never searches a cover
+    # profiles take their report form here only: a run without --json computes what it reads
     return _profile_dict(obj) if isinstance(obj, ParameterProfile) else str(obj)
 
 

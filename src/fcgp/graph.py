@@ -158,26 +158,27 @@ class Graph:
         return not any(self.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterProfile:
-    """Structural parameters of ``graph`` with witnesses.
+    """Structural parameters of ``graph`` with witnesses, each computed on first read.
 
     ``degeneracy_ordering`` is the min-degree peeling order (ties broken by
     smallest index); every vertex has at most ``degeneracy`` neighbors among
-    its successors.  ``vertex_cover``, the one NP-hard parameter, is searched
-    for on first read and kept: the canonical minimum cover of
-    :func:`minimum_vertex_cover` if one of at most ``vc_budget`` vertices
-    exists and the search finds it within ``VC_NODE_BUDGET`` nodes, else
-    ``None`` (a negative budget never searches).
+    its successors.  ``vertex_cover``, the one NP-hard parameter, is the
+    canonical minimum cover of :func:`minimum_vertex_cover` if one of at
+    most ``vc_budget`` vertices exists and the search finds it within
+    ``VC_NODE_BUDGET`` nodes, else ``None`` (a negative budget never searches).
     """
 
-    graph: Graph = field(repr=False, compare=False)
+    graph: Graph = field(repr=False)
     vc_budget: int
-    max_degree: int
-    degeneracy: int
-    degeneracy_ordering: tuple[int, ...]
-    h_index: int
-    c_closure: int
+
+    max_degree = cached_property(lambda self: max(map(len, self.graph.adj), default=0))
+    _peel = cached_property(lambda self: degeneracy_ordering(self.graph))
+    degeneracy_ordering = property(lambda self: self._peel[0])
+    degeneracy = property(lambda self: self._peel[1])
+    h_index = cached_property(lambda self: h_index(self.graph))
+    c_closure = cached_property(lambda self: c_closure(self.graph))
 
     @cached_property
     def vertex_cover(self) -> tuple[int, ...] | None:
@@ -449,15 +450,5 @@ def _vc_decide(masks: tuple[int, ...], live: int, size: int, nodes: int) -> tupl
 
 
 def compute_profile(g: Graph, vc_budget: int = 25) -> ParameterProfile:
-    """Compute the polynomial parameters now; the exact cover waits for its
-    first read (see :class:`ParameterProfile`)."""
-    order, d = degeneracy_ordering(g)
-    return ParameterProfile(
-        graph=g,
-        vc_budget=vc_budget,
-        max_degree=max(map(len, g.adj), default=0),
-        degeneracy=d,
-        degeneracy_ordering=order,
-        h_index=h_index(g),
-        c_closure=c_closure(g),
-    )
+    """The profile of ``g``; each parameter is computed on first read."""
+    return ParameterProfile(graph=g, vc_budget=vc_budget)

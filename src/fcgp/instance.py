@@ -171,8 +171,7 @@ class AnnotatedInstance:
 
     def gamma(self) -> int:
         """Largest counter outside T, plus one (standard-counter mode)."""
-        cs = self.counters()
-        return max((cs[v] for v in iter_mask(self.alive & ~self.tmask)), default=0) + 1
+        return max(self.counters().values(), default=0) + 1
 
     # -- value and contribution --------------------------------------------
 
@@ -414,12 +413,11 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
         raise GuardViolation("deannotate_max needs the maximization variant")
     if inst.alpha == 0:
         raise GuardViolation("de-annotation is impossible for alpha = 0")
-    counters = inst.counters()  # also validates standard-counter mode
+    gamma = inst.gamma()  # validates the counters, read off the weights below
     if inst.n_alive < inst.k:
         raise GuardViolation("de-annotation needs at least k alive vertices")
     inv_floor = math.floor(1 / inst.alpha)
     pad = math.ceil(max(ZERO, 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
-    gamma = inst.gamma()
     dtb = inst.delta_tbar()
     # ceil keeps the strictly-better margin when |1/alpha - 3| * k is fractional
     ell = dtb + gamma + math.ceil(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
@@ -430,7 +428,7 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     anchor = [-1] * len(keep)
     nxt = len(keep)
     for i, old_v in enumerate(keep):
-        leaves = counters[old_v] + inv_floor + pad
+        leaves = inst.weights[old_v] // inst.alpha_weight + inv_floor + pad
         if (inst.tmask >> old_v) & 1:
             leaves += ell
         masks[i] |= ((1 << leaves) - 1) << nxt
@@ -454,10 +452,9 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         raise GuardViolation("deannotate_min needs the minimization variant")
     if inst.alpha == 0:
         raise GuardViolation("de-annotation is impossible for alpha = 0")
-    counters = inst.counters()
+    gamma = inst.gamma()  # as in deannotate_max
     if inst.n_alive < inst.k:
         raise GuardViolation("de-annotation needs at least k alive vertices")
-    gamma = inst.gamma()
     delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
     ell = math.floor((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
 
@@ -469,7 +466,7 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
     for i, old_v in enumerate(keep):
         if (inst.tmask >> old_v) & 1:
             continue
-        wires = ell + counters[old_v]
+        wires = ell + inst.weights[old_v] // inst.alpha_weight
         if wires > csize:
             raise RuleInternalError("clique too small for counter wiring")
         masks[i] |= ((1 << wires) - 1) << base

@@ -17,9 +17,11 @@ from __future__ import annotations
 import functools
 import heapq
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 from . import ramsey
 from .graph import Graph, ParameterProfile, RuleInternalError, compute_profile, degeneracy_ordering, iter_mask, mask_of
@@ -43,8 +45,7 @@ DECIDED_YES = "decided_yes"
 DECIDED_NO = "decided_no"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     rule: str
     op: str  # include | exclude | shift | decide
     verts: tuple[int, ...]
@@ -99,7 +100,7 @@ class RuleTrace:
     deann: Deannotation | None = None
 
     def log(self, rule: str, op: str, verts: tuple[int, ...], dt: Fraction, note: str = "") -> None:
-        self.entries.append(TraceEntry(rule=rule, op=op, verts=verts, dt=dt, note=note))
+        self.entries.append(TraceEntry(rule, op, verts, dt, note))
 
     def audit(self, key: str, value) -> None:
         self.audits[key] = str(value)
@@ -559,48 +560,41 @@ def closure_xi_degree_bound(c: int, k: int) -> int:
     return ramsey.rc_bound((c - 1) * k + 1, (k + 1) * k ** (c - 1), c)
 
 
-def _max_degree_neighborhood(inst: AnnotatedInstance, need: int):
+def _max_degree_neighborhood(st: _State, need: int):
     """The free vertex v of largest degree (lowest index on ties) and the
     graph induced by its alive neighbors, with the map back; v needs degree
     >= ``need``."""
-    free = inst.free_vertices()
-    v = max(free, key=lambda u: (inst.degree(u), -u), default=None)
-    if v is None or inst.degree(v) < need:
+    top, where = st.delta_tbar(), st.where
+    v = next((u for u in st.free if where[u] == FREE and st.deg[u] == top), None)
+    if v is None or top < need:
         raise ExtractionPreconditionError(f"no free vertex of degree >= {need}")
-    sub, back = inst.graph.induced(iter_mask(inst.graph.masks[v] & inst.alive))
+    sub, back = st.inst.graph.induced(u for u in st.adj[v] if where[u])
     return v, sub, back
 
 
 def _descend_XI(
-    inst: AnnotatedInstance,
-    v: int,
-    start,
-    depth: int,
-    base: int,
-    slack: int,
-    growth_error: str,
-    audit_key: str,
+    st: _State, v: int, start, depth: int, base: int, slack: int, growth_error: str, audit_key: str,
     trace: RuleTrace | None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Common-neighborhood descent shared by the c-closed (depth c, base k+1,
     slack 0) and the K_{a,b}-free (depth a, base b, slack 1) extractions.
 
     Starts from X = {v} and I = ``start``, an independent set inside N(v).  While some
-    vertex outside X sees more than base*k^(depth-i-1) of I, i = |X|, the
+    vertex outside X sees more than tau = base*k^(depth-i-1) of I, i = |X|, the
     lowest-indexed one joins X and I shrinks to its neighbors; a growth past
-    depth-1 disproves the structural precondition.  The result has
+    depth-1 disproves the structural precondition.  Such a vertex lies in
+    N(I), so only N(I) is counted, along ``adj``.  The result has
     |I| >= base*k^(depth-i) + slack, every vertex outside X seeing at most
-    base*k^(depth-i-1) of I, I independent and inside the common
-    neighborhood of X; all four are verified.
+    tau of I, I independent and inside the common neighborhood of X; all
+    four are verified.
     """
-    k = inst.k
-    masks = inst.graph.masks
+    k, adj, where, masks = st.k, st.adj, st.where, st.inst.graph.masks
     xs = [v]
     imask = mask_of(start)
     while True:
         tau = base * k ** (depth - len(xs) - 1)
-        outside = inst.alive & ~mask_of(xs)
-        cand = next((u for u in iter_mask(outside) if (masks[u] & imask).bit_count() > tau), None)
+        seen = Counter(u for i in iter_mask(imask) for u in adj[i] if where[u])
+        cand = min((u for u, hits in seen.items() if hits > tau and u not in xs), default=None)
         if cand is None:
             break
         if len(xs) == depth - 1:
@@ -610,10 +604,10 @@ def _descend_XI(
     i = len(xs)
     if imask.bit_count() < base * k ** (depth - i) + slack:
         raise RuleInternalError("extracted I below its size property")
-    if any((masks[u] & imask).bit_count() > tau for u in iter_mask(outside)):
+    if any((masks[u] & imask).bit_count() > tau for u in seen if u not in xs):
         raise RuleInternalError("a vertex outside X sees too much of I")
     iset = tuple(iter_mask(imask))
-    if not inst.graph.is_independent_set(iset):
+    if not st.inst.graph.is_independent_set(iset):
         raise RuleInternalError("extracted I is not independent")
     if any(imask & ~masks[x] for x in xs):
         raise RuleInternalError("I is not in the common neighborhood of X")
@@ -645,15 +639,14 @@ def find_closure_XI(st: _State, c: int, trace: RuleTrace | None = None) -> tuple
         raise GuardViolation("X/I extraction needs c >= 2")
     if k < 1:
         raise GuardViolation("X/I extraction needs k >= 1")
-    inst = st.freeze()
-    v, sub, back = _max_degree_neighborhood(inst, closure_xi_degree_bound(c, k))
+    v, sub, back = _max_degree_neighborhood(st, closure_xi_degree_bound(c, k))
     witness = ramsey.cclosed_ramsey(sub, (c - 1) * k + 1, (k + 1) * k ** (c - 1), c)
     if witness.kind == ramsey.CLIQUE:
         raise ExtractionPreconditionError(
             f"clique of size {(c - 1) * k + 1} in a neighborhood; closure-better rule not at fixpoint"
         )
     growth = "common-neighborhood growth exceeds c-1; graph not c-closed for this c"
-    return _descend_XI(inst, v, (back[i] for i in witness.vertices), c, k + 1, 0, growth, "closure_xi", trace)
+    return _descend_XI(st, v, (back[i] for i in witness.vertices), c, k + 1, 0, growth, "closure_xi", trace)
 
 
 def rr_closure_independent_set(
@@ -677,11 +670,7 @@ def bcfree_xi_degree_bound(a: int, b: int, k: int, degeneracy: int | None = None
 
 
 def find_bcfree_XI(
-    st: _State,
-    a: int,
-    b: int,
-    degeneracy: int | None = None,
-    trace: RuleTrace | None = None,
+    st: _State, a: int, b: int, degeneracy: int | None = None, trace: RuleTrace | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """X/I extraction in K_{a,b}-free graphs, mirroring the c-closed one.
 
@@ -692,14 +681,13 @@ def find_bcfree_XI(
     if a < 2:
         raise GuardViolation("X/I extraction needs a >= 2")
     target = b * k ** (a - 1) + 1
-    inst = st.freeze()
-    v, sub, back = _max_degree_neighborhood(inst, bcfree_xi_degree_bound(a, b, k, degeneracy))
+    v, sub, back = _max_degree_neighborhood(st, bcfree_xi_degree_bound(a, b, k, degeneracy))
     if degeneracy is not None:
         picked = ramsey.degenerate_independent_set(sub, degeneracy, target)
     else:
         picked = ramsey.bcfree_independent_set(sub, a, b, target)
     growth = "growth exceeds a-1; graph contains K_{a,b}"
-    return _descend_XI(inst, v, (back[i] for i in picked), a, b, 1, growth, "bcfree_xi", trace)
+    return _descend_XI(st, v, (back[i] for i in picked), a, b, 1, growth, "bcfree_xi", trace)
 
 
 def rr_bcfree_independent_set(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -18,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import fcgp
-from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile
+from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile, iter_mask, mask_of
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import MAX, AnnotatedInstance, PlainInstance
+from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import RuleTrace, _Decided, _State
 
 
@@ -66,8 +66,16 @@ class GreedyCoverProfile(ParameterProfile):
 
 
 def greedy_cover_profile(g: Graph) -> GreedyCoverProfile:
-    exact = compute_profile(g)
-    return GreedyCoverProfile(**{f.name: getattr(exact, f.name) for f in fields(exact)})
+    return GreedyCoverProfile(graph=g, vc_budget=compute_profile(g).vc_budget)
+
+
+def profile_values(profile: ParameterProfile) -> tuple:
+    """Every parameter a profile reports, read in one go: profiles compare by
+    identity, so equal parameters are checked through this tuple."""
+    return (
+        profile.vc_budget, profile.max_degree, profile.degeneracy, profile.degeneracy_ordering,
+        profile.h_index, profile.c_closure, profile.vertex_cover,
+    )
 
 
 def plain(g: Graph, k: int, t, alpha, variant: str) -> AnnotatedInstance:
@@ -147,6 +155,51 @@ def replay(trace: RuleTrace, initial: AnnotatedInstance) -> AnnotatedInstance:
         if inst.t - before_t != e.dt:
             raise RuleInternalError(f"replay t-delta mismatch at {e}")
     return inst
+
+
+def max_degree_neighborhood_by_masks(inst: AnnotatedInstance, need: int):
+    """Reference for ``rules._max_degree_neighborhood`` on the frozen
+    instance: the free vertex of largest degree (lowest index on ties), read
+    off the n-bit masks, and the graph induced by its alive neighbors."""
+    free = inst.free_vertices()
+    v = max(free, key=lambda u: (inst.degree(u), -u), default=None)
+    if v is None or inst.degree(v) < need:
+        raise ExtractionPreconditionError(f"no free vertex of degree >= {need}")
+    sub, back = inst.graph.induced(iter_mask(inst.graph.masks[v] & inst.alive))
+    return v, sub, back
+
+
+def descend_XI_by_masks(inst: AnnotatedInstance, v, start, depth, base, slack, growth_error, audit_key, trace):
+    """Reference for ``rules._descend_XI`` on the frozen instance: every
+    round scans all alive vertices outside X and counts their neighbors in I
+    through the masks."""
+    k = inst.k
+    masks = inst.graph.masks
+    xs = [v]
+    imask = mask_of(start)
+    while True:
+        tau = base * k ** (depth - len(xs) - 1)
+        outside = inst.alive & ~mask_of(xs)
+        cand = next((u for u in iter_mask(outside) if (masks[u] & imask).bit_count() > tau), None)
+        if cand is None:
+            break
+        if len(xs) == depth - 1:
+            raise ExtractionPreconditionError(growth_error)
+        xs.append(cand)
+        imask &= masks[cand]
+    i = len(xs)
+    if imask.bit_count() < base * k ** (depth - i) + slack:
+        raise RuleInternalError("extracted I below its size property")
+    if any((masks[u] & imask).bit_count() > tau for u in iter_mask(outside)):
+        raise RuleInternalError("a vertex outside X sees too much of I")
+    iset = tuple(iter_mask(imask))
+    if not inst.graph.is_independent_set(iset):
+        raise RuleInternalError("extracted I is not independent")
+    if any(imask & ~masks[x] for x in xs):
+        raise RuleInternalError("I is not in the common neighborhood of X")
+    if trace is not None:
+        trace.audit(audit_key, f"x={i} i={len(iset)}")
+    return tuple(xs), iset
 
 
 def scan_optimum(inst: AnnotatedInstance):

@@ -201,6 +201,60 @@ def test_c_closure_by_wedges_matches_masks(seed, n, family):
     assert compute_profile(g).c_closure == c_closure_by_masks(g)
 
 
+def _profile_graphs():
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(1, 120)
+        yield gen_degenerate(n, 1 + seed % 4, seed)
+        yield gen_gnp(n, rng.randint(1, 4), max(n, 4), seed)
+        yield _hub_graph(n, rng, rng.choice((0, n // 4)))
+
+
+def test_lazy_profile_matches_direct_calls():
+    # each parameter, read in a different order per graph, equals the direct
+    # call of its function, and a second read returns the kept value
+    for i, g in enumerate(_profile_graphs()):
+        prof = compute_profile(g)
+        names = ["max_degree", "degeneracy", "degeneracy_ordering", "h_index", "c_closure"]
+        random.Random(i).shuffle(names)
+        got = {name: getattr(prof, name) for name in names}
+        order, d = degeneracy_ordering(g)
+        want = {
+            "max_degree": max((g.degree(v) for v in range(g.n)), default=0),
+            "degeneracy": d,
+            "degeneracy_ordering": order,
+            "h_index": graph_mod.h_index(g),
+            "c_closure": graph_mod.c_closure(g),
+        }
+        assert got == want
+        assert all(getattr(prof, name) is got[name] for name in names)
+
+
+def _count_parameter_calls(monkeypatch) -> dict:
+    calls = {}
+    for name in ("degeneracy_ordering", "h_index", "c_closure"):
+        def counting(g, name=name, fn=getattr(graph_mod, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(g)
+
+        monkeypatch.setattr(graph_mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("pipeline, called", [("delta", {}), ("closure", {"c_closure": 1})])
+def test_a_run_computes_only_the_parameters_it_reads(monkeypatch, pipeline, called):
+    from fcgp.instance import MAX, PlainInstance
+    from fcgp.rules import run_pipeline
+
+    calls = _count_parameter_calls(monkeypatch)
+    for i, g in enumerate(_profile_graphs()):
+        inst = PlainInstance(g, 3, Fraction(g.m, 2), Fraction(1, 2), MAX).annotate()
+        for profile in (compute_profile(g), None):  # None: run_pipeline builds its own
+            calls.clear()
+            run_pipeline(inst, pipeline, profile=profile)
+            assert calls == called, (i, profile)
+
+
 def test_vertex_cover_minimality_exhaustive():
     from itertools import combinations
 
