@@ -6,7 +6,7 @@ changing the answer, solvers decide them exactly.
 """
 
 from .graph import Graph, ParameterProfile, compute_profile, parse_graph
-from .instance import AnnotatedInstance, PlainInstance
+from .instance import AnnotatedInstance
 from .rules import KernelOutcome, RuleTrace, run_pipeline
 from .solve import SolveResult, brute_force, solve_auto
 
@@ -16,7 +16,6 @@ __all__ = [
     "compute_profile",
     "parse_graph",
     "AnnotatedInstance",
-    "PlainInstance",
     "KernelOutcome",
     "RuleTrace",
     "run_pipeline",

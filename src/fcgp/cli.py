@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .graph import GraphFormatError, ParameterProfile, RuleInternalError, compute_profile, parse_graph, sniff_format
 from .harness import AnswerMismatch, outcome_answer, parse_manifest, run_battery
-from .instance import MAX, MIN, GuardViolation, LiftError, PlainInstance
+from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from .ramsey import ExtractionPreconditionError, WitnessVerificationError
 from .rules import DECIDED_NO, DECIDED_YES, PIPELINES, run_pipeline
 from .solve import (
@@ -93,14 +93,11 @@ def _report_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _instance_from_args(args):
-    """The plain instance the flags describe, its annotated form and the
+    """The plain instance the flags describe (T empty, zero bonuses) and the
     structural profile of its graph (each parameter computed on read)."""
     g = _read_graph(args.graph, args.format)
-    plain = PlainInstance(
-        graph=g, k=args.k, t=parse_fraction(args.t), alpha=parse_fraction(args.alpha), variant=args.variant
-    )
-    inst = plain.annotate()
-    return plain, inst, compute_profile(g, vc_budget=args.vc_budget)
+    inst = AnnotatedInstance.plain(g, args.k, parse_fraction(args.t), parse_fraction(args.alpha), args.variant)
+    return inst, compute_profile(g, vc_budget=args.vc_budget)
 
 
 def _profile_dict(profile) -> dict:
@@ -125,13 +122,16 @@ def _emit_report(args, report: dict, started: float) -> None:
         print(json.dumps(report, indent=2, default=_json_value))
 
 
-def kernel_file_text(plain: PlainInstance) -> str:
-    lines = [plain.header_line(), f"{plain.graph.n} {plain.graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in plain.graph.edges())
+def kernel_file_text(plain: AnnotatedInstance) -> str:
+    """A plain instance (every vertex alive, T empty, zero bonuses) as a
+    header line and its edge list."""
+    g = plain.graph
+    lines = [f"fcgp {plain.variant} alpha={plain.alpha} k={plain.k} t={plain.t}", f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
-def parse_kernel_file(text: str) -> PlainInstance:
+def parse_kernel_file(text: str) -> AnnotatedInstance:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("fcgp "):
         raise UsageError("kernel file must start with an 'fcgp ...' header line")
@@ -143,13 +143,8 @@ def parse_kernel_file(text: str) -> PlainInstance:
     if missing:
         raise UsageError(f"kernel header {lines[0]!r} lacks {', '.join(missing)}")
     g = parse_graph("\n".join(lines[1:]), "edgelist")
-    return PlainInstance(
-        graph=g,
-        k=int(fields["k"]),
-        t=parse_fraction(fields["t"]),
-        alpha=parse_fraction(fields["alpha"]),
-        variant=toks[1],
-    )
+    return AnnotatedInstance.plain(g, int(fields["k"]), parse_fraction(fields["t"]), parse_fraction(fields["alpha"]),
+                                   toks[1])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +166,7 @@ def cmd_params(args) -> int:
 
 def cmd_kernelize(args) -> int:
     started = time.monotonic()
-    plain, inst, profile = _instance_from_args(args)
+    inst, profile = _instance_from_args(args)
     outcome = run_pipeline(inst, args.pipeline, profile=profile, param_override=args.param)
     trace_text = outcome.trace.to_text()
     if args.trace:
@@ -180,10 +175,10 @@ def cmd_kernelize(args) -> int:
         "command": "kernelize",
         "inputs": {
             "graph": args.graph,
-            "alpha": str(plain.alpha),
-            "k": plain.k,
-            "t": str(plain.t),
-            "variant": plain.variant,
+            "alpha": str(inst.alpha),
+            "k": inst.k,
+            "t": str(inst.t),
+            "variant": inst.variant,
             "pipeline": args.pipeline,
         },
         "profile": profile,
@@ -224,7 +219,7 @@ def cmd_kernelize(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    plain, inst, profile = _instance_from_args(args)
+    inst, profile = _instance_from_args(args)
     solver = args.solver
     if solver == "auto":
         res = solve_auto(inst, profile=profile, budget=args.budget)
@@ -252,10 +247,10 @@ def cmd_solve(args) -> int:
             "command": "solve",
             "inputs": {
                 "graph": args.graph,
-                "alpha": str(plain.alpha),
-                "k": plain.k,
-                "t": str(plain.t),
-                "variant": plain.variant,
+                "alpha": str(inst.alpha),
+                "k": inst.k,
+                "t": str(inst.t),
+                "variant": inst.variant,
                 "solver": solver,
             },
             "profile": profile,
@@ -274,7 +269,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    plain, inst, profile = _instance_from_args(args)
+    inst, profile = _instance_from_args(args)
     outcome = run_pipeline(inst, args.pipeline, profile=profile, param_override=args.param)
 
     def fail(msg: str) -> int:
@@ -291,7 +286,7 @@ def cmd_verify(args) -> int:
     if args.kernel and outcome.plain is not None:
         kernel_text = _read_text(args.kernel, "kernel file")
         if kernel_text != kernel_file_text(outcome.plain):
-            res_file = twin_oracle(parse_kernel_file(kernel_text).annotate(), budget=args.budget)
+            res_file = twin_oracle(parse_kernel_file(kernel_text), budget=args.budget)
             if res_file.decision != my_decision:
                 return fail(f"kernel file decision {res_file.decision} != regenerated kernel decision {my_decision}")
 
@@ -429,7 +424,7 @@ def main(argv=None) -> int:
     except (UsageError, GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuleInternalError, WitnessVerificationError, LiftError) as exc:
+    except (RuleInternalError, WitnessVerificationError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .graph import Graph, mask_of
-from .instance import AnnotatedInstance, GuardViolation, LiftError, PlainInstance, lift_witness
+from .instance import AnnotatedInstance, GuardViolation, LiftError, lift_witness
 from .rules import DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
 from .solve import BudgetExceeded, brute_force, twin_oracle
 
@@ -123,7 +123,7 @@ def outcome_answer(
     it is not, or lifting fails, :class:`AnswerMismatch` says why.
     """
     if outcome.status == KERNELIZED:
-        res = twin_oracle(outcome.plain.annotate(), budget=budget)
+        res = twin_oracle(outcome.plain, budget=budget)
         if not res.decision:
             return False, None
         kind = "lifted"
@@ -145,18 +145,17 @@ def outcome_answer(
 def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000) -> EquivalenceReport:
     """Compare the exact oracle's decisions before and after a transformation.
 
-    ``after`` may be an annotated instance, a plain instance, or a
-    :class:`KernelOutcome`, whose answer comes from :func:`outcome_answer`:
-    the witness of a YES, decided or lifted from the kernel, must be a
-    solution of *before*, and a failed lift or check reports "mismatch".
+    ``after`` may be an annotated instance, a plain one (T empty, zero
+    bonuses) included, or a :class:`KernelOutcome`, whose answer comes from
+    :func:`outcome_answer`: the witness of a YES, decided or lifted from the
+    kernel, must be a solution of *before*, and a failed lift or check
+    reports "mismatch".
     The oracle is :func:`~fcgp.solve.twin_oracle`, which returns brute
     force's exact answer from one k-set per twin-class count vector;
     ``budget`` bounds those vectors per instance, and an instance over it
     makes the report "skipped".
     """
-    if isinstance(after, PlainInstance):
-        after = after.annotate()
-    elif not isinstance(after, (AnnotatedInstance, KernelOutcome)):
+    if not isinstance(after, (AnnotatedInstance, KernelOutcome)):
         raise TypeError(f"cannot check equivalence against {type(after)!r}")
     try:
         res_before = twin_oracle(before, budget=budget)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Graph, RuleInternalError, iter_mask, mask_of
 
@@ -41,36 +41,6 @@ def check_alpha(alpha: Fraction) -> Fraction:
     if not ZERO <= alpha <= 1:
         raise GuardViolation(f"alpha must lie in [0,1], got {alpha}")
     return alpha
-
-
-@dataclass(frozen=True)
-class PlainInstance:
-    """Annotation-free instance: does some k-set reach the threshold?"""
-
-    graph: Graph
-    k: int
-    t: Fraction
-    alpha: Fraction
-    variant: str
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-
-    def annotate(self) -> "AnnotatedInstance":
-        return AnnotatedInstance(
-            graph=self.graph,
-            alive=(1 << self.graph.n) - 1,
-            tmask=0,
-            bonus=(ZERO,) * self.graph.n,
-            k=self.k,
-            t=Fraction(self.t),
-            alpha=check_alpha(self.alpha),
-            variant=self.variant,
-        )
-
-    def header_line(self) -> str:
-        return f"fcgp {self.variant} alpha={self.alpha} k={self.k} t={self.t}"
 
 
 @dataclass(frozen=True)
@@ -107,14 +77,41 @@ class AnnotatedInstance:
                 raise GuardViolation(f"vertex {v} in T has nonzero bonus")
         if any(w < 0 for w in weights):
             raise GuardViolation("negative bonus")
+        self._set_scale(scale, weights)
+
+    def _set_scale(self, scale: int, weights: tuple[int, ...]) -> None:
+        """Set ``scale``, ``weights`` and the scalars they and alpha fix."""
         alpha_weight = self.alpha.numerator * (scale // self.alpha.denominator)
         sign = 1 if self.variant == MAX else -1
         for name, value in (("scale", scale), ("weights", weights), ("alpha_weight", alpha_weight),
                             ("sign", sign), ("pair_score", sign * (scale - 3 * alpha_weight))):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def plain(cls, graph: Graph, k: int, t: Fraction, alpha: Fraction, variant: str) -> "AnnotatedInstance":
+        """The instance with every vertex alive, T empty and every bonus zero:
+        the problem as stated on a plain graph.
+
+        k, alpha and the variant are checked in that order; the O(n) bonus
+        checks of __post_init__ have nothing to find and are skipped, and
+        ``bonus`` is built on its first read.
+        """
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        alpha = check_alpha(alpha)
+        if variant not in (MAX, MIN):
+            raise GuardViolation(f"variant must be 'max' or 'min', got {variant!r}")
+        inst = object.__new__(cls)
+        inst.__dict__.update(graph=graph, alive=(1 << graph.n) - 1, tmask=0, k=k, t=Fraction(t), alpha=alpha,
+                             variant=variant)
+        inst._set_scale(alpha.denominator, (0,) * graph.n)
+        return inst
+
+    def annotate(self) -> "AnnotatedInstance":  # kept for the callers under bench/
+        return self
+
     def __getattr__(self, name: str):
-        # called only for attributes not set: ``bonus`` after _derive dropped it
+        # called only for attributes not set: ``bonus`` after _derive dropped it or plain skipped it
         if name != "bonus":
             raise AttributeError(name)
         bonus = tuple(Fraction(w, self.scale) if w else ZERO for w in self.weights)
@@ -122,6 +119,11 @@ class AnnotatedInstance:
         return bonus
 
     # -- basic views -------------------------------------------------------
+
+    @property
+    def is_plain(self) -> bool:
+        """T is empty and every alive vertex has bonus zero."""
+        return not self.tmask and not any(self.weights[v] for v in iter_mask(self.alive))
 
     @property
     def n_alive(self) -> int:
@@ -354,32 +356,20 @@ class AnnotatedInstance:
         )
 
 
-def telescope_check(inst: AnnotatedInstance, ordering: Sequence[int]) -> Fraction:
-    """Sum of contributions along ``ordering`` against its growing prefix.
-
-    Equals ``inst.val(set(ordering))`` for every ordering of distinct
-    vertices; kept as an explicit oracle operation.
-    """
-    if len(set(ordering)) != len(ordering):
-        raise GuardViolation("ordering repeats a vertex")
-    total = ZERO
-    prefix = 0
-    for v in ordering:
-        total += inst.contribution(v, prefix)
-        prefix |= 1 << v
-    return total
+PlainInstance = AnnotatedInstance.plain  # kept for the callers under bench/
 
 
 @dataclass(frozen=True)
 class Deannotation:
-    """A plain instance plus enough structure to lift witnesses back.
+    """A plain instance (every vertex alive, T empty, zero bonuses) plus
+    enough structure to lift witnesses back.
 
     ``origin[i]`` is the original vertex id of kernel vertex i, or -1 for a
     gadget vertex.  For leaf gadgets ``anchor[i]`` is the kernel index of the
     vertex the leaf hangs off; otherwise -1.
     """
 
-    plain: PlainInstance
+    plain: AnnotatedInstance
     kind: str  # "max-leaves" | "min-clique" | "identity"
     origin: tuple[int, ...]
     anchor: tuple[int, ...]
@@ -388,11 +378,11 @@ class Deannotation:
 
 def deannotate_identity(inst: AnnotatedInstance) -> Deannotation:
     """Strip annotations that are already trivial (T empty, all bonuses zero)."""
-    if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
+    if not inst.is_plain:
         raise GuardViolation("identity de-annotation needs T empty and zero bonuses")
     keep = inst.alive_vertices()
     sub, back = inst.graph.induced(keep)
-    plain = PlainInstance(graph=sub, k=inst.k, t=inst.t, alpha=inst.alpha, variant=inst.variant)
+    plain = AnnotatedInstance.plain(sub, inst.k, inst.t, inst.alpha, inst.variant)
     return Deannotation(plain=plain, kind="identity", origin=back, anchor=(-1,) * sub.n, ell=0)
 
 
@@ -437,7 +427,7 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
         anchor.extend([i] * leaves)
         nxt += leaves
     new_t = inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
-    plain = PlainInstance(graph=Graph.from_masks(masks), k=inst.k, t=new_t, alpha=inst.alpha, variant=MAX)
+    plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MAX)
     return Deannotation(plain=plain, kind="max-leaves", origin=tuple(origin), anchor=tuple(anchor), ell=ell)
 
 
@@ -479,7 +469,7 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         clique[j] = (whole ^ (1 << (base + j))) | reach
     masks.extend(clique)
     new_t = inst.t + inst.alpha * ell * inst.k_prime
-    plain = PlainInstance(graph=Graph.from_masks(masks), k=inst.k, t=new_t, alpha=inst.alpha, variant=MIN)
+    plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MIN)
     origin = tuple(keep) + (-1,) * csize
     anchor = (-1,) * (base + csize)
     return Deannotation(plain=plain, kind="min-clique", origin=origin, anchor=anchor, ell=ell)

@@ -33,7 +33,6 @@ from .instance import (
     AnnotatedInstance,
     Deannotation,
     GuardViolation,
-    PlainInstance,
     deannotate_identity,
     deannotate_max,
     deannotate_min,
@@ -125,7 +124,7 @@ class RuleTrace:
 @dataclass(frozen=True)
 class KernelOutcome:
     status: str  # kernelized | decided_yes | decided_no
-    plain: PlainInstance | None  # when kernelized
+    plain: AnnotatedInstance | None  # when kernelized: the plain instance (T empty, zero bonuses) to decide
     witness: tuple[int, ...] | None
     trace: RuleTrace
     final: AnnotatedInstance  # the instance the run's moves lead to; kernels lift against it
@@ -815,7 +814,7 @@ def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> None:
             raise _Decided(DECIDED_YES, witness)
 
     if inst.alpha == 0:
-        if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
+        if not inst.is_plain:
             raise GuardViolation("alpha=0 minimization pipeline needs a plain instance (empty T, zero counters)")
         if inst.t < 0:
             raise _Decided(DECIDED_NO)

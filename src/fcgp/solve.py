@@ -442,7 +442,7 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
     """
     if inst.variant != MAX or inst.alpha != 0:
         raise GuardViolation("densest_vc requires max variant with alpha = 0")
-    if inst.tmask != 0 or any(inst.weights[v] for v in iter_mask(inst.alive)):
+    if not inst.is_plain:
         raise GuardViolation("densest_vc needs a plain instance")
     cover = inst.check_cover(cover)
     cmask = mask_of(cover)
@@ -484,7 +484,6 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
     if profile is None:
         profile = alive_profile(inst)
 
-    plainish = inst.tmask == 0 and not any(inst.weights[v] for v in iter_mask(inst.alive))
     route = "brute"
     try:
         if inst.alpha == THIRD:
@@ -492,7 +491,7 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
         if (
             inst.variant == MIN
             and inst.alpha < THIRD
-            and plainish
+            and inst.is_plain
             and inst.n_alive >= inst.k
             and inst.t >= profile.degeneracy * inst.k
         ):
@@ -505,7 +504,7 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
         ):
             route = "branch"
             return _tag(branch_degrading(inst, profile.degeneracy, node_budget=budget), "auto:branch")
-        if inst.variant == MAX and inst.alpha == 0 and plainish and profile.vertex_cover is not None:
+        if inst.variant == MAX and inst.alpha == 0 and inst.is_plain and profile.vertex_cover is not None:
             route = "densest-vc"
             return _tag(densest_vc(inst, profile.vertex_cover, budget=budget), "auto:densest-vc")
         if inst.variant == MAX and inst.alpha < THIRD:

@@ -13,13 +13,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
 import fcgp
 from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile, iter_mask, mask_of
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, AnnotatedInstance, PlainInstance
+from fcgp.instance import MAX, AnnotatedInstance, GuardViolation
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import RuleTrace, _Decided, _State
 
@@ -79,7 +80,23 @@ def profile_values(profile: ParameterProfile) -> tuple:
 
 
 def plain(g: Graph, k: int, t, alpha, variant: str) -> AnnotatedInstance:
-    return PlainInstance(g, k, Fraction(t), Fraction(alpha), variant).annotate()
+    return AnnotatedInstance.plain(g, k, t, alpha, variant)
+
+
+def telescope_check(inst: AnnotatedInstance, ordering: Sequence[int]) -> Fraction:
+    """Sum of contributions along ``ordering`` against its growing prefix.
+
+    Equals ``inst.val(set(ordering))`` for every ordering of distinct
+    vertices: the reference that ``contribution`` telescopes to ``val``.
+    """
+    if len(set(ordering)) != len(ordering):
+        raise GuardViolation("ordering repeats a vertex")
+    total = Fraction(0)
+    prefix = 0
+    for v in ordering:
+        total += inst.contribution(v, prefix)
+        prefix |= 1 << v
+    return total
 
 
 def annotated(g: Graph, tset, counters, k, t, alpha, variant) -> AnnotatedInstance:

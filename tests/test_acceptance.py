@@ -14,13 +14,7 @@ import pytest
 from fcgp import ramsey
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import check_equivalence, gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import (
-    MAX,
-    MIN,
-    GuardViolation,
-    PlainInstance,
-    telescope_check,
-)
+from fcgp.instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from fcgp.rules import (
     DECIDED_NO,
     DECIDED_YES,
@@ -43,7 +37,7 @@ from fcgp.solve import (
     solve_third,
 )
 
-from conftest import apply_rule
+from conftest import apply_rule, telescope_check
 
 ALPHAS = (F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
 
@@ -184,7 +178,7 @@ def test_criterion_3_modularity():
         regime = "boundary" if alpha == F(1, 3) else ("sub" if alpha > F(1, 3) else "super")
         if per_regime[regime] >= 10_000:
             continue
-        inst = PlainInstance(g, 3, F(0), alpha, MAX).annotate()
+        inst = AnnotatedInstance.plain(g, 3, F(0), alpha, MAX)
         xs = {v for v in range(7) if rng.random() < 0.4}
         ys = xs | {v for v in range(7) if rng.random() < 0.4}
         outside = [v for v in range(7) if v not in ys]
@@ -266,7 +260,7 @@ def test_criterion_5_min_triviality():
         k = 1 + seed % 3
         if g.n < k:
             continue
-        inst = PlainInstance(g, k, F(d * k), F(1, 4), MIN).annotate()
+        inst = AnnotatedInstance.plain(g, k, F(d * k), F(1, 4), MIN)
         witness = tuple(sorted(prof.degeneracy_ordering[:k]))
         assert inst.val(witness) <= inst.t
         out = run_pipeline(inst, "degeneracy")
@@ -356,7 +350,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
     man.write_text("gnp n=8 p=1/2 seed=17 count=10 alpha=1/2 variant=max pipeline=delta k=1:3 counter=0:2\n")
 
     # pick a threshold whose pipeline run actually emits a kernel file
-    base = PlainInstance(g, 3, F(0), F(2, 3), MAX).annotate()
+    base = AnnotatedInstance.plain(g, 3, F(0), F(2, 3), MAX)
     opt = brute_force(base).best_value
     t_kern = None
     for dt in (F(1, 4), F(1, 2), F(3, 4), F(5, 4), F(7, 4), F(-1, 4), F(-3, 4)):
@@ -413,7 +407,7 @@ def test_criterion_9_witness_lifting(tmp_path):
         k = 1 + seed % 3
         if k > g.n:
             continue
-        base = PlainInstance(g, k, F(0), alpha, variant).annotate()
+        base = AnnotatedInstance.plain(g, k, F(0), alpha, variant)
         opt = brute_force(base).best_value
         if opt is None:
             continue

@@ -24,6 +24,7 @@ from fcgp.cli import (
     parse_kernel_file,
 )
 import fcgp.graph as graph_mod
+import fcgp.harness as harness_mod
 from fcgp.graph import RuleInternalError, minimum_vertex_cover
 from fcgp.harness import gen_degenerate
 from fcgp.instance import AnnotatedInstance, LiftError
@@ -617,7 +618,6 @@ def test_disproved_extraction_precondition_is_guard_exit(tmp_path, capsys):
     (ExtractionPreconditionError("precondition disproved"), EXIT_GUARD),
     (RuleInternalError("invariant failed"), EXIT_INTERNAL),
     (WitnessVerificationError("bad witness"), EXIT_INTERNAL),
-    (LiftError("cannot lift"), EXIT_INTERNAL),
 ])
 def test_exception_exit_codes(graph_file, monkeypatch, capsys, exc, code):
     def failing(*args, **kwargs):
@@ -626,6 +626,22 @@ def test_exception_exit_codes(graph_file, monkeypatch, capsys, exc, code):
     monkeypatch.setattr(cli_mod, "run_pipeline", failing)
     assert main(["kernelize", graph_file, *VERIFY_DELTA]) == code
     assert str(exc) in capsys.readouterr().err
+
+
+def test_verify_reports_a_failed_lift_as_mismatch(tmp_path, monkeypatch, capsys):
+    # the one lift sits in harness.outcome_answer, which turns LiftError into a mismatch
+    graph = tmp_path / "d30.el"
+    graph.write_text(_graph_text(gen_degenerate(30, 3, seed=7)))
+    lifts = []
+
+    def failing(*args):
+        lifts.append(args)
+        raise LiftError("cannot lift")
+
+    monkeypatch.setattr(harness_mod, "lift_witness", failing)
+    assert main(["verify", str(graph), "--alpha", "1/2", "--k", "3", "--t", "7", "--variant", "max"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == "MISMATCH: witness lifting failed: cannot lift\n"
+    assert len(lifts) == 1
 
 
 FUZZ_GRAPHS = {

@@ -243,12 +243,12 @@ def _count_parameter_calls(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("pipeline, called", [("delta", {}), ("closure", {"c_closure": 1})])
 def test_a_run_computes_only_the_parameters_it_reads(monkeypatch, pipeline, called):
-    from fcgp.instance import MAX, PlainInstance
+    from fcgp.instance import MAX, AnnotatedInstance
     from fcgp.rules import run_pipeline
 
     calls = _count_parameter_calls(monkeypatch)
     for i, g in enumerate(_profile_graphs()):
-        inst = PlainInstance(g, 3, Fraction(g.m, 2), Fraction(1, 2), MAX).annotate()
+        inst = AnnotatedInstance.plain(g, 3, Fraction(g.m, 2), Fraction(1, 2), MAX)
         for profile in (compute_profile(g), None):  # None: run_pipeline builds its own
             calls.clear()
             run_pipeline(inst, pipeline, profile=profile)

@@ -15,7 +15,7 @@ from fcgp.harness import (
     parse_manifest,
     run_battery,
 )
-from fcgp.instance import MAX, MIN, PlainInstance
+from fcgp.instance import MAX, MIN, AnnotatedInstance
 from fcgp.rules import DECIDED_YES, KERNELIZED, KernelOutcome, RuleTrace, run_pipeline
 from fcgp.solve import BudgetExceeded, brute_force
 
@@ -83,7 +83,7 @@ def test_check_equivalence_decides_a_min_clique_kernel_past_the_subset_budget():
     outcome = run_pipeline(inst, "delta")
     assert outcome.status == KERNELIZED and outcome.plain.graph.n == 93
     with pytest.raises(BudgetExceeded):
-        brute_force(outcome.plain.annotate())
+        brute_force(outcome.plain)
     report = check_equivalence(inst, outcome)
     assert report.status == "match"
     assert report.before_decision is report.after_decision is True
@@ -129,7 +129,7 @@ def test_check_equivalence_lifts_every_kernelized_yes():
     # a kernelized YES of a 30-vertex graph (69-vertex leaf kernel): the
     # kernel's witness is lifted and checked on the original; a tampered
     # final instance or de-annotation makes that fail, and the report says so
-    inst = PlainInstance(gen_degenerate(30, 3, seed=7), 3, F(7), F(1, 2), MAX).annotate()
+    inst = AnnotatedInstance.plain(gen_degenerate(30, 3, seed=7), 3, F(7), F(1, 2), MAX)
     out = run_pipeline(inst, "auto")
     assert out.status == KERNELIZED and out.trace.deann.kind == "max-leaves"
     assert outcome_answer(inst, out, 2_000_000) == (True, (0, 14, 15))

@@ -20,7 +20,6 @@ from fcgp.instance import (
     deannotate_max,
     deannotate_min,
     lift_witness,
-    telescope_check,
 )
 from fcgp.solve import brute_force
 
@@ -33,6 +32,7 @@ from conftest import (
     scan_optimum,
     seeded_instances,
     star_graph,
+    telescope_check,
 )
 from test_acceptance import ALPHAS
 
@@ -298,6 +298,40 @@ def test_shift_off_the_scale_is_a_guard_violation():
         inst.shift_bonus(F(1, 3))
 
 
+def _typed_attributes(inst):
+    return {name: (type(value), value) for name, value in vars(inst).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 9),
+    seed=st.integers(0, 999),
+    k=st.integers(0, 10),
+    t=st.one_of(st.integers(-5, 30), st.fractions(F(-5), F(30), max_denominator=12)),
+    alpha=st.sampled_from(ALPHAS),
+    variant=st.sampled_from((MAX, MIN)),
+)
+def test_plain_constructor_matches_the_validating_one(n, seed, k, t, alpha, variant):
+    g = gen_gnp(n, 1, 2, seed)
+    fast = AnnotatedInstance.plain(g, k, t, alpha, variant)
+    assert "bonus" not in vars(fast)  # built on its first read
+    slow = AnnotatedInstance(g, (1 << n) - 1, 0, (F(0),) * n, k, F(t), alpha, variant)
+    assert fast.bonus == slow.bonus and fast == slow
+    assert _typed_attributes(fast) == _typed_attributes(slow)  # fields, scale, weights and scalars
+    assert fast.is_plain and not (n and fast.include(0).is_plain)
+    # the names bench/ still calls give the same instance
+    compat = PlainInstance(g, k, t, alpha, variant).annotate()
+    assert compat.bonus == slow.bonus and _typed_attributes(compat) == _typed_attributes(slow)
+    # k is checked first (a ValueError, exit 2), then alpha, then the variant
+    with pytest.raises(ValueError, match="k must be >= 0") as raised:
+        AnnotatedInstance.plain(g, -1 - k, t, F(3, 2), "mid")
+    assert type(raised.value) is ValueError
+    with pytest.raises(GuardViolation, match="alpha must lie"):
+        AnnotatedInstance.plain(g, k, t, F(3, 2), "mid")
+    with pytest.raises(GuardViolation, match="variant must be"):
+        AnnotatedInstance.plain(g, k, t, alpha, "mid")
+
+
 # -- include / exclude ----------------------------------------------------------------
 
 def test_include_zero_bonus_only_grows_t_set():
@@ -411,7 +445,7 @@ def test_deannotate_max_single_vertex_counter2():
     # counter 2 plus floor(2) leaves; t' = 1 + (1/2)(0 + 2*1) = 2
     assert deann.plain.graph.n == 5 and deann.plain.t == 2
     before = brute_force(inst)
-    after = brute_force(deann.plain.annotate())
+    after = brute_force(deann.plain)
     assert before.decision == after.decision
 
 
@@ -437,7 +471,7 @@ def test_deannotate_max_large_alpha_regression():
     inst = annotated(g, [1], {3: 2, 4: 2}, 4, F(27, 4), F(1), MAX)
     assert not brute_force(inst).decision
     deann = deannotate_max(inst)
-    assert not brute_force(deann.plain.annotate(), budget=10_000_000).decision
+    assert not brute_force(deann.plain, budget=10_000_000).decision
 
 
 def test_deannotate_min_two_isolated():
@@ -468,7 +502,7 @@ def test_deannotation_preserves_answers(variant, alpha):
             continue
         deann = deann_fn(inst)
         before = brute_force(inst)
-        after = brute_force(deann.plain.annotate(), budget=4_000_000)
+        after = brute_force(deann.plain, budget=4_000_000)
         assert before.decision == after.decision
         if after.decision:
             lifted = lift_witness(deann, inst, after.witness)
@@ -506,7 +540,7 @@ def _edge_list_deannotation(inst):
         anchor += [-1] * len(clique)
         t = inst.t + inst.alpha * ell * inst.k_prime
     graph = Graph.from_edges(len(origin), edges)
-    return PlainInstance(graph, inst.k, t, inst.alpha, inst.variant), tuple(origin), tuple(anchor), ell
+    return AnnotatedInstance.plain(graph, inst.k, t, inst.alpha, inst.variant), tuple(origin), tuple(anchor), ell
 
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=str)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import check_equivalence, gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, MIN, GuardViolation, PlainInstance, deannotate_max
+from fcgp.instance import MAX, MIN, AnnotatedInstance, GuardViolation, deannotate_max
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     DECIDED_NO,
@@ -748,7 +748,7 @@ def test_working_state_matches_the_instance_chain(seed, alpha, variant, ranks, m
 
 def test_min_negative_threshold_decided_at_once():
     # every value is >= 0, so no exclusion is needed to see the answer
-    inst = PlainInstance(gen_degenerate(800, 2, seed=800), 5, F(-1, 4), F(1, 4), MIN).annotate()
+    inst = AnnotatedInstance.plain(gen_degenerate(800, 2, seed=800), 5, F(-1, 4), F(1, 4), MIN)
     for name in ("degeneracy", "delta", "closure"):
         out = run_pipeline(inst, name)
         assert out.status == DECIDED_NO

@@ -161,7 +161,7 @@ def test_twin_oracle_matches_brute_on_the_acceptance_families():
                 except GuardViolation:
                     continue
                 if isinstance(after, KernelOutcome) and after.status == KERNELIZED:
-                    kernel = after.plain.annotate()
+                    kernel = after.plain
                     try:
                         _assert_same_answer(kernel, budget=200_000)
                     except BudgetExceeded:
@@ -251,7 +251,7 @@ def _long_class_kernels():
             (deannotate_max, annotated(g, [seed], counters | {seed: 0}, 2 + seed % 2, 0, F(1, 2), MAX)),
         ):
             opt = brute_force(inst).best_value
-            yield deann_fn(replace(inst, t=opt if seed % 2 else opt + inst.sign * F(1, 4))).plain.annotate()
+            yield deann_fn(replace(inst, t=opt if seed % 2 else opt + inst.sign * F(1, 4))).plain
 
 
 def test_twin_oracle_takes_at_most_k_prime_per_class(monkeypatch):

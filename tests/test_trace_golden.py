@@ -34,7 +34,7 @@ from fractions import Fraction as F
 from fcgp.cli import kernel_file_text
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, MIN, GuardViolation, PlainInstance
+from fcgp.instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     RuleTrace,
@@ -144,7 +144,7 @@ def plain_records():
             profile = greedy_cover_profile(g)
             k = 3 + (i + 2 * j) % 4
             t = _plain_threshold(g, k, alpha, variant, i + j)
-            inst = PlainInstance(g, k, t, alpha, variant).annotate()
+            inst = AnnotatedInstance.plain(g, k, t, alpha, variant)
             label = f"{family}/n={n}/seed={seed}/{variant}/{alpha}/k={k}/t={t}"
             yield f"case {label}\n{_profile_text(profile)}\n"
             for name in pipelines:
@@ -278,14 +278,14 @@ def xi_records():
         g = XI_GRAPHS[name]
         profile = greedy_cover_profile(g)
         t = _xi_threshold(g, k, alpha, i)
-        inst = PlainInstance(g, k, t, alpha, MAX).annotate()
+        inst = AnnotatedInstance.plain(g, k, t, alpha, MAX)
         label = f"{name}/{MAX}/{alpha}/k={k}/t={t}/param={param}"
         yield _run(label, inst, pipeline, profile, param)
     for name in ("star40", "star90", "book30", "hub3", "hub4"):
         g = XI_GRAPHS[name]
         for k in (1, 2, 3):
             for variant in (MAX, MIN):
-                inst = PlainInstance(g, k, F(0), F(1, 2), variant).annotate()
+                inst = AnnotatedInstance.plain(g, k, F(0), F(1, 2), variant)
                 if k == 3:
                     # a leaf in T and counters on the last leaves
                     bonus = tuple(F(1, 2) * (v % 3) if v > g.n - 6 else F(0) for v in range(g.n))
@@ -338,7 +338,7 @@ def scale_records():
         profile = compute_profile(g, vc_budget=-1)
         yield f"scale n={g.n} seed={seed}\n{_profile_text(profile)}\n"
         for t in thresholds:
-            inst = PlainInstance(g, 6, t, alpha, variant).annotate()
+            inst = AnnotatedInstance.plain(g, 6, t, alpha, variant)
             label = f"scale/n={g.n}/seed={seed}/{variant}/{alpha}/k=6/t={t}"
             for name in SCALE_PIPELINES:
                 yield _run(label, inst, name, profile)
