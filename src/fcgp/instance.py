@@ -7,13 +7,14 @@ the threshold t, the edge weight alpha and the optimization direction.
 
 Every value is exact.  At the boundary, alpha, t, ``bonus`` and what
 ``val``, ``deg_bonus`` and ``contribution`` return are rationals.  Inside,
-an instance fixes one integer ``scale`` when it is built, the lcm of the
+an instance fixes one integer ``scale`` s when it is built, the lcm of the
 denominators of alpha and of every bonus, and keeps each bonus as an integer
 weight over it.  include, exclude and shift_bonus keep that scale, so every
-value is a whole multiple of 1/scale.  The ``score_*`` reads return values
+value is a whole multiple of 1/s.  The ``score_*`` reads return values
 times the scale as ints, negated for Min so that higher is always better,
-and ``score_needed`` turns a rational threshold into the least score that
-meets it.  No floating point is involved in any decision.
+and ``score_needed`` turns t into the least score that meets it.  Guards and
+gadget constants are integer expressions in s, alpha * s and ``pair_score``.
+No floating point is involved in any decision.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ MAX = "max"
 MIN = "min"
 
 ZERO = Fraction(0)
-THIRD = Fraction(1, 3)
 
 
 class GuardViolation(ValueError):
@@ -37,8 +37,9 @@ class GuardViolation(ValueError):
 
 
 def check_alpha(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    if not ZERO <= alpha <= 1:
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)
+    if not 0 <= alpha.numerator <= alpha.denominator:
         raise GuardViolation(f"alpha must lie in [0,1], got {alpha}")
     return alpha
 
@@ -102,8 +103,8 @@ class AnnotatedInstance:
         if variant not in (MAX, MIN):
             raise GuardViolation(f"variant must be 'max' or 'min', got {variant!r}")
         inst = object.__new__(cls)
-        inst.__dict__.update(graph=graph, alive=(1 << graph.n) - 1, tmask=0, k=k, t=Fraction(t), alpha=alpha,
-                             variant=variant)
+        t = t if isinstance(t, Fraction) else Fraction(t)
+        inst.__dict__.update(graph=graph, alive=(1 << graph.n) - 1, tmask=0, k=k, t=t, alpha=alpha, variant=variant)
         inst._set_scale(alpha.denominator, (0,) * graph.n)
         return inst
 
@@ -124,6 +125,11 @@ class AnnotatedInstance:
     def is_plain(self) -> bool:
         """T is empty and every alive vertex has bonus zero."""
         return not self.tmask and not any(self.weights[v] for v in iter_mask(self.alive))
+
+    @property
+    def degrading(self) -> bool:
+        """Max with alpha > 1/3 or Min with alpha < 1/3: an edge inside S lowers its score."""
+        return self.pair_score < 0
 
     @property
     def n_alive(self) -> int:
@@ -231,9 +237,6 @@ class AnnotatedInstance:
             if self.graph.masks[v] & self.alive & ~cmask:
                 raise GuardViolation(f"vertex cover leaves an edge at vertex {v} uncovered")
         return cover
-
-    def t_prime(self) -> Fraction:
-        return self.t - self.val(self.tmask)
 
     def better_cmp(self, x: Fraction, y: Fraction) -> bool:
         """x at least as good as y in the variant's direction."""
@@ -401,16 +404,17 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     """
     if inst.variant != MAX:
         raise GuardViolation("deannotate_max needs the maximization variant")
-    if inst.alpha == 0:
+    s, a = inst.scale, inst.alpha_weight
+    if not a:
         raise GuardViolation("de-annotation is impossible for alpha = 0")
     gamma = inst.gamma()  # validates the counters, read off the weights below
     if inst.n_alive < inst.k:
         raise GuardViolation("de-annotation needs at least k alive vertices")
-    inv_floor = math.floor(1 / inst.alpha)
-    pad = math.ceil(max(ZERO, 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
+    inv_floor = s // a
+    pad = -(-max(0, 2 * a - s) * (inst.k - 1) // a) if inst.k > 1 else 0
     dtb = inst.delta_tbar()
     # ceil keeps the strictly-better margin when |1/alpha - 3| * k is fractional
-    ell = dtb + gamma + math.ceil(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
+    ell = dtb + gamma - (-abs(s - 3 * a) * inst.k // a) + inv_floor
 
     sub, keep = inst.graph.induced(inst.alive_vertices())
     masks = list(sub.masks)
@@ -418,7 +422,7 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     anchor = [-1] * len(keep)
     nxt = len(keep)
     for i, old_v in enumerate(keep):
-        leaves = inst.weights[old_v] // inst.alpha_weight + inv_floor + pad
+        leaves = inst.weights[old_v] // a + inv_floor + pad
         if (inst.tmask >> old_v) & 1:
             leaves += ell
         masks[i] |= ((1 << leaves) - 1) << nxt
@@ -426,7 +430,7 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
         origin.extend([-1] * leaves)
         anchor.extend([i] * leaves)
         nxt += leaves
-    new_t = inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
+    new_t = inst.t + Fraction(a * (ell * inst.t_size + (inv_floor + pad) * inst.k), s)
     plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MAX)
     return Deannotation(plain=plain, kind="max-leaves", origin=tuple(origin), anchor=tuple(anchor), ell=ell)
 
@@ -440,13 +444,14 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
     """
     if inst.variant != MIN:
         raise GuardViolation("deannotate_min needs the minimization variant")
-    if inst.alpha == 0:
+    s, a = inst.scale, inst.alpha_weight
+    if not a:
         raise GuardViolation("de-annotation is impossible for alpha = 0")
     gamma = inst.gamma()  # as in deannotate_max
     if inst.n_alive < inst.k:
         raise GuardViolation("de-annotation needs at least k alive vertices")
     delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
-    ell = math.floor((delta + gamma + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
+    ell = ((delta + gamma) * s + abs(s - 3 * a) * inst.k) // a + 1
 
     sub, keep = inst.graph.induced(inst.alive_vertices())
     masks = list(sub.masks)
@@ -456,7 +461,7 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
     for i, old_v in enumerate(keep):
         if (inst.tmask >> old_v) & 1:
             continue
-        wires = ell + inst.weights[old_v] // inst.alpha_weight
+        wires = ell + inst.weights[old_v] // a
         if wires > csize:
             raise RuleInternalError("clique too small for counter wiring")
         masks[i] |= ((1 << wires) - 1) << base
@@ -468,7 +473,7 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         reach |= wired[j + 1]
         clique[j] = (whole ^ (1 << (base + j))) | reach
     masks.extend(clique)
-    new_t = inst.t + inst.alpha * ell * inst.k_prime
+    new_t = inst.t + Fraction(a * ell * inst.k_prime, s)
     plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MIN)
     origin = tuple(keep) + (-1,) * csize
     anchor = (-1,) * (base + csize)
@@ -541,7 +546,6 @@ def lift_witness(deann: Deannotation, inst: AnnotatedInstance, witness: Iterable
     lifted = tuple(sorted(deann.origin[i] for i in cur))
     if len(lifted) != inst.k or any(o < 0 for o in lifted):
         raise LiftError("repair left gadget vertices in the witness")
-    value = inst.val(lifted)
-    if not inst.better_cmp(value, inst.t):
-        raise LiftError(f"lifted witness value {value} misses threshold {inst.t}")
+    if inst.score_val(mask_of(lifted)) < inst.score_needed(inst.t):
+        raise LiftError(f"lifted witness value {inst.val(lifted)} misses threshold {inst.t}")
     return lifted

@@ -10,6 +10,7 @@ and the outcome carries that instance.  Each move is logged in a :class:`RuleTra
 
 Tie-breaking is smallest vertex index everywhere, so identical inputs give
 identical traces.
+Every bar is an integer score; a run builds rationals only for its output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .graph import Graph, ParameterProfile, RuleInternalError, compute_profile, 
 from .instance import (
     MAX,
     MIN,
-    THIRD,
     ZERO,
     AnnotatedInstance,
     Deannotation,
@@ -131,14 +131,11 @@ class KernelOutcome:
 
 
 def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: bool = False) -> None:
-    if inst.variant == MAX:
-        if not inst.alpha > THIRD:
-            raise GuardViolation(f"{rule} requires degrading variant: max needs alpha>1/3, got {inst.alpha}")
-    else:
-        if not inst.alpha < THIRD:
-            raise GuardViolation(f"{rule} requires degrading variant: min needs alpha<1/3, got {inst.alpha}")
-        if not allow_alpha_zero and inst.alpha == 0:
-            raise GuardViolation(f"{rule} requires alpha > 0")
+    if not inst.degrading:
+        bar = "max needs alpha>1/3" if inst.variant == MAX else "min needs alpha<1/3"
+        raise GuardViolation(f"{rule} requires degrading variant: {bar}, got {inst.alpha}")
+    if not allow_alpha_zero and not inst.alpha_weight:
+        raise GuardViolation(f"{rule} requires alpha > 0")
 
 
 def _shortcircuit(inst: AnnotatedInstance):
@@ -201,7 +198,7 @@ class _State:
         graph = inst.graph
         n = graph.n
         self.inst, self.adj = inst, graph.adj
-        self.k, self.alpha, self.t, self.tmask = inst.k, inst.alpha, inst.t, inst.tmask
+        self.k, self.t, self.tmask, self.scale = inst.k, inst.t, inst.tmask, inst.scale
         self.sign, self.alpha_weight, self.pair_score = inst.sign, inst.alpha_weight, inst.pair_score
         adj = self.adj
         self.deg = deg = list(map(len, adj))
@@ -248,15 +245,17 @@ class _State:
         """The score of v's contribution w.r.t. T."""
         return self.score_deg_bonus(v) + self.pair_score * self.tnb[v]
 
-    def score_needed(self, x: Fraction) -> int:
-        return self.inst.score_needed(x)
-
-    def t_prime(self) -> Fraction:
-        """t - val(T); T has weight 0 and ``tnb`` counts each edge inside T twice."""
+    def bar(self, needless: bool = False) -> int:
+        """The least contribution score that meets t'/k' + (3a-1)(k-1), or
+        t'/k' - (3a-1)(k-1)^2 if ``needless`` (t' = t - val(T), k' > 0): with
+        t = P/Q, ceil((sign*P*s - score(T)*Q) / (Q*k') - pair_score * steps)."""
         ts = list(iter_mask(self.tmask))
-        score = self.sign * self.alpha_weight * sum(self.deg[v] for v in ts)
-        score += self.pair_score * (sum(self.tnb[v] for v in ts) // 2)
-        return self.t - Fraction(self.sign * score, self.inst.scale)
+        score_t = self.sign * self.alpha_weight * sum(map(self.deg.__getitem__, ts))
+        score_t += self.pair_score * (sum(map(self.tnb.__getitem__, ts)) // 2)  # tnb counts inner edges twice
+        steps = -(self.k - 1) ** 2 if needless else self.k - 1
+        q = self.t.denominator
+        qk = q * self.k_prime
+        return -((score_t * q + self.pair_score * steps * qk - self.sign * self.t.numerator * self.scale) // qk)
 
     def delta_tbar(self) -> int:
         while self.top > 0 and not self.hist[self.top]:
@@ -270,7 +269,7 @@ class _State:
     def settle(self) -> None:
         """Raise :class:`_Decided` when ``_shortcircuit`` decides the current
         instance; it is frozen only when the forced set is scored."""
-        if self.n_alive > self.k > self.t_size and not (self.sign < 0 and self.t < 0):
+        if self.n_alive > self.k > self.t_size and not (self.sign < 0 and self.t.numerator < 0):
             return
         sc = _shortcircuit(self.freeze())
         if sc is not None:
@@ -338,7 +337,7 @@ class _State:
                 deg[u] -= 1
         if not self.tnb[v]:
             return ZERO
-        dt = -self.alpha * self.tnb[v]
+        dt = Fraction(-self.alpha_weight * self.tnb[v], self.scale)
         self.t += dt
         return dt
 
@@ -353,16 +352,15 @@ class _State:
         w, self.weights[v] = self.weights[v], 0
         if not w:
             return ZERO
-        dt = -Fraction(w, self.inst.scale)
+        dt = Fraction(-w, self.scale)
         self.t += dt
         return dt
 
-    def shift(self, amount: Fraction) -> Fraction:
-        """Lower every free bonus by ``amount``, a whole multiple of 1/scale
-        at most the least free bonus; t drops by amount * k'."""
-        w, rest = divmod(amount.numerator * self.inst.scale, amount.denominator)
-        if amount < 0 or rest:
-            raise GuardViolation(f"shift amount {amount} is negative or not a multiple of 1/{self.inst.scale}")
+    def shift(self, w: int) -> Fraction:
+        """Lower every free weight by ``w`` >= 0, at most the least free
+        weight; t drops by w * k' / scale."""
+        if w < 0:
+            raise GuardViolation(f"shift weight {w} is negative")
         weights, where = self.weights, self.where
         free = [v for v in self.free if where[v] == FREE]
         if any(weights[v] < w for v in free):
@@ -371,7 +369,7 @@ class _State:
             weights[v] -= w
         self.zeros = sum(1 for v in free if not weights[v])
         self.moves += 1
-        dt = -amount * self.k_prime
+        dt = Fraction(-w * self.k_prime, self.scale)
         self.t += dt
         return dt
 
@@ -420,13 +418,9 @@ def rr_delta_better(st: _State, trace: RuleTrace | None = None) -> None:
     st.score = None
 
 
-def _satisfactory_threshold(st: _State) -> Fraction:
-    return st.t_prime() / st.k_prime + (3 * st.alpha - 1) * (st.k - 1)
-
-
 def _satisfactory(st: _State) -> int | None:
-    """The lowest free vertex whose contribution clears the threshold."""
-    need = st.score_needed(_satisfactory_threshold(st))
+    """The lowest free vertex whose contribution clears t'/k' + (3a-1)(k-1)."""
+    need = st.bar()
     where = st.where
     return next((v for v in st.free if where[v] == FREE and st.score_contribution(v) >= need), None)
 
@@ -459,10 +453,10 @@ def rr_exclude_needless(st: _State, trace: RuleTrace | None = None) -> None:
         return
     where = st.where
     contrib = {v: st.score_contribution(v) for v in st.free if where[v] == FREE}
-    satisfactory = st.score_needed(_satisfactory_threshold(st))
+    satisfactory = st.bar()
     if any(c >= satisfactory for c in contrib.values()):
         raise GuardViolation("rr_exclude_needless requires the satisfactory-rule fixpoint")
-    need = st.score_needed(st.t_prime() / k_prime - (3 * st.alpha - 1) * (st.k - 1) ** 2)
+    need = st.bar(needless=True)
     for v, c in contrib.items():
         if st.n_alive < st.k:
             break
@@ -479,10 +473,10 @@ def rr_counter_shift(st: _State, trace: RuleTrace | None = None) -> None:
     if st.zeros or st.n_alive == st.t_size:
         return
     weights, where = st.weights, st.where
-    amount = Fraction(min(weights[v] for v in st.free if where[v] == FREE), st.inst.scale)
-    dt = st.shift(amount)
+    w = min(weights[v] for v in st.free if where[v] == FREE)
+    dt = st.shift(w)
     if trace is not None:
-        trace.log("general:no-zero-counter", "shift", (), dt, f"amount={amount}")
+        trace.log("general:no-zero-counter", "shift", (), dt, f"amount={Fraction(w, st.scale)}")
 
 
 def counter_bound_audit(st: _State) -> bool:
@@ -722,7 +716,7 @@ def _pipeline(name: str):
             trace.final = summarize(st)
             final = st.freeze()
             gadget = deannotate_max if final.variant == MAX else deannotate_min
-            trace.deann = deann = gadget(final) if final.alpha else deannotate_identity(final)
+            trace.deann = deann = gadget(final) if final.alpha_weight else deannotate_identity(final)
             trace.audit("kernel_n", deann.plain.graph.n)
             trace.audit("kernel_m", deann.plain.graph.m)
             return KernelOutcome(KERNELIZED, deann.plain, None, trace, final)
@@ -803,7 +797,7 @@ def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> None:
     inst = st.inst
     if inst.variant != MIN:
         raise GuardViolation("pipeline=degeneracy (min) requires the minimization variant")
-    if inst.alpha >= THIRD:
+    if not inst.degrading:
         raise GuardViolation(f"pipeline=degeneracy (min) needs alpha<1/3, got {inst.alpha}")
     st.settle()
 
@@ -813,7 +807,7 @@ def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> None:
             trace.audit("min_trivial", f"t={inst.t} dk={d * inst.k}")
             raise _Decided(DECIDED_YES, witness)
 
-    if inst.alpha == 0:
+    if not inst.alpha_weight:
         if not inst.is_plain:
             raise GuardViolation("alpha=0 minimization pipeline needs a plain instance (empty T, zero counters)")
         if inst.t < 0:
@@ -837,12 +831,13 @@ def _exclude_high_degplus(st: _State, trace: RuleTrace | None) -> None:
 
     Exclusions leave free deg-bonuses alone and can only lower t, so the
     scan restarts from the lowest index only when t drops.  With Min scores
-    negated, deg-bonus >= t + k reads -score >= score_needed(-(t + k)).
+    negated and t = P/Q, deg-bonus >= t + k reads -score >= ceil((P+kQ)s/Q).
     """
     free, where = st.free, st.where
-    bar = st.score_needed(-(st.t + st.k))
     i = 0
     while i < len(free):
+        if not i:
+            bar = -(-(st.t.numerator + st.k * st.t.denominator) * st.scale // st.t.denominator)
         v = free[i]
         i += 1
         if where[v] != FREE or -st.score_deg_bonus(v) < bar:
@@ -851,7 +846,6 @@ def _exclude_high_degplus(st: _State, trace: RuleTrace | None) -> None:
         st.settle()
         if dt:
             i = 0
-            bar = st.score_needed(-(st.t + st.k))
 
 
 def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
@@ -902,23 +896,22 @@ def _margin_trim_counters(st: _State, trace: RuleTrace | None) -> None:
             return
 
 
-def _vx_window(src, base: int) -> tuple[Fraction, int, int]:
-    """x = base + |(1-3a)k/a|, the score ``cut`` of alpha*x and |V_x| for the
+def _vx_window(src, base: int) -> tuple[int, int]:
+    """The score ``cut`` of alpha*x, x = base + |(1-3a)k/a|, and |V_x| for the
     h-index and vertex-cover kernels (alpha > 0), on an instance or a
     working state.  V_x holds the alive vertices, T included, of deg-bonus
-    >= alpha*x; alpha*x is a whole multiple of 1/scale, so that is
-    score >= cut for Max and score <= cut for Min."""
-    x = base + abs((1 - 3 * src.alpha) * src.k / src.alpha)
-    cut = src.score_needed(src.alpha * x)
+    >= alpha*x; alpha*x*s = a*base + |s-3a|*k is an integer, the cut times
+    the sign, so V_x is score >= cut for Max and score <= cut for Min."""
+    cut = src.sign * (src.alpha_weight * base + abs(src.pair_score) * src.k)
     vx = sum(1 for v in src.alive_vertices() if src.sign * (src.score_deg_bonus(v) - cut) >= 0)
-    return x, cut, vx
+    return cut, vx
 
 
 def _audit_window(st: _State, base: int, tag: str, trace: RuleTrace):
     """The V_x window of a Max kernel, audited under ``tag``: the margin and
     cut as scores, and case 1 when at least k vertices lie in V_x."""
-    x, cut, vx = _vx_window(st, base)
-    trace.audit(f"{tag}_x", x)
+    cut, vx = _vx_window(st, base)
+    trace.audit(f"{tag}_x", Fraction(st.sign * cut, st.alpha_weight))
     trace.audit(f"{tag}_vx", vx)
     trace.audit(f"{tag}_case", 1 if vx >= st.k else 2)
     return st.inst.score_margin(), cut, vx >= st.k
@@ -956,7 +949,7 @@ def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> None:
     inst = st.inst
     if inst.variant != MAX:
         raise GuardViolation("pipeline=hindex requires the maximization variant")
-    if inst.alpha == 0:
+    if not inst.alpha_weight:
         raise GuardViolation("pipeline=hindex requires alpha > 0")
     if inst.tmask != 0:
         raise GuardViolation("pipeline=hindex starts from an empty partial solution")
@@ -964,7 +957,7 @@ def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> None:
     margin, cut, case1 = _audit_window(st, h + 1, "hindex", trace)
     if case1:
         _window_exclude_low(st, cut - margin, "hindex", trace)
-    elif not inst.alpha > THIRD:
+    elif not inst.degrading:
         raise GuardViolation(
             f"pipeline=hindex case 2 requires alpha>1/3, got {inst.alpha} (fewer than k high-degree vertices)"
         )
@@ -979,7 +972,7 @@ def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
     inst = st.inst
     if inst.variant != MAX:
         raise GuardViolation("pipeline=vc (max) requires the maximization variant")
-    if inst.alpha == 0:
+    if not inst.alpha_weight:
         raise GuardViolation("pipeline=vc (max) requires alpha > 0")
     if inst.tmask != 0:
         raise GuardViolation("pipeline=vc starts from an empty partial solution")
@@ -1015,7 +1008,7 @@ def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
     cset = set(cover)
     iset = [v for v in inst.alive_vertices() if v not in cset]
 
-    if inst.alpha == 0:
+    if not inst.alpha_weight:
         if any(inst.weights[v] for v in iter_mask(inst.alive)):
             raise GuardViolation("alpha=0 vc pipeline needs zero counters")
         if inst.t < 0:
@@ -1027,9 +1020,9 @@ def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
             raise _Decided(DECIDED_YES, witness)
         return
 
-    x, cut, _ = _vx_window(st, len(cover))
+    cut, _ = _vx_window(st, len(cover))
     margin = inst.score_margin()
-    trace.audit("vc_x", x)
+    trace.audit("vc_x", Fraction(st.sign * cut, st.alpha_weight))
     # Exclusions keep every free deg-bonus and k', so better-counts only
     # fall and one pass in index order finds every target.
     st.rank(wrt_t=False)
@@ -1062,12 +1055,12 @@ def select_pipeline(inst: AnnotatedInstance, profile: ParameterProfile) -> str:
     - degeneracy <= max degree: no vertex is peeled with more neighbors than it has.
     """
     if inst.variant == MAX:
-        if inst.alpha == 0:
+        if not inst.alpha_weight:
             raise GuardViolation("pipeline=auto: no kernelization route for max with alpha=0")
-        if inst.alpha > THIRD:
+        if inst.degrading:
             return "closure" if profile.c_closure < profile.degeneracy else "degeneracy"
         # 0 < alpha <= 1/3: only the h-index case-1 route or the vc route apply
-        _, _, vx = _vx_window(inst, profile.h_index + 1)
+        _, vx = _vx_window(inst, profile.h_index + 1)
         if vx >= inst.k:
             return "hindex"
         if profile.vc is not None:
@@ -1075,7 +1068,7 @@ def select_pipeline(inst: AnnotatedInstance, profile: ParameterProfile) -> str:
         raise GuardViolation(
             "pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover"
         )
-    if inst.alpha < THIRD:
+    if inst.degrading:
         return "degeneracy"
     if profile.vc is None:
         raise GuardViolation("pipeline=auto: min with alpha>=1/3 needs an exact vertex cover")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 
 from .graph import iter_mask, mask_of
-from .instance import MAX, MIN, THIRD, AnnotatedInstance, GuardViolation
+from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from .ramsey import peeling_independent_set
 from .rules import _degeneracy_prefix, alive_profile
 
@@ -239,12 +239,9 @@ def branch_degrading(
     offered too.  ``node_budget`` bounds the nodes of the whole walk; on NO
     the bound never rises, so the walk is the decision tree.
     """
-    if inst.variant == MAX:
-        if not inst.alpha > THIRD:
-            raise GuardViolation("branch_degrading (max) needs alpha > 1/3")
-    else:
-        if not (0 < inst.alpha < THIRD):
-            raise GuardViolation("branch_degrading (min) needs alpha in (0, 1/3)")
+    if not (inst.degrading and inst.alpha_weight):
+        bar = "(max) needs alpha > 1/3" if inst.variant == MAX else "(min) needs alpha in (0, 1/3)"
+        raise GuardViolation(f"branch_degrading {bar}")
     free, need = inst.alive & ~inst.tmask, inst.k_prime
     if need < 0 or need > free.bit_count():
         return SolveResult(False, None, None, "branch", 0)
@@ -298,7 +295,7 @@ def branch_degrading(
 
 def solve_third(inst: AnnotatedInstance) -> SolveResult:
     """At alpha = 1/3 contributions are prefix-independent, so top-k' greedy is exact."""
-    if inst.alpha != THIRD:
+    if inst.pair_score:
         raise GuardViolation("solve_third requires alpha = 1/3")
     need = inst.k - inst.t_size
     free = inst.free_vertices()
@@ -397,7 +394,7 @@ def hindex_fpt_max(
     """
     if inst.variant != MAX:
         raise GuardViolation("hindex_fpt_max requires the maximization variant")
-    if not inst.alpha < THIRD:
+    if inst.pair_score <= 0:
         raise GuardViolation("hindex_fpt_max requires alpha < 1/3")
     open_high = [v for v in inst.free_vertices() if inst.degree(v) >= h + 1]
     max_extra = min(len(open_high), inst.k - inst.t_size)
@@ -486,11 +483,11 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
 
     route = "brute"
     try:
-        if inst.alpha == THIRD:
+        if not inst.pair_score:
             return _tag(solve_third(inst), "auto:third")
         if (
             inst.variant == MIN
-            and inst.alpha < THIRD
+            and inst.degrading
             and inst.is_plain
             and inst.n_alive >= inst.k
             and inst.t >= profile.degeneracy * inst.k
@@ -499,15 +496,13 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
             value = inst.val(witness)
             if value <= inst.t:
                 return SolveResult(True, witness, value, "auto:min-trivial", 0)
-        if (inst.variant == MAX and inst.alpha > THIRD) or (
-            inst.variant == MIN and 0 < inst.alpha < THIRD
-        ):
+        if inst.degrading and inst.alpha_weight:
             route = "branch"
             return _tag(branch_degrading(inst, profile.degeneracy, node_budget=budget), "auto:branch")
         if inst.variant == MAX and inst.alpha == 0 and inst.is_plain and profile.vertex_cover is not None:
             route = "densest-vc"
             return _tag(densest_vc(inst, profile.vertex_cover, budget=budget), "auto:densest-vc")
-        if inst.variant == MAX and inst.alpha < THIRD:
+        if inst.variant == MAX and inst.pair_score > 0:
             route = "hindex"
             return _tag(hindex_fpt_max(inst, profile.h_index, subset_budget=budget), "auto:hindex")
         route = "brute"

@@ -6,6 +6,7 @@ oracle-equivalence tests draw from.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,46 @@ def replay(trace: RuleTrace, initial: AnnotatedInstance) -> AnnotatedInstance:
         if inst.t - before_t != e.dt:
             raise RuleInternalError(f"replay t-delta mismatch at {e}")
     return inst
+
+
+# The rational forms of the integer bars, window and gadget constants the
+# rules and de-annotations compute; the tests hold the integer forms to them.
+
+def t_prime(inst: AnnotatedInstance) -> Fraction:
+    """t - val(T): what the k' free picks still have to reach."""
+    return inst.t - inst.val(inst.tmask)
+
+
+def satisfactory_threshold(inst: AnnotatedInstance) -> Fraction:
+    return t_prime(inst) / inst.k_prime + (3 * inst.alpha - 1) * (inst.k - 1)
+
+
+def needless_threshold(inst: AnnotatedInstance) -> Fraction:
+    return t_prime(inst) / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2
+
+
+def vx_window_by_fractions(inst: AnnotatedInstance, base: int) -> tuple[Fraction, int, int]:
+    """x = base + |(1-3a)k/a|, the score of alpha*x and |V_x|, the alive
+    vertices of deg-bonus >= alpha*x in both variants (alpha > 0)."""
+    x = base + abs((1 - 3 * inst.alpha) * inst.k / inst.alpha)
+    cut = inst.score_needed(inst.alpha * x)
+    vx = sum(1 for v in inst.alive_vertices() if inst.deg_bonus(v) >= inst.alpha * x)
+    return x, cut, vx
+
+
+def max_gadget_by_fractions(inst: AnnotatedInstance) -> tuple[int, int, int, Fraction]:
+    """(floor(1/a), pad, ell, new t) of ``deannotate_max``."""
+    inv_floor = math.floor(1 / inst.alpha)
+    pad = math.ceil(max(Fraction(0), 2 - 1 / inst.alpha) * (inst.k - 1)) if inst.k > 1 else 0
+    ell = inst.delta_tbar() + inst.gamma() + math.ceil(abs(1 / inst.alpha - 3) * inst.k) + inv_floor
+    return inv_floor, pad, ell, inst.t + inst.alpha * (ell * inst.t_size + (inv_floor + pad) * inst.k)
+
+
+def min_gadget_by_fractions(inst: AnnotatedInstance) -> tuple[int, Fraction]:
+    """(ell, new t) of ``deannotate_min``."""
+    delta = max((inst.degree(v) for v in inst.alive_vertices()), default=0)
+    ell = math.floor((delta + inst.gamma() + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
+    return ell, inst.t + inst.alpha * ell * inst.k_prime
 
 
 def max_degree_neighborhood_by_masks(inst: AnnotatedInstance, need: int):

@@ -17,6 +17,7 @@ from fcgp.instance import (
     AnnotatedInstance,
     GuardViolation,
     PlainInstance,
+    check_alpha,
     deannotate_max,
     deannotate_min,
     lift_witness,
@@ -32,6 +33,7 @@ from conftest import (
     scan_optimum,
     seeded_instances,
     star_graph,
+    t_prime,
     telescope_check,
 )
 from test_acceptance import ALPHAS
@@ -235,7 +237,7 @@ def _assert_matches(inst, model):
     alive = sorted(model.alive)
     assert inst.alive_vertices() == tuple(alive) and inst.t_vertices() == tuple(sorted(model.tset))
     assert inst.t == model.t
-    assert inst.t_prime() == model.t - model.val(model.tset)
+    assert t_prime(inst) == model.t - model.val(model.tset)
     for v in range(inst.graph.n):
         assert inst.bonus[v] == (model.bonus.get(v, F(0)) if v in model.alive else 0)
     for v in alive:
@@ -244,7 +246,7 @@ def _assert_matches(inst, model):
     for size in range(len(alive) + 1):
         for s in combinations(alive, size):
             assert inst.val(s) == model.val(s)
-    for x in (inst.t, inst.t_prime()):
+    for x in (inst.t, t_prime(inst)):
         need = inst.score_needed(x)
         assert inst.better_cmp(inst.from_score(need), x) and not inst.better_cmp(inst.from_score(need - 1), x)
     # brute force against the best k-set of the model
@@ -330,6 +332,19 @@ def test_plain_constructor_matches_the_validating_one(n, seed, k, t, alpha, vari
         AnnotatedInstance.plain(g, k, t, F(3, 2), "mid")
     with pytest.raises(GuardViolation, match="variant must be"):
         AnnotatedInstance.plain(g, k, t, alpha, "mid")
+
+
+def test_degrading_is_the_sign_of_pair_score():
+    g = path_graph(3)
+    for q in range(1, 13):
+        for p in range(q + 1):
+            alpha = F(p, q)
+            assert check_alpha(alpha) is alpha  # a Fraction is taken as it is
+            assert plain(g, 2, 0, alpha, MAX).degrading == (alpha > F(1, 3))
+            assert plain(g, 2, 0, alpha, MIN).degrading == (alpha < F(1, 3))
+        for alpha in (F(-1, q), F(q + 1, q)):
+            with pytest.raises(GuardViolation, match="alpha must lie"):
+                check_alpha(alpha)
 
 
 # -- include / exclude ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fcgp.graph import Graph, compute_profile
 from fcgp.harness import check_equivalence, gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, MIN, AnnotatedInstance, GuardViolation, deannotate_max
+from fcgp.instance import MAX, MIN, AnnotatedInstance, GuardViolation, deannotate_max, deannotate_min
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import (
     DECIDED_NO,
@@ -50,12 +51,17 @@ from conftest import (
     apply_rule,
     complete_graph,
     greedy_cover_profile,
+    max_gadget_by_fractions,
+    min_gadget_by_fractions,
+    needless_threshold,
     path_graph,
     plain,
     profile_values,
     replay,
+    satisfactory_threshold,
     seeded_instances,
     star_graph,
+    vx_window_by_fractions,
 )
 
 
@@ -596,7 +602,7 @@ def _candidate_list_rule(inst, profile) -> str:
                 candidates.append((profile.vc, 3, "vc"))
             candidates.append((profile.max_degree, 4, "delta"))
             return min(candidates)[2]
-        _, _, vx = _vx_window(inst, profile.h_index + 1)
+        _, vx = _vx_window(inst, profile.h_index + 1)
         if vx >= inst.k and (profile.vc is None or profile.h_index <= profile.vc):
             return "hindex"
         if profile.vc is not None:
@@ -712,9 +718,9 @@ def test_working_state_matches_the_instance_chain(seed, alpha, variant, ranks, m
         free = chain.free_vertices()
         if op == "shift":
             least = min((chain.weights[v] for v in free), default=0)
-            amount = F(pick % (least + 1), chain.scale)
-            dt, after = state.shift(amount), chain.shift_bonus(amount)
-            shifted = shifted or amount > 0
+            w = pick % (least + 1)
+            dt, after = state.shift(w), chain.shift_bonus(F(w, chain.scale))
+            shifted = shifted or w > 0
         elif not free:
             continue
         elif op == "include" and ranks != "contribution":  # contribution ranks are kept under exclusion only
@@ -742,6 +748,58 @@ def test_working_state_matches_the_instance_chain(seed, alpha, variant, ranks, m
             offsets = {state.score[v] - fresh[v] for v in free}
             assert len(offsets) <= 1 and (shifted or offsets <= {0})
             assert state.ranked == sorted(state.score.values())
+
+
+# Every alpha = p/q with q <= 12, not only the golden ALPHAS, and thresholds
+# over denominators prime to most scales, so that an off-by-one in the floor
+# of a negative numerator shows.
+WIDE_ALPHAS = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    alpha=st.sampled_from(WIDE_ALPHAS),
+    variant=st.sampled_from((MAX, MIN)),
+    k=st.integers(1, 6),
+    t=st.builds(F, st.integers(-60, 60), st.sampled_from((1, 5, 7, 11, 13))),
+    moves=st.lists(st.tuples(st.booleans(), st.integers(0, 99)), max_size=4),
+    base=st.integers(0, 8),
+)
+def test_integer_bars_match_their_rational_forms(seed, alpha, variant, k, t, moves, base):
+    n = random.Random(seed).randint(k + 1, 10)
+    g = gen_gnp(n, 1, 2, seed) if seed % 2 else gen_degenerate(n, 2, seed)
+    state = _State(replace(gen_annotated(g, seed, alpha, variant, (k, k), (0, 3)), t=t))
+    for include, pick in [(True, seed)] + moves:  # the first move makes T non-empty
+        free = [v for v in state.free if state.where[v] == FREE]
+        if not free:
+            break
+        v = free[pick % len(free)]
+        if include and (state.t_size < k - 1 or not state.t_size):
+            state.include(v)
+        elif not include and state.n_alive > k:
+            state.exclude(v)
+    inst = state.freeze()
+    assert inst.t_size
+    if inst.k_prime > 0:
+        assert state.bar() == inst.score_needed(satisfactory_threshold(inst))
+        assert state.bar(needless=True) == inst.score_needed(needless_threshold(inst))
+    if not alpha:
+        return
+    x, cut, vx = vx_window_by_fractions(inst, base)
+    assert _vx_window(state, base) == _vx_window(inst, base) == (cut, vx)
+    assert F(inst.sign * cut, inst.alpha_weight) == x  # the x the window audits
+    if variant == MAX:
+        inv_floor, pad, ell, new_t = max_gadget_by_fractions(inst)
+        deann = deannotate_max(inst)
+        leaves = Counter(a for a in deann.anchor if a >= 0)
+        for i, old in enumerate(deann.origin[: inst.n_alive]):
+            counter = inst.weights[old] // inst.alpha_weight
+            assert leaves[i] == counter + inv_floor + pad + (ell if (inst.tmask >> old) & 1 else 0)
+    else:
+        ell, new_t = min_gadget_by_fractions(inst)
+        deann = deannotate_min(inst)
+    assert (deann.ell, deann.plain.t) == (ell, new_t)
 
 
 # -- min with t < 0 -------------------------------------------------------------

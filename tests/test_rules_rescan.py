@@ -40,7 +40,9 @@ from fcgp.rules import (
     run_pipeline,
 )
 
-from conftest import annotated, apply_rule, descend_XI_by_masks, max_degree_neighborhood_by_masks
+from conftest import (
+    annotated, apply_rule, descend_XI_by_masks, max_degree_neighborhood_by_masks, needless_threshold,
+)
 from test_graph import _hub_graph
 from test_trace_golden import _book, _caterpillar
 
@@ -87,7 +89,7 @@ def rescan_delta_better(inst, trace):
 
 def rescan_exclude_needless(inst, trace):
     while inst.n_alive >= inst.k:
-        thr = inst.t_prime() / inst.k_prime - (3 * inst.alpha - 1) * (inst.k - 1) ** 2
+        thr = needless_threshold(inst)
         sign = 1 if inst.variant == MAX else -1
         v = _first(inst.free_vertices(), lambda v: sign * (inst.contribution(v, inst.tmask) - thr) < 0)
         if v is None:
