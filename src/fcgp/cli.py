@@ -26,6 +26,7 @@ from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from .ramsey import ExtractionPreconditionError, WitnessVerificationError
 from .rules import DECIDED_NO, DECIDED_YES, PIPELINES, run_pipeline
 from .solve import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     UndecidedWithinBudget,
     branch_degrading,
@@ -85,6 +86,11 @@ def _value_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", required=True, help="threshold as P/Q or integer")
     sub.add_argument("--variant", required=True, choices=(MAX, MIN))
     sub.add_argument("--format", default="auto", choices=("auto", "edgelist", "dimacs"))
+
+
+def _budget_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="nodes the exact search may visit; densest-vc: cover subsets")
 
 
 def _report_flags(sub: argparse.ArgumentParser) -> None:
@@ -226,11 +232,11 @@ def cmd_solve(args) -> int:
     elif solver == "brute":
         res = brute_force(inst, budget=args.budget)
     elif solver == "branch":
-        res = branch_degrading(inst, profile.degeneracy, node_budget=args.budget)
+        res = branch_degrading(inst, profile.degeneracy, budget=args.budget)
     elif solver == "third":
         res = solve_third(inst)
     elif solver == "hindex":
-        res = hindex_fpt_max(inst, profile.h_index, subset_budget=args.budget)
+        res = hindex_fpt_max(inst, profile.h_index, budget=args.budget)
     elif solver == "densest-vc":
         if profile.vertex_cover is None:
             raise GuardViolation("densest-vc needs an exact vertex cover within the vc budget")
@@ -372,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     _value_flags(p)
     p.add_argument("--solver", default="auto", choices=("auto", "brute", "branch", "third", "hindex", "densest-vc"))
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="subsets for brute and, per residual, for hindex; search nodes for branch; "
-                        "cover subsets for densest-vc; auto passes it on to its route and its fallback")
+    _budget_flag(p)
     p.add_argument("--vc-budget", type=int, default=25)
     _report_flags(p)
 
@@ -386,15 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default=None, help="kernel file to check (default: regenerate)")
     p.add_argument("--trace", default=None, help="trace file to check against the regenerated trace")
     p.add_argument("--oracle", action="store_true", help="also solve the original instance with the exact oracle")
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="most twin-class count vectors the exact oracle may score per instance")
+    _budget_flag(p)
     p.add_argument("--vc-budget", type=int, default=25)
     _report_flags(p)
 
     p = sub.add_parser("battery", help="run a manifest of seeded equivalence checks")
     p.add_argument("manifest")
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="most twin-class count vectors the exact oracle may score per instance")
+    _budget_flag(p)
     p.add_argument("--fail-dir", default="battery-failures")
     _report_flags(p)
     return parser

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .graph import Graph, mask_of
 from .instance import AnnotatedInstance, GuardViolation, LiftError, lift_witness
 from .rules import DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
-from .solve import BudgetExceeded, brute_force, twin_oracle
+from .solve import DEFAULT_BUDGET, BudgetExceeded, brute_force, twin_oracle
 
 
 def gen_gnp(n: int, p_num: int, p_den: int, seed: int) -> Graph:
@@ -117,7 +117,7 @@ def outcome_answer(
 
     A decided outcome answers with its own witness.  A kernelized one is
     decided by :func:`~fcgp.solve.twin_oracle` on ``outcome.plain`` (within
-    ``budget`` count vectors; :class:`BudgetExceeded` passes through), and a
+    ``budget`` visited nodes; :class:`BudgetExceeded` passes through), and a
     YES witness of the kernel is lifted through the de-annotation to the
     run's final instance.  The witness must be a solution of ``inst``; when
     it is not, or lifting fails, :class:`AnswerMismatch` says why.
@@ -142,7 +142,7 @@ def outcome_answer(
     return True, witness
 
 
-def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000) -> EquivalenceReport:
+def check_equivalence(before: AnnotatedInstance, after, budget: int = DEFAULT_BUDGET) -> EquivalenceReport:
     """Compare the exact oracle's decisions before and after a transformation.
 
     ``after`` may be an annotated instance, a plain one (T empty, zero
@@ -152,8 +152,8 @@ def check_equivalence(before: AnnotatedInstance, after, budget: int = 2_000_000)
     reports "mismatch".
     The oracle is :func:`~fcgp.solve.twin_oracle`, which returns brute
     force's exact answer from one k-set per twin-class count vector;
-    ``budget`` bounds those vectors per instance, and an instance over it
-    makes the report "skipped".
+    ``budget`` bounds the nodes its walk visits per instance, and an
+    instance whose walk passes it makes the report "skipped".
     """
     if not isinstance(after, (AnnotatedInstance, KernelOutcome)):
         raise TypeError(f"cannot check equivalence against {type(after)!r}")
@@ -263,7 +263,7 @@ class BatterySummary:
     failures: list[tuple[ManifestRow, int, str]] = field(default_factory=list)
 
 
-def run_battery(rows: list[ManifestRow], budget: int = 2_000_000) -> BatterySummary:
+def run_battery(rows: list[ManifestRow], budget: int = DEFAULT_BUDGET) -> BatterySummary:
     """Run every manifest row through its pipeline and the equivalence oracle."""
     summary = BatterySummary()
     for row in rows:

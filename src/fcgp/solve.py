@@ -9,8 +9,14 @@ the whole test suite leans on; ``twin_oracle``, its answer over twin-class
 count vectors, which the equivalence checks and ``verify`` run; and the
 per-component tables of ``solve_bounded_degree``.  Its walk cuts every
 subtree that cannot beat the best set found so far, and keeps the first
-optimum, so the answers are those of the full enumeration; the budgets
-still count the sets before the walk starts.
+optimum, so the answers are those of the full enumeration.
+
+Every search takes one ``budget``: the nodes it may visit.  The walks
+count each node as they visit it and raise :class:`BudgetExceeded` at the
+first one past the budget; a search that shares its budget among several
+walks passes each what is left.  ``nodes_explored`` reports the visits.
+Only ``densest_vc``, which visits every cover subset, counts them before
+it starts.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from .ramsey import peeling_independent_set
 from .rules import _degeneracy_prefix, alive_profile
 
-DEFAULT_SUBSET_BUDGET = 2_000_000
+DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """The enumeration or branching budget would be exceeded."""
+    """A search visited more nodes than its budget allows."""
 
 
 class UndecidedWithinBudget(BudgetExceeded):
@@ -45,7 +51,7 @@ class SolveResult:
     nodes_explored: int = 0
 
 
-def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
+def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum over all size-k supersets of T; the oracle for everything.
 
     One enumerator, :func:`_best_subset`, scores the free-vertex combinations
@@ -56,16 +62,10 @@ def brute_force(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
     free = inst.free_vertices()
     if need < 0 or need > len(free):
         return SolveResult(False, None, None, "brute", 0)
-    subsets = math.comb(len(free), need)
-    if subsets > budget:
-        raise BudgetExceeded(
-            f"brute force needs C({len(free)},{need}) > {budget} subset evaluations"
-        )
-    best, best_set = _best_subset(inst, [(v,) for v in free], need, inst.score_val(inst.tmask))
-    return _result(inst, best, best_set, "brute", subsets)
+    return _result(inst, *_best_subset(inst, [(v,) for v in free], need, inst.score_val(inst.tmask), budget), "brute")
 
 
-def twin_oracle(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
+def twin_oracle(inst: AnnotatedInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """:func:`brute_force`'s decision, optimum and witness from one k-set per
     count vector of the twin classes (:func:`_twin_classes`).
 
@@ -77,18 +77,13 @@ def twin_oracle(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) ->
     first k' members; the count vectors are the same.  De-annotation gadgets
     (the leaves on one anchor, the clique vertices wired to the same
     originals) are large classes, so the vectors are far fewer than the
-    k-subsets.  The budget bounds the count vectors, counted before the walk
-    starts.
+    k-subsets, and the walk visits far fewer nodes than brute force's.
     """
     need = inst.k - inst.t_size
     if need < 0 or need > inst.n_alive - inst.t_size:
         return SolveResult(False, None, None, "twin", 0)
     classes = [c[:need] for c in _twin_classes(inst)]
-    vectors = _count_vectors([len(c) for c in classes], need)
-    if vectors > budget:
-        raise BudgetExceeded(f"the twin oracle needs {vectors} > {budget} count vectors")
-    best, best_set = _best_subset(inst, classes, need, inst.score_val(inst.tmask))
-    return _result(inst, best, best_set, "twin", vectors)
+    return _result(inst, *_best_subset(inst, classes, need, inst.score_val(inst.tmask), budget), "twin")
 
 
 def _twin_classes(inst: AnnotatedInstance) -> list[tuple[int, ...]]:
@@ -118,34 +113,20 @@ def _twin_classes(inst: AnnotatedInstance) -> list[tuple[int, ...]]:
     return classes
 
 
-def _count_vectors(sizes: list[int], need: int) -> int:
-    """How many ways to take ``need`` vertices as counts of classes of the
-    given sizes: the coefficient of x^need in the product of 1 + x + ... + x^s."""
-    ones = sizes.count(1)
-    coef = [math.comb(ones, j) for j in range(need + 1)]
-    for s in sizes:
-        if s > 1:
-            window, nxt = 0, []
-            for j, c in enumerate(coef):
-                window += c - (coef[j - s - 1] if j > s else 0)
-                nxt.append(window)
-            coef = nxt
-    return coef[need]
-
-
-def _result(inst: AnnotatedInstance, score: int, picked: tuple[int, ...], solver_id: str, nodes: int) -> SolveResult:
-    """The result whose best score is ``score``, reached by T plus ``picked``."""
+def _result(inst: AnnotatedInstance, score: int, picked: tuple[int, ...], nodes: int, solver_id: str) -> SolveResult:
+    """The result whose best score is ``score``, reached by T plus ``picked``
+    after visiting ``nodes`` nodes."""
     decision = score >= inst.score_needed(inst.t)
     witness = tuple(sorted(picked + inst.t_vertices())) if decision else None
     return SolveResult(decision, witness, inst.from_score(score), solver_id, nodes)
 
 
 def _best_subset(
-    inst: AnnotatedInstance, classes: list[tuple[int, ...]], need: int, base: int
-) -> tuple[int, tuple[int, ...]]:
+    inst: AnnotatedInstance, classes: list[tuple[int, ...]], need: int, base: int, budget: int
+) -> tuple[int, tuple[int, ...], int]:
     """Best score over the need-sets that take a prefix of every class
     (0 <= need <= the vertices in all classes), on top of ``base``:
-    (score, lexicographically first best set).
+    (score, lexicographically first best set, nodes visited).
 
     Every vertex of a class must be a twin of the others, so a set's score
     depends only on its count per class; singleton classes give every
@@ -166,9 +147,12 @@ def _best_subset(
     when that cannot beat the best, p and, as ``top`` never rises, the rest
     of its depth are cut.  In index order a later tie never replaces the
     best, so ties are cut too; out of it only a bound below the best is.
+
+    Each turn of the walk's loop visits one node; the walk raises
+    :class:`BudgetExceeded` at the first visit past ``budget``.
     """
     if not need:
-        return base, ()
+        return base, (), 0
     free = list(chain.from_iterable(classes))
     n = len(free)
     starts = list(accumulate(map(len, classes), initial=0))  # where each class begins, then n
@@ -187,8 +171,11 @@ def _best_subset(
     # the bound's top[p]; with need 1 the walk never reads it
     gain = [s + pair * min(m.bit_count(), last) for s, m in zip(score, masks)] if pair > 0 else score
     top = list(accumulate(reversed(gain), max))[::-1] if last else []
-    d = 0
+    d = nodes = 0
     while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("the exact search passed its node budget")
         p = idx[d]
         if p <= n - need + d and (best is None or got[d] + (need - d) * top[p] + shuffled > best):
             if d < last:
@@ -212,18 +199,14 @@ def _best_subset(
             break
         d -= 1
         idx[d] = starts[later[idx[d]]]
-    return best, tuple(free[i] for i in best_at)
+    return best, tuple(free[i] for i in best_at), nodes
 
 
 # ---------------------------------------------------------------------------
 # Degrading branching over high-contribution vertices
 # ---------------------------------------------------------------------------
 
-def branch_degrading(
-    inst: AnnotatedInstance,
-    d: int,
-    node_budget: int = 500_000,
-) -> SolveResult:
+def branch_degrading(inst: AnnotatedInstance, d: int, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum by one bounded search tree over high-contribution vertices.
 
     A node is a chosen set C containing T.  As pair_score <= 0 here, a
@@ -236,7 +219,7 @@ def branch_degrading(
     is depth-first on an explicit stack and tests a child against the
     current bound again before entering it.  From d*k candidates on, a
     greedy independent k'-set among them (one exists from (d+1)*k' on) is
-    offered too.  ``node_budget`` bounds the nodes of the whole walk; on NO
+    offered too.  ``budget`` bounds the nodes of the whole walk; on NO
     the bound never rises, so the walk is the decision tree.
     """
     if not (inst.degrading and inst.alpha_weight):
@@ -253,8 +236,8 @@ def branch_degrading(
     nodes = 0
     while True:
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded("branching node budget exceeded")
+        if nodes > budget:
+            raise BudgetExceeded("the branch search passed its node budget")
         if not need:
             found = chosen
         else:
@@ -312,7 +295,7 @@ def solve_third(inst: AnnotatedInstance) -> SolveResult:
 # Component-wise enumeration for bounded-degree residual instances
 # ---------------------------------------------------------------------------
 
-def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
+def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Exact optimum by per-component subset tables combined over cardinality.
 
     For free vertices F (alive, outside T) the score of T + F is the score of
@@ -322,21 +305,18 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     each entry is a :func:`_best_subset` run over the component.  The combine
     breaks equal scores toward the smaller sorted tuple, so the witness is
     the lexicographically first optimum, the one :func:`brute_force` returns.
-    The budget guards these enumerations.
+    The runs share ``budget``: each gets the nodes the earlier ones left.
     """
     need = inst.k - inst.t_size
     if inst.n_alive < inst.k or need < 0:
         return SolveResult(False, None, None, "bounded-degree", 0)
-    comps = _components(inst)
-    if sum(math.comb(len(comp), j) for comp in comps for j in range(min(len(comp), need) + 1)) > budget:
-        raise BudgetExceeded("component enumeration exceeds the subset budget")
     nodes = 0
     acc: dict[int, tuple[int, tuple[int, ...]]] = {0: (inst.score_val(inst.tmask), ())}
-    for comp in comps:
+    for comp in _components(inst):
         nxt: dict[int, tuple[int, tuple[int, ...]]] = {}
         for j in range(min(len(comp), need) + 1):
-            js, picked = _best_subset(inst, [(v,) for v in comp], j, 0)
-            nodes += math.comb(len(comp), j)
+            js, picked, spent = _best_subset(inst, [(v,) for v in comp], j, 0, budget - nodes)
+            nodes += spent
             for have, (hs, hw) in acc.items():
                 if have + j > need:
                     continue
@@ -348,7 +328,7 @@ def solve_bounded_degree(inst: AnnotatedInstance, budget: int = DEFAULT_SUBSET_B
     if need not in acc:
         return SolveResult(False, None, None, "bounded-degree", nodes)
     score, picked = acc[need]
-    return _result(inst, score, picked, "bounded-degree", nodes)
+    return _result(inst, score, picked, nodes, "bounded-degree")
 
 
 def _components(inst: AnnotatedInstance) -> list[list[int]]:
@@ -376,12 +356,7 @@ def _components(inst: AnnotatedInstance) -> list[list[int]]:
 # FPT branching over the high-degree vertices (Max, alpha < 1/3)
 # ---------------------------------------------------------------------------
 
-def hindex_fpt_max(
-    inst: AnnotatedInstance,
-    h: int,
-    branch_budget: int = 200_000,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> SolveResult:
+def hindex_fpt_max(inst: AnnotatedInstance, h: int, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Branch on S cap V_{>h}, then solve the low-degree rest.
 
     Each branch excludes the unchosen free hubs and includes the chosen
@@ -390,7 +365,9 @@ def hindex_fpt_max(
     drop in t, and its witness already holds the chosen hubs.  The residual's
     free graph has degree at most h, the case of
     :func:`solve_bounded_degree`.  Ties between branches go to the smaller
-    witness, so the witness is the one :func:`brute_force` returns.
+    witness, so the witness is the one :func:`brute_force` returns.  Each
+    branch costs one node plus the nodes of its residual search, all
+    charged to ``budget``.
     """
     if inst.variant != MAX:
         raise GuardViolation("hindex_fpt_max requires the maximization variant")
@@ -400,19 +377,19 @@ def hindex_fpt_max(
     max_extra = min(len(open_high), inst.k - inst.t_size)
     if max_extra < 0:
         return SolveResult(False, None, None, "hindex-fpt", 0)
-    branches = sum(math.comb(len(open_high), j) for j in range(0, max_extra + 1))
-    if branches > branch_budget:
-        raise BudgetExceeded(f"{branches} hub subsets exceed the branch budget")
     best: Fraction | None = None
     best_witness: tuple[int, ...] | None = None
     nodes = 0
     for j in range(0, max_extra + 1):
         for extra in combinations(open_high, j):
             nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded("the hub branching passed its node budget")
             branch = inst
             for v in open_high:
                 branch = branch.include(v) if v in extra else branch.exclude(v)
-            sub = solve_bounded_degree(branch, budget=subset_budget)
+            sub = solve_bounded_degree(branch, budget - nodes)
+            nodes += sub.nodes_explored
             if sub.best_value is None:
                 continue
             total = sub.best_value + inst.t - branch.t
@@ -430,7 +407,7 @@ def hindex_fpt_max(
 # Densest k-subgraph with a vertex cover (alpha = 0, Max)
 # ---------------------------------------------------------------------------
 
-def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
+def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DEFAULT_BUDGET) -> SolveResult:
     """2^vc enumeration: fix S cap cover, fill greedily from the independent set.
 
     At alpha = 0 only internal edges count, and independent-set vertices
@@ -472,7 +449,7 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
 # Routing
 # ---------------------------------------------------------------------------
 
-def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBSET_BUDGET) -> SolveResult:
+def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Dispatch on alpha/variant/parameters; falls back to brute force.
 
     Raises :class:`UndecidedWithinBudget` when every applicable route blows
@@ -498,13 +475,13 @@ def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_SUBS
                 return SolveResult(True, witness, value, "auto:min-trivial", 0)
         if inst.degrading and inst.alpha_weight:
             route = "branch"
-            return _tag(branch_degrading(inst, profile.degeneracy, node_budget=budget), "auto:branch")
+            return _tag(branch_degrading(inst, profile.degeneracy, budget), "auto:branch")
         if inst.variant == MAX and inst.alpha == 0 and inst.is_plain and profile.vertex_cover is not None:
             route = "densest-vc"
             return _tag(densest_vc(inst, profile.vertex_cover, budget=budget), "auto:densest-vc")
         if inst.variant == MAX and inst.pair_score > 0:
             route = "hindex"
-            return _tag(hindex_fpt_max(inst, profile.h_index, subset_budget=budget), "auto:hindex")
+            return _tag(hindex_fpt_max(inst, profile.h_index, budget), "auto:hindex")
         route = "brute"
         return _tag(brute_force(inst, budget=budget), "auto:brute")
     except BudgetExceeded:

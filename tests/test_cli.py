@@ -26,7 +26,7 @@ from fcgp.cli import (
 import fcgp.graph as graph_mod
 import fcgp.harness as harness_mod
 from fcgp.graph import RuleInternalError, minimum_vertex_cover
-from fcgp.harness import gen_degenerate
+from fcgp.harness import gen_degenerate, gen_gnp
 from fcgp.instance import AnnotatedInstance, LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
 from fcgp.rules import KERNELIZED, PIPELINES
@@ -125,10 +125,11 @@ def test_solve_branch_obeys_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver,budget,code,shown", [
+    # the walk visits 1,438,799 nodes, within the default budget
     ("brute", [], EXIT_OK, "brute"),
     # the branch walk spends its 2,000 nodes; auto then falls back to brute
-    # force, which needs C(1200,1199) = 1,200 subsets
-    ("auto", ["--budget", "2000"], EXIT_OK, "auto:brute"),
+    # force, whose walk runs out of them too
+    ("auto", ["--budget", "2000"], EXIT_BUDGET, None),
     ("branch", ["--budget", "2000"], EXIT_BUDGET, None),
 ], ids=["brute", "auto", "branch"])
 def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys, solver, budget, code, shown):
@@ -202,15 +203,54 @@ def test_verify_round_trip(graph_file, tmp_path, capsys):
 
 
 def test_verify_oracle_on_a_kernel_past_the_subset_budget(tmp_path, capsys):
-    # the 87-vertex kernel needs C(87,4) > 2 000 000 subsets, but only
-    # 220,848 twin-class count vectors
+    # the 87-vertex kernel has C(87,4) > 2 000 000 subsets, but the oracle's
+    # walk visits 29 nodes on it and 31 on the input
     path = tmp_path / "d24.el"
     path.write_text(_graph_text(gen_degenerate(24, 3, seed=1005)))
     argv = ["verify", str(path), "--alpha", "1/2", "--k", "4", "--t", "13", "--variant", "max", "--oracle"]
+    for budget in ([], ["--budget", "31"]):
+        assert main(argv + budget) == EXIT_OK
+        assert capsys.readouterr().out == "verified: decision=YES witness=0,1,7,13\n"
+    for budget in ("30", "28", "1"):
+        assert main(argv + ["--budget", budget]) == EXIT_BUDGET
+        assert capsys.readouterr() == ("", "budget exceeded: the exact search passed its node budget\n")
+
+
+def test_solve_brute_decides_past_the_subset_count(tmp_path, capsys):
+    # C(60,6) = 50,063,860 subsets, but the bounded walk visits 2,303 nodes
+    path = tmp_path / "gnp60.el"
+    path.write_text(_graph_text(gen_gnp(60, 1, 8, seed=3)))
+    argv = ["solve", str(path), "--solver", "brute", "--alpha", "1/2", "--k", "6", "--t", "0", "--variant", "max"]
     assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == "verified: decision=YES witness=0,1,7,13\n"
-    assert main(argv + ["--budget", "220847"]) == EXIT_BUDGET
-    assert "220848 > 220847 count vectors" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert out == "decision=YES value=71/2 witness=1,3,4,11,16,54 solver=brute nodes=2303\n"
+    for budget in ("2302", "1"):
+        assert main(argv + ["--budget", budget]) == EXIT_BUDGET
+        assert capsys.readouterr() == ("", "budget exceeded: the exact search passed its node budget\n")
+
+
+def test_verify_decides_a_303_vertex_degeneracy_kernel(tmp_path, capsys):
+    # the twin oracle's walk visits 199 nodes on the kernel, which has
+    # 7,796,978 twin-class count vectors
+    path = tmp_path / "deg3200.el"
+    path.write_text(_graph_text(gen_degenerate(3200, 3, seed=7)))
+    argv = ["verify", str(path), "--pipeline", "degeneracy", "--alpha", "1/2", "--k", "6", "--t", "42", "--variant", "max"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "verified: decision=YES witness=0,3,4,14,22,103\n"
+    for budget in ("198", "1"):
+        assert main(argv + ["--budget", budget]) == EXIT_BUDGET
+        assert capsys.readouterr() == ("", "budget exceeded: the exact search passed its node budget\n")
+
+
+def test_solve_auto_falls_back_to_brute_force_when_the_branch_walk_runs_out(tmp_path, capsys):
+    # Min, alpha 1/4: the branch walk needs 6,003 nodes, brute force 35
+    path = tmp_path / "d12.el"
+    path.write_text(_graph_text(gen_degenerate(12, 2, seed=1)))
+    argv = ["solve", str(path), "--alpha", "1/4", "--k", "5", "--t", "5/4", "--variant", "min", "--budget", "100"]
+    assert main(argv + ["--solver", "branch"]) == EXIT_BUDGET
+    assert main(argv + ["--solver", "auto"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "decision=YES value=5/4 witness=1,4,5,6,7 solver=auto:brute nodes=35\n"
 
 
 def test_verify_detects_tampered_kernel(graph_file, tmp_path, capsys):

@@ -17,7 +17,7 @@ from fcgp.harness import (
 )
 from fcgp.instance import MAX, MIN, AnnotatedInstance
 from fcgp.rules import DECIDED_YES, KERNELIZED, KernelOutcome, RuleTrace, run_pipeline
-from fcgp.solve import BudgetExceeded, brute_force
+from fcgp.solve import BudgetExceeded, brute_force, twin_oracle
 
 from conftest import plain
 
@@ -78,15 +78,17 @@ def test_check_equivalence_identity():
 
 def test_check_equivalence_decides_a_min_clique_kernel_past_the_subset_budget():
     # Min, alpha = 1/4, k = 4, n = 10: the clique gadget makes a 93-vertex
-    # kernel, past the default budget as subsets but not as count vectors
+    # kernel, C(93, 4) > 2,000,000 subsets, on which the walk visits 157 nodes
     inst = gen_annotated(gen_gnp(10, 1, 2, 4), 4, F(1, 4), MIN, (4, 4), (0, 2))
     outcome = run_pipeline(inst, "delta")
     assert outcome.status == KERNELIZED and outcome.plain.graph.n == 93
-    with pytest.raises(BudgetExceeded):
-        brute_force(outcome.plain)
+    assert brute_force(outcome.plain).nodes_explored == twin_oracle(outcome.plain).nodes_explored == 157
     report = check_equivalence(inst, outcome)
     assert report.status == "match"
     assert report.before_decision is report.after_decision is True
+    assert twin_oracle(inst).nodes_explored < 157
+    assert check_equivalence(inst, outcome, budget=157).ok
+    assert check_equivalence(inst, outcome, budget=156).status == "skipped"
 
 
 def test_check_equivalence_decided_yes_verifies_witness():

@@ -15,7 +15,6 @@ from fcgp.rules import KERNELIZED, KernelOutcome, alive_profile
 from fcgp.solve import (
     BudgetExceeded,
     UndecidedWithinBudget,
-    _count_vectors,
     _twin_classes,
     branch_degrading,
     brute_force,
@@ -59,7 +58,6 @@ def test_brute_matches_independent_reenumeration():
         first = next(combo for combo, value in values.items() if value == best)
         res = brute_force(inst)
         assert res.best_value == best and res.witness == tuple(sorted(first + tset))
-        assert res.nodes_explored == comb(len(free), need)
 
 
 def test_brute_budget():
@@ -86,7 +84,6 @@ def _assert_same_answer(inst, budget=2_000_000):
     ref = brute_force(inst, budget=budget)
     res = twin_oracle(inst)
     assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness), inst.to_text()
-    assert res.nodes_explored <= ref.nodes_explored
 
 
 def _assert_twin_partition(inst, classes):
@@ -119,30 +116,26 @@ def test_twin_classes_of_leaves_and_a_wired_clique():
         _assert_twin_partition(cur, _twin_classes(cur))
 
 
-def test_count_vectors_match_an_enumeration():
-    for sizes in ([], [1], [3], [1, 1, 1], [2, 3], [1, 4, 2, 1], [5, 1, 3, 3]):
-        for need in range(sum(sizes) + 2):
-            direct = sum(1 for counts in product(*(range(s + 1) for s in sizes)) if sum(counts) == need)
-            assert _count_vectors(sizes, need) == direct, (sizes, need)
-
-
 def test_twin_oracle_counts_vectors_not_subsets():
+    # the 40 leaves are one class, so the hub in or out are the only two count
+    # vectors; brute force walks far more of the C(41, 5) subsets
     inst = plain(star_graph(40), 5, 0, F(1, 2), MAX)
-    ref = brute_force(inst)
-    res = twin_oracle(inst, budget=2)  # the hub in or out: two count vectors
-    assert ref.nodes_explored == comb(41, 5) and res.nodes_explored == 2
+    ref = brute_force(inst, budget=comb(41, 5) // 10)
+    res = twin_oracle(inst, budget=10)
+    assert (res.nodes_explored, ref.nodes_explored) == (9, 19_761)
     assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
 
 
-def test_twin_oracle_budget_is_checked_before_the_walk(monkeypatch):
-    def walk(*args):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(solve_mod, "_best_subset", walk)
-    with pytest.raises(BudgetExceeded, match="count vectors"):
-        twin_oracle(plain(star_graph(40), 5, 0, F(1, 2), MAX), budget=1)
-    with pytest.raises(BudgetExceeded, match="count vectors"):
-        twin_oracle(plain(gen_gnp(24, 1, 2, 1), 12, 0, F(1, 2), MAX), budget=comb(24, 12) - 1)
+def test_twin_oracle_stops_after_budget_visits():
+    # C(24, 6) = 134,596 subsets; the walk is not refused up front for them,
+    # it runs until it has visited its budget
+    inst = plain(gen_gnp(24, 1, 2, 1), 6, 0, F(1, 2), MAX)
+    res = twin_oracle(inst)
+    assert res.nodes_explored == 22_625
+    assert twin_oracle(inst, budget=res.nodes_explored) == res
+    for budget in (0, 1, 1000, res.nodes_explored - 1):
+        with pytest.raises(BudgetExceeded, match="passed its node budget"):
+            twin_oracle(inst, budget=budget)
 
 
 def test_twin_oracle_infeasible_k():
@@ -225,7 +218,6 @@ def test_exact_solvers_match_a_combinations_scan(alpha, variant, data):
     # alpha = 1/3 for Max (above it for Min), zero at 1/3, negative otherwise
     inst = data.draw(_planted_twins(alpha, variant))
     _, opt, _ = scan_optimum(inst)
-    free, need = inst.free_vertices(), inst.k_prime
     for t in (opt, opt + inst.sign * F(1, inst.scale)):  # the optimum, one score step past it
         cur = replace(inst, t=t)
         want = scan_optimum(cur)
@@ -235,8 +227,23 @@ def test_exact_solvers_match_a_combinations_scan(alpha, variant, data):
             results.append(hindex_fpt_max(cur, alive_profile(cur).h_index))
         for res in results:
             assert (res.decision, res.best_value, res.witness) == want, (res.solver_id, cur.to_text())
-        assert results[0].nodes_explored == comb(len(free), need)
-        assert results[1].nodes_explored == _count_vectors([len(c) for c in _twin_classes(cur)], need)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_planted_twins())
+def test_budget_is_the_nodes_a_search_visits(inst):
+    # the count is the walk itself: a budget of exactly the nodes visited gives
+    # the same result, one node less stops the search
+    solvers = [brute_force, twin_oracle, solve_bounded_degree]
+    if inst.variant == MAX and inst.pair_score > 0:  # hindex-fpt's guard
+        h = alive_profile(inst).h_index
+        solvers.append(lambda inst, budget: hindex_fpt_max(inst, h, budget))
+    for solver in solvers:
+        res = solver(inst, budget=2_000_000)
+        assert solver(inst, budget=res.nodes_explored) == res
+        if res.nodes_explored:
+            with pytest.raises(BudgetExceeded):
+                solver(inst, budget=res.nodes_explored - 1)
 
 
 def _long_class_kernels():
@@ -257,9 +264,9 @@ def _long_class_kernels():
 def test_twin_oracle_takes_at_most_k_prime_per_class(monkeypatch):
     walk, walked = solve_mod._best_subset, []
 
-    def best_subset(inst, classes, need, base):
+    def best_subset(inst, classes, need, base, budget):
         walked.append(max(map(len, classes)) <= need)
-        return walk(inst, classes, need, base)
+        return walk(inst, classes, need, base, budget)
 
     monkeypatch.setattr(solve_mod, "_best_subset", best_subset)
     for kernel in _long_class_kernels():
@@ -268,11 +275,6 @@ def test_twin_oracle_takes_at_most_k_prime_per_class(monkeypatch):
         ref = brute_force(kernel)
         res = twin_oracle(kernel)
         assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
-        vectors = _count_vectors(sizes, kernel.k_prime)
-        assert res.nodes_explored == vectors
-        assert twin_oracle(kernel, budget=vectors) == res
-        with pytest.raises(BudgetExceeded, match=f"needs {vectors} > {vectors - 1} count vectors"):
-            twin_oracle(kernel, budget=vectors - 1)
     assert walked and all(walked)
 
 
@@ -458,10 +460,15 @@ def test_hindex_guard():
 
 
 def test_hindex_branch_budget():
-    g = star_graph(9)
-    inst = plain(g, 3, 1, F(1, 4), MAX)
-    with pytest.raises(BudgetExceeded):
-        hindex_fpt_max(inst, 1, branch_budget=1)
+    # the hub in or out: two branches, each one node plus its residual walk
+    # over the leaves, all charged to one budget
+    inst = plain(star_graph(9), 3, 1, F(1, 4), MAX)
+    res = hindex_fpt_max(inst, 1)
+    residuals = [solve_bounded_degree(inst.include(0)), solve_bounded_degree(inst.exclude(0))]
+    assert res.nodes_explored == 2 + sum(r.nodes_explored for r in residuals)
+    for budget in (0, 1, res.nodes_explored - 1):
+        with pytest.raises(BudgetExceeded):
+            hindex_fpt_max(inst, 1, budget)
 
 
 # -- densest k-subgraph with vertex cover -------------------------------------------------
