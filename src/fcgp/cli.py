@@ -174,9 +174,8 @@ def cmd_kernelize(args) -> int:
     started = time.monotonic()
     inst, profile = _instance_from_args(args)
     outcome = run_pipeline(inst, args.pipeline, profile=profile, param_override=args.param)
-    trace_text = outcome.trace.to_text()
     if args.trace:
-        Path(args.trace).write_text(trace_text)
+        Path(args.trace).write_text(outcome.trace.to_text())
     report = {
         "command": "kernelize",
         "inputs": {

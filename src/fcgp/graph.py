@@ -13,7 +13,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -47,6 +49,10 @@ def iter_mask(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# bin() digit b'0' or b'1' to the byte 0 or 1, a selector for itertools.compress
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,16 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        # read by graphs from from_masks; from_edges fills it.  Built through
-        # lists: tuple(<generator>) raised the peak RSS measurably
-        return tuple([tuple(list(iter_mask(mask))) for mask in self.masks])
+        # read by graphs from from_masks; from_edges fills it.  Rows are built
+        # through lists: a tuple grown from an iterator raised the peak RSS
+        # measurably.  When more than one in eight of the n * n mask digits is
+        # set, as in a gadget clique, rows are read from their binary digits
+        # by C-level work; sparser graphs, such as pendant-leaf gadgets, are
+        # read bit by bit
+        if 16 * self.m <= self.n * self.n:
+            return tuple([tuple(list(iter_mask(mask))) for mask in self.masks])
+        rows = (bin(mask)[:1:-1].encode().translate(_DIGIT_BITS) for mask in self.masks)
+        return tuple([tuple(list(compress(range(len(digits)), digits))) for digits in rows])
 
     def degree(self, v: int) -> int:
         # O(1) once adj exists; masks[v].bit_count() costs O(n) digit operations
@@ -167,7 +180,8 @@ class ParameterProfile:
     its successors.  ``vertex_cover``, the one NP-hard parameter, is the
     canonical minimum cover of :func:`minimum_vertex_cover` if one of at
     most ``vc_budget`` vertices exists and the search finds it within
-    ``VC_NODE_BUDGET`` nodes, else ``None`` (a negative budget never searches).
+    ``VC_NODE_BUDGET`` nodes, counted over all components and sizes, else
+    ``None`` (a negative budget never searches).
     """
 
     graph: Graph = field(repr=False)
@@ -367,70 +381,109 @@ def c_closure(g: Graph) -> int:
     return best + 1
 
 
-# search-tree nodes one minimum_vertex_cover call may visit, over all sizes
+# search-tree nodes one minimum_vertex_cover call may visit, over all components and sizes
 VC_NODE_BUDGET = 500_000
 
 
 def minimum_vertex_cover(g: Graph, budget: int = 25) -> tuple[int, ...]:
-    """Exact minimum vertex cover via bounded search-tree branching.
+    """Exact minimum vertex cover via bounded search-tree branching, one
+    connected component at a time.
 
     Canonical cover: the first cover of minimum size in the depth-first
     order that branches on the lowest-index vertex u with an uncovered edge,
-    taking u first and then u's lowest-index uncovered neighbour.  Sizes are
-    tried upward from the size of a greedy maximal matching, and a subtree is
-    cut when a maximal matching of its uncovered edges outnumbers the
-    vertices it may still take; such a subtree holds no cover, so the cuts
-    never change which cover comes back.  Raises :class:`VcBudgetExceeded`
-    when no cover of size <= budget exists, or when the search visits more
-    than :data:`VC_NODE_BUDGET` nodes.
+    taking u first and then u's lowest-index uncovered neighbour.  Searching
+    per component keeps it: a leaf's decisions in one component form a path
+    of that component's own tree, and two leaves are ordered by the first
+    component where they part, so the graph's first minimum cover is the
+    union of each component's first minimum cover.  Each component tries
+    sizes upward from the size of a greedy matching of its edges
+    (:func:`_matching_bound`), and a subtree is cut when such a matching of
+    its uncovered edges outnumbers the vertices it may still take; such a
+    subtree holds no cover, so the cuts never change which cover comes back.
+    Raises :class:`VcBudgetExceeded` when no cover of size <= budget exists
+    (the components' matchings alone may show it), or when the search visits
+    more than :data:`VC_NODE_BUDGET` nodes, counted over all components and
+    sizes.
     """
-    live = mask_of(v for v in range(g.n) if g.masks[v])
-    nodes = 0
-    size = _matching_bound(g.masks, live, 0, g.n)[1]
-    while size <= min(budget, g.n):
-        cover, nodes = _vc_decide(g.masks, live, size, nodes)
-        if cover is not None:
-            return tuple(sorted(iter_mask(cover)))
-        size += 1
-    raise VcBudgetExceeded(f"no vertex cover of size <= {budget}")
-
-
-def _matching_bound(masks: tuple[int, ...], rest: int, cover: int, cap: int) -> tuple[int | None, int]:
-    """The lowest vertex of ``rest`` with an edge outside ``cover`` (None if
-    there is none) and the size of a greedy maximal matching of those
-    edges, scanned in index order and stopped once it passes ``cap``.
-
-    The first matched edge is the branching edge: its partner is the first
-    vertex's lowest-index uncovered neighbour.  Partners always come later
-    in the scan, so each vertex is looked at once.
-    """
-    first = None
-    size = 0
-    rest &= ~cover
-    taken = cover
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        free = masks[u] & ~taken
-        if free:
-            mate = free & -free
-            if first is None:
-                first = u
-            size += 1
-            if size > cap:
+    masks = g.masks
+    degree = [mask.bit_count() for mask in masks]
+    spare = budget  # vertices left for the components not yet bounded
+    parts = []
+    for comp in _components(masks):
+        order = [(1 << v, masks[v]) for v in sorted(iter_mask(comp), key=degree.__getitem__)]
+        low = _matching_bound(masks, order, comp, spare)
+        parts.append((comp, order, low))
+        spare -= low
+        if spare < 0:
+            break
+    cover = nodes = 0
+    for comp, order, size in parts:
+        while spare >= 0:
+            found, nodes = _vc_decide(masks, comp, order, size, nodes)
+            if found is not None:
+                cover |= found
                 break
-            taken |= low | mate
-            rest &= ~mate
-    return first, size
+            size += 1
+            spare -= 1
+    if spare < 0:
+        raise VcBudgetExceeded(f"no vertex cover of size <= {budget}")
+    return tuple(iter_mask(cover))
 
 
-def _vc_decide(masks: tuple[int, ...], live: int, size: int, nodes: int) -> tuple[int | None, int]:
-    """The first cover of exactly ``size`` vertices in the canonical order,
-    or None, and the node count carried on from ``nodes``.
+def _components(masks: tuple[int, ...]) -> Iterator[int]:
+    """The vertex masks of the connected components with an edge, by lowest vertex."""
+    rest = reduce(or_, masks, 0)  # a vertex with an edge is a neighbour of another
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= masks[low.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest &= ~comp
+        yield comp
 
-    ``live`` holds the vertices with an edge.  Vertices below a node's
-    branching vertex have every edge covered, so its children scan from there.
+
+def _matching_bound(masks: tuple[int, ...], order: list[tuple[int, int]], left: int, cap: int) -> int:
+    """The size of a greedy matching of the edges inside ``left``, stopped
+    once it passes ``cap``.  ``order`` holds one component's vertices as
+    (bit, neighbour mask), by ascending degree; each unmatched one takes its
+    unmatched neighbour with the fewest unmatched neighbours, the lowest
+    index on a tie."""
+    size = 0
+    for bit, row in order:
+        if not left & bit:
+            continue
+        free = row & left
+        if not free:
+            continue
+        mate = free & -free
+        if free != mate:
+            least = None
+            rest = free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                degree = (masks[low.bit_length() - 1] & left).bit_count()
+                if least is None or degree < least:
+                    least, mate = degree, low
+        size += 1
+        if size > cap:
+            break
+        left ^= bit | mate
+    return size
+
+
+def _vc_decide(masks: tuple[int, ...], comp: int, order: list[tuple[int, int]], size: int, nodes: int) -> tuple[int | None, int]:
+    """The first cover of the component ``comp`` with exactly ``size``
+    vertices in the canonical order, or None, and the node count carried on
+    from ``nodes``.
+
+    Vertices below a node's branching vertex have every edge covered, so its
+    children look for their branching vertex from there.
     """
     stack = [(0, size, 0)]
     while stack:
@@ -438,14 +491,22 @@ def _vc_decide(masks: tuple[int, ...], live: int, size: int, nodes: int) -> tupl
         nodes += 1
         if nodes > VC_NODE_BUDGET:
             raise VcBudgetExceeded(f"vertex cover search passed its node budget of {VC_NODE_BUDGET:,} nodes")
-        u, bound = _matching_bound(masks, live >> start << start, cover, remaining)
-        if u is None:
+        left = comp & ~cover
+        bound = _matching_bound(masks, order, left, remaining)
+        if not bound:
             return cover, nodes
         if bound > remaining:
             continue
-        free = masks[u] & ~cover
+        rest = left >> start << start
+        while True:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            free = masks[u] & left
+            if free:
+                break
+            rest ^= low
         stack.append((cover | (free & -free), remaining - 1, u))
-        stack.append((cover | (1 << u), remaining - 1, u))
+        stack.append((cover | low, remaining - 1, u))
     return None, nodes
 
 

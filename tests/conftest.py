@@ -50,6 +50,14 @@ def disjoint_triangles(count: int) -> Graph:
     return Graph.from_edges(3 * count, [(3 * i + a, 3 * i + b) for i in range(count) for a, b in ((0, 1), (0, 2), (1, 2))])
 
 
+def triangle_chain(count: int) -> Graph:
+    """``disjoint_triangles(count)`` joined into one component by the edges
+    from each triangle's last vertex to the next one's first; a cover still
+    needs two vertices per triangle, a matching has about one edge per triangle."""
+    triangles = disjoint_triangles(count)
+    return Graph.from_edges(3 * count, [*triangles.edges(), *((3 * i + 2, 3 * i + 3) for i in range(count - 1))])
+
+
 def greedy_cover(g: Graph) -> tuple[int, ...]:
     """Both ends of a greedy maximal matching: a cover, not a minimum one."""
     cover: set[int] = set()

@@ -31,7 +31,7 @@ from fcgp.instance import AnnotatedInstance, LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
 from fcgp.rules import KERNELIZED, PIPELINES
 
-from conftest import complete_graph, disjoint_triangles
+from conftest import complete_graph, triangle_chain
 from test_rules import _pipeline_runs
 
 
@@ -579,7 +579,7 @@ def test_json_cover_of_a_large_sparse_graph_ends_fast(tmp_path, capsys):
 
 def test_cover_past_the_node_budget_is_no_cover(tmp_path, capsys):
     path = tmp_path / "triangles.el"
-    path.write_text(_graph_text(disjoint_triangles(12)))
+    path.write_text(_graph_text(triangle_chain(12)))
     assert main(["params", str(path)]) == EXIT_OK
     assert " vc=-\n" in capsys.readouterr().out
     assert main(["kernelize", str(path), *_value("1/2", "min"), "--pipeline", "vc"]) == EXIT_GUARD

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from fcgp.graph import (
 )
 from fcgp.harness import gen_degenerate, gen_gnp
 
-from conftest import complete_graph, cycle_graph, disjoint_triangles, greedy_cover, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, disjoint_triangles, greedy_cover, path_graph, star_graph, triangle_chain
 
 
 # -- parsing -----------------------------------------------------------------
@@ -341,11 +342,58 @@ def planted_cover_graph(seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabelled(n: int, edges, rng: random.Random) -> Graph:
+    """The graph of ``edges`` under a random relabelling of ``0..n-1``."""
+    label = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def interleaved_components_graph(seed: int) -> Graph:
+    """2-4 random components of 2-7 vertices each, whose labels interleave."""
+    rng = random.Random(seed)
+    n = 0
+    edges = []
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, 7)
+        part = [(u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < 0.5]
+        part.append((0, 1))
+        edges += [(n + u, n + v) for u, v in set(part)]
+        n += size
+    return relabelled(n, edges, rng)
+
+
+def leafy_graph(seed: int) -> Graph:
+    """A random tree of 3-8 vertices with 0-4 pendant leaves on each, relabelled."""
+    rng = random.Random(seed)
+    core = rng.randint(3, 8)
+    edges = [(rng.randrange(v), v) for v in range(1, core)]
+    n = core
+    for v in range(core):
+        for _ in range(rng.randint(0, 4)):
+            edges.append((v, n))
+            n += 1
+    return relabelled(n, edges, rng)
+
+
+def triangle_heavy_graph(seed: int) -> Graph:
+    """3-6 random triangles on 8-16 vertices, possibly sharing vertices and edges."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 16)
+    edges = set()
+    for _ in range(rng.randint(3, 6)):
+        a, b, c = sorted(rng.sample(range(n), 3))
+        edges |= {(a, b), (a, c), (b, c)}
+    return Graph.from_edges(n, edges)
+
+
 def test_cover_matches_the_unbounded_search(monkeypatch):
     graphs = [
         *(gen_gnp(6 + seed % 15, 1, 4, seed) for seed in range(170)),
         *(gen_degenerate(8 + seed % 23, 1 + seed % 3, seed) for seed in range(170)),
         *(planted_cover_graph(seed) for seed in range(200)),
+        *(interleaved_components_graph(seed) for seed in range(100)),
+        *(leafy_graph(seed) for seed in range(100)),
+        *(triangle_heavy_graph(seed) for seed in range(100)),
     ]
     totals = []
     search = graph_mod._vc_decide
@@ -388,11 +436,23 @@ def test_cover_below_the_matching_bound_is_not_searched(monkeypatch):
 
 
 def test_node_budget_ends_the_search():
-    # the matching bound counts one vertex per triangle and a cover needs two:
-    # the sizes 12 to 23 all fail, and the budget runs out among them
+    # one component, whose greedy matching has 13 edges while a cover needs
+    # two vertices per triangle: the sizes 13 to 23 all fail, and the budget
+    # runs out among them
     with pytest.raises(VcBudgetExceeded, match=f"node budget of {graph_mod.VC_NODE_BUDGET:,} nodes"):
-        minimum_vertex_cover(disjoint_triangles(12))
-    assert len(minimum_vertex_cover(disjoint_triangles(6))) == 12
+        minimum_vertex_cover(triangle_chain(12))
+    assert len(minimum_vertex_cover(triangle_chain(6))) == 12
+
+
+def test_components_are_searched_one_at_a_time():
+    # each triangle is its own search of a few nodes, where one search over
+    # the whole graph passed the node budget; the star's centre is its cover
+    g = Graph.from_edges(1037, [*disjoint_triangles(12).edges(), *((36, leaf) for leaf in range(37, 1037))])
+    start = time.perf_counter()
+    cover = minimum_vertex_cover(g)
+    assert time.perf_counter() - start < 5
+    assert cover == (*sorted(v for i in range(12) for v in (3 * i, 3 * i + 1)), 36)
+    assert minimum_vertex_cover(disjoint_triangles(12)) == cover[:-1]
 
 
 @given(st.integers(0, 9), st.integers(0, 2**81 - 1))
@@ -430,6 +490,23 @@ def test_masks_are_the_graph(case):
     assert g.adj == tuple(tuple(sorted(s)) for s in nbrs)
     assert g.m == len(edges)
     assert [g.degree(v) for v in range(n)] == [len(s) for s in nbrs]
+
+
+@given(st.integers(0, 40), st.integers(0, 5), st.integers(0, 2), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_adjacency_rows_are_the_mask_bits(n, ands, ors, seed):
+    # n random n-digit rows, thinned by ANDs and filled by ORs of more: sparse
+    # graphs are read bit by bit, dense ones from their binary digits
+    rng = random.Random(seed)
+    masks = []
+    for _ in range(n):
+        mask = rng.getrandbits(n)
+        for _ in range(rng.randint(0, ands)):
+            mask &= rng.getrandbits(n)
+        for _ in range(rng.randint(0, ors)):
+            mask |= rng.getrandbits(n)
+        masks.append(mask)
+    assert Graph.from_masks(masks).adj == tuple(tuple(iter_mask(mask)) for mask in masks)
 
 
 def test_graph_from_edges_validation():
