@@ -63,6 +63,7 @@ class Graph:
     degree sum.  ``adj`` holds the neighbour tuples in ascending order:
     :meth:`from_edges` fills it from its neighbour sets, and a graph built
     by :meth:`from_masks` derives it from the masks on its first read.
+    ``profile`` is kept the same way.
     """
 
     n: int
@@ -121,6 +122,12 @@ class Graph:
             return tuple([tuple(list(iter_mask(mask))) for mask in self.masks])
         rows = (bin(mask)[:1:-1].encode().translate(_DIGIT_BITS) for mask in self.masks)
         return tuple([tuple(list(compress(range(len(digits)), digits))) for digits in rows])
+
+    @cached_property
+    def profile(self) -> "ParameterProfile":
+        """The default-budget profile of runs given none (``rules.alive_profile``),
+        built on first read and kept; :func:`compute_profile` builds a new one."""
+        return compute_profile(self)
 
     def degree(self, v: int) -> int:
         # O(1) once adj exists; masks[v].bit_count() costs O(n) digit operations

@@ -389,6 +389,41 @@ def deannotate_identity(inst: AnnotatedInstance) -> Deannotation:
     return Deannotation(plain=plain, kind="identity", origin=back, anchor=(-1,) * sub.n, ell=0)
 
 
+def _gadget_base(inst: AnnotatedInstance) -> tuple[list[int], list[int], list[int], int, int, int, int]:
+    """The guards and inputs both gadgets share, read in one pass over the
+    alive vertices: their indices, their alive neighbourhoods relabelled to
+    positions in that list, their counters, Gamma, the largest degree
+    outside T and overall, and the alive edge count."""
+    masks, alive, tmask, weights, a = inst.graph.masks, inst.alive, inst.tmask, inst.weights, inst.alpha_weight
+    if not a:
+        raise GuardViolation("de-annotation is impossible for alpha = 0")
+    keep = list(iter_mask(alive))
+    bit = None if len(keep) == len(masks) else {old: 1 << new for new, old in enumerate(keep)}
+    rows, counters = [], []
+    free_top = top = degrees = 0
+    for v in keep:
+        row = masks[v] & alive
+        deg = row.bit_count()
+        degrees += deg
+        if deg > top:
+            top = deg
+        if deg > free_top and not (tmask >> v) & 1:
+            free_top = deg
+        counter, rest = divmod(weights[v], a)
+        if rest:  # the first such vertex, as counters() reports it
+            raise GuardViolation(f"bonus {inst.bonus[v]} of vertex {v} is not an integer multiple of alpha")
+        counters.append(counter)
+        if bit is not None:
+            new = 0
+            for u in iter_mask(row):
+                new |= bit[u]
+            row = new
+        rows.append(row)
+    if len(keep) < inst.k:
+        raise GuardViolation("de-annotation needs at least k alive vertices")
+    return keep, rows, counters, max(counters, default=0) + 1, free_top, top, degrees // 2
+
+
 def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     """Leaf construction removing annotations from a Max instance.
 
@@ -404,35 +439,28 @@ def deannotate_max(inst: AnnotatedInstance) -> Deannotation:
     """
     if inst.variant != MAX:
         raise GuardViolation("deannotate_max needs the maximization variant")
-    s, a = inst.scale, inst.alpha_weight
-    if not a:
-        raise GuardViolation("de-annotation is impossible for alpha = 0")
-    gamma = inst.gamma()  # validates the counters, read off the weights below
-    if inst.n_alive < inst.k:
-        raise GuardViolation("de-annotation needs at least k alive vertices")
+    keep, masks, counters, gamma, dtb, _, m = _gadget_base(inst)
+    s, a, tmask, base = inst.scale, inst.alpha_weight, inst.tmask, len(keep)
     inv_floor = s // a
     pad = -(-max(0, 2 * a - s) * (inst.k - 1) // a) if inst.k > 1 else 0
-    dtb = inst.delta_tbar()
     # ceil keeps the strictly-better margin when |1/alpha - 3| * k is fractional
     ell = dtb + gamma - (-abs(s - 3 * a) * inst.k // a) + inv_floor
 
-    sub, keep = inst.graph.induced(inst.alive_vertices())
-    masks = list(sub.masks)
-    origin = list(keep)
-    anchor = [-1] * len(keep)
-    nxt = len(keep)
-    for i, old_v in enumerate(keep):
-        leaves = inst.weights[old_v] // a + inv_floor + pad
-        if (inst.tmask >> old_v) & 1:
+    anchor = [-1] * base
+    nxt = base
+    for i, (old_v, counter) in enumerate(zip(keep, counters)):
+        leaves = counter + inv_floor + pad
+        if (tmask >> old_v) & 1:
             leaves += ell
         masks[i] |= ((1 << leaves) - 1) << nxt
         masks.extend([1 << i] * leaves)
-        origin.extend([-1] * leaves)
         anchor.extend([i] * leaves)
         nxt += leaves
+    graph = Graph(n=nxt, masks=tuple(masks), m=m + nxt - base)  # one edge per leaf
     new_t = inst.t + Fraction(a * (ell * inst.t_size + (inv_floor + pad) * inst.k), s)
-    plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MAX)
-    return Deannotation(plain=plain, kind="max-leaves", origin=tuple(origin), anchor=tuple(anchor), ell=ell)
+    plain = AnnotatedInstance.plain(graph, inst.k, new_t, inst.alpha, MAX)
+    origin = tuple(keep) + (-1,) * (nxt - base)
+    return Deannotation(plain=plain, kind="max-leaves", origin=origin, anchor=tuple(anchor), ell=ell)
 
 
 def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
@@ -444,28 +472,21 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
     """
     if inst.variant != MIN:
         raise GuardViolation("deannotate_min needs the minimization variant")
-    s, a = inst.scale, inst.alpha_weight
-    if not a:
-        raise GuardViolation("de-annotation is impossible for alpha = 0")
-    gamma = inst.gamma()  # as in deannotate_max
-    if inst.n_alive < inst.k:
-        raise GuardViolation("de-annotation needs at least k alive vertices")
-    delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
+    keep, masks, counters, gamma, _, delta, m = _gadget_base(inst)
+    s, a, tmask, base = inst.scale, inst.alpha_weight, inst.tmask, len(keep)
     ell = ((delta + gamma) * s + abs(s - 3 * a) * inst.k) // a + 1
 
-    sub, keep = inst.graph.induced(inst.alive_vertices())
-    masks = list(sub.masks)
-    base = len(keep)
     csize = 2 * ell + 1
     wired = [0] * (csize + 1)  # wired[w]: the originals wired to exactly the first w clique vertices
-    for i, old_v in enumerate(keep):
-        if (inst.tmask >> old_v) & 1:
+    for i, (old_v, counter) in enumerate(zip(keep, counters)):
+        if (tmask >> old_v) & 1:
             continue
-        wires = ell + inst.weights[old_v] // a
+        wires = ell + counter
         if wires > csize:
             raise RuleInternalError("clique too small for counter wiring")
         masks[i] |= ((1 << wires) - 1) << base
         wired[wires] |= 1 << i
+        m += wires
     whole = ((1 << csize) - 1) << base
     clique = [0] * csize
     reach = 0  # the originals wired to clique vertex j: those with more than j wires
@@ -473,8 +494,9 @@ def deannotate_min(inst: AnnotatedInstance) -> Deannotation:
         reach |= wired[j + 1]
         clique[j] = (whole ^ (1 << (base + j))) | reach
     masks.extend(clique)
+    graph = Graph(n=base + csize, masks=tuple(masks), m=m + csize * (csize - 1) // 2)
     new_t = inst.t + Fraction(a * ell * inst.k_prime, s)
-    plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MIN)
+    plain = AnnotatedInstance.plain(graph, inst.k, new_t, inst.alpha, MIN)
     origin = tuple(keep) + (-1,) * csize
     anchor = (-1,) * (base + csize)
     return Deannotation(plain=plain, kind="min-clique", origin=origin, anchor=anchor, ell=ell)

@@ -1066,22 +1066,27 @@ def select_pipeline(inst: AnnotatedInstance, profile: ParameterProfile) -> str:
         if profile.vc is not None:
             return "vc"
         raise GuardViolation(
-            "pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover"
+            f"pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover: "
+            f"|V_x| = {vx} < k = {inst.k}, and no cover found within vc_budget={profile.vc_budget}"
         )
     if inst.degrading:
         return "degeneracy"
     if profile.vc is None:
-        raise GuardViolation("pipeline=auto: min with alpha>=1/3 needs an exact vertex cover")
+        raise GuardViolation(
+            f"pipeline=auto: min with alpha>=1/3 needs an exact vertex cover: "
+            f"no cover found within vc_budget={profile.vc_budget}"
+        )
     return "vc"
 
 
 def alive_profile(inst: AnnotatedInstance) -> ParameterProfile:
     """Profile of the alive part of ``inst`` in its own indices; dead vertices
     stay as isolated ones, which change no parameter and join no cover.
-    With every vertex alive that is the instance's own graph, ``adj`` built."""
+    With every vertex alive that is the profile the graph keeps, so runs on
+    one graph share its parameters and its cover; otherwise a new one."""
     alive = inst.alive
     if inst.n_alive == inst.graph.n:
-        return compute_profile(inst.graph)
+        return inst.graph.profile
     return compute_profile(Graph.from_masks([
         mask & alive if (alive >> v) & 1 else 0 for v, mask in enumerate(inst.graph.masks)
     ]))

@@ -82,32 +82,45 @@ def twin_oracle(inst: AnnotatedInstance, budget: int = DEFAULT_BUDGET) -> SolveR
     need = inst.k - inst.t_size
     if need < 0 or need > inst.n_alive - inst.t_size:
         return SolveResult(False, None, None, "twin", 0)
-    classes = [c[:need] for c in _twin_classes(inst)]
+    classes = _twin_classes(inst, need)
     return _result(inst, *_best_subset(inst, classes, need, inst.score_val(inst.tmask), budget), "twin")
 
 
-def _twin_classes(inst: AnnotatedInstance) -> list[tuple[int, ...]]:
+def _twin_classes(inst: AnnotatedInstance, cap: float = math.inf) -> list[tuple[int, ...]]:
     """The free vertices (alive, outside T) split into twin classes, each in
-    index order, the classes ordered by their first vertex.
+    index order and cut to its first ``cap`` members (at least one), the
+    classes ordered by their first vertex.
 
     False twins share their alive open neighbourhood and their weight, true
     twins their alive closed neighbourhood and their weight; every other
     vertex is a class of its own.  Swapping two twins maps the instance onto
     itself.  No vertex has twins of both kinds: were u, v false twins and
     u, w true twins, then w in N(u) = N(v), so v in N[w] = N[u], and v would
-    be u's neighbour.
+    be u's neighbour.  So a vertex whose false-twin class was cut to itself
+    (cap 1) finds no true twin, and stays a class of its own.
     """
     masks, alive, weights = inst.graph.masks, inst.alive, inst.weights
     opened: dict[tuple[int, int], list[int]] = {}
-    for v in inst.free_vertices():
-        opened.setdefault((masks[v] & alive, weights[v]), []).append(v)
+    for v in iter_mask(alive & ~inst.tmask):
+        key = (masks[v] & alive, weights[v])
+        group = opened.get(key)
+        if group is None:
+            opened[key] = [v]
+        elif len(group) < cap:
+            group.append(v)
     closed: dict[tuple[int, int], list[int]] = {}
     classes = []
     for (around, w), group in opened.items():
         if len(group) > 1:
             classes.append(tuple(group))
         else:  # only a vertex without false twins can have true twins
-            closed.setdefault((around | 1 << group[0], w), []).append(group[0])
+            v = group[0]
+            key = (around | 1 << v, w)
+            group = closed.get(key)
+            if group is None:
+                closed[key] = [v]
+            elif len(group) < cap:
+                group.append(v)
     classes += map(tuple, closed.values())
     classes.sort()  # disjoint, so by first vertex
     return classes
@@ -158,19 +171,27 @@ def _best_subset(
     starts = list(accumulate(map(len, classes), initial=0))  # where each class begins, then n
     later = [r for r, c in enumerate(classes, 1) for _ in c]  # per position: the next class's index in starts
     shuffled = free != sorted(free)
-    pair = inst.pair_score
-    score = [inst.score_contribution(v, inst.tmask) for v in free]
-    masks = [inst.graph.masks[v] & inst.alive for v in free]
-    last = need - 1
+    pair, last = inst.pair_score, need - 1
+    # per position: the alive neighbours, the contribution score w.r.t. T
+    # (score_contribution: sign * (alpha * deg + weight) + pair per T
+    # neighbour) and the bound's gain, read off each mask once
+    gmasks, alive, tmask, weights = inst.graph.masks, inst.alive, inst.tmask, inst.weights
+    sign, a, credit = inst.sign, inst.alpha_weight, pair > 0
+    masks, score, gain = [], [], []
+    for v in free:
+        m = gmasks[v] & alive
+        deg = m.bit_count()
+        s = sign * (a * deg + weights[v]) + pair * (m & tmask).bit_count()
+        masks.append(m)
+        score.append(s)
+        gain.append(s + pair * min(deg, last) if credit else s)
     idx = [0] * need  # the position tried at each depth; idx[last] starts the flat loop
     got = [base] * need  # score of the vertices chosen above each depth
     chosen = [0] * need  # and their mask
     best: int | None = None
     best_at: list[int] = []
     best_key: list[int] | None = None  # sorted best set, built on the first tie
-    # the bound's top[p]; with need 1 the walk never reads it
-    gain = [s + pair * min(m.bit_count(), last) for s, m in zip(score, masks)] if pair > 0 else score
-    top = list(accumulate(reversed(gain), max))[::-1] if last else []
+    top = list(accumulate(reversed(gain), max))[::-1] if last else []  # the bound's top[p]; need 1 never reads it
     d = nodes = 0
     while True:
         nodes += 1

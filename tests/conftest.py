@@ -12,7 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -21,9 +21,10 @@ import pytest
 import fcgp
 from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile, iter_mask, mask_of
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, AnnotatedInstance, GuardViolation
+from fcgp.instance import MAX, MIN, AnnotatedInstance, Deannotation, GuardViolation
 from fcgp.ramsey import ExtractionPreconditionError
 from fcgp.rules import RuleTrace, _Decided, _State
+from fcgp.solve import BudgetExceeded
 
 
 def path_graph(n: int) -> Graph:
@@ -221,6 +222,148 @@ def min_gadget_by_fractions(inst: AnnotatedInstance) -> tuple[int, Fraction]:
     delta = max((inst.degree(v) for v in inst.alive_vertices()), default=0)
     ell = math.floor((delta + inst.gamma() + abs((1 - 3 * inst.alpha) * inst.k)) / inst.alpha) + 1
     return ell, inst.t + inst.alpha * ell * inst.k_prime
+
+
+# The oracle's and the gadgets' set-up as it was built before it went one
+# pass: vertex by vertex through the instance's methods, and the gadget
+# graph's edges summed from its masks.  The tests hold the one-pass
+# versions to them, nodes visited included.
+
+def twin_classes_by_buckets(inst: AnnotatedInstance) -> list[tuple[int, ...]]:
+    """Reference for ``solve._twin_classes``, uncut: every free vertex
+    bucketed by its alive open neighbourhood and weight, the singletons
+    bucketed again by their closed one."""
+    masks, alive, weights = inst.graph.masks, inst.alive, inst.weights
+    opened: dict[tuple[int, int], list[int]] = {}
+    for v in inst.free_vertices():
+        opened.setdefault((masks[v] & alive, weights[v]), []).append(v)
+    closed: dict[tuple[int, int], list[int]] = {}
+    classes = []
+    for (around, w), group in opened.items():
+        if len(group) > 1:
+            classes.append(tuple(group))
+        else:
+            closed.setdefault((around | 1 << group[0], w), []).append(group[0])
+    classes += map(tuple, closed.values())
+    classes.sort()
+    return classes
+
+
+def best_subset_by_methods(inst: AnnotatedInstance, classes, need: int, base: int, budget: int):
+    """Reference for ``solve._best_subset``: the same walk, its per-vertex
+    scores read through ``score_contribution`` and its gains summed from the
+    alive masks afterwards."""
+    if not need:
+        return base, (), 0
+    free = list(chain.from_iterable(classes))
+    n = len(free)
+    starts = list(accumulate(map(len, classes), initial=0))
+    later = [r for r, c in enumerate(classes, 1) for _ in c]
+    shuffled = free != sorted(free)
+    pair = inst.pair_score
+    score = [inst.score_contribution(v, inst.tmask) for v in free]
+    masks = [inst.graph.masks[v] & inst.alive for v in free]
+    last = need - 1
+    idx, got, chosen = [0] * need, [base] * need, [0] * need
+    best, best_at, best_key = None, [], None
+    gain = [s + pair * min(m.bit_count(), last) for s, m in zip(score, masks)] if pair > 0 else score
+    top = list(accumulate(reversed(gain), max))[::-1] if last else []
+    d = nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("the exact search passed its node budget")
+        p = idx[d]
+        if p <= n - need + d and (best is None or got[d] + (need - d) * top[p] + shuffled > best):
+            if d < last:
+                got[d + 1] = got[d] + score[p] + pair * (masks[p] & chosen[d]).bit_count()
+                chosen[d + 1] = chosen[d] | 1 << free[p]
+                idx[d + 1] = p + 1
+                d += 1
+                continue
+            g, c, r = got[d], chosen[d], later[p]
+            for i in starts[r - 1:-1] if starts[r - 1] == p else [p, *starts[r:-1]]:
+                s = g + score[i] + pair * (masks[i] & c).bit_count()
+                if best is None or s > best:
+                    best, best_at, best_key = s, idx[:d] + [i], None
+                elif shuffled and s == best:
+                    key = sorted([free[j] for j in idx[:d]] + [free[i]])
+                    if best_key is None:
+                        best_key = sorted(free[j] for j in best_at)
+                    if key < best_key:
+                        best_at, best_key = idx[:d] + [i], key
+        if not d:
+            break
+        d -= 1
+        idx[d] = starts[later[idx[d]]]
+    return best, tuple(free[i] for i in best_at), nodes
+
+
+def deannotate_max_by_passes(inst: AnnotatedInstance) -> Deannotation:
+    """Reference for ``deannotate_max``: counters, the outside degree and the
+    induced graph each read in a pass of their own, the edges summed."""
+    if inst.variant != MAX:
+        raise GuardViolation("deannotate_max needs the maximization variant")
+    s, a = inst.scale, inst.alpha_weight
+    if not a:
+        raise GuardViolation("de-annotation is impossible for alpha = 0")
+    gamma = inst.gamma()
+    if inst.n_alive < inst.k:
+        raise GuardViolation("de-annotation needs at least k alive vertices")
+    inv_floor = s // a
+    pad = -(-max(0, 2 * a - s) * (inst.k - 1) // a) if inst.k > 1 else 0
+    ell = inst.delta_tbar() + gamma - (-abs(s - 3 * a) * inst.k // a) + inv_floor
+    sub, keep = inst.graph.induced(inst.alive_vertices())
+    masks, origin, anchor = list(sub.masks), list(keep), [-1] * len(keep)
+    nxt = len(keep)
+    for i, old_v in enumerate(keep):
+        leaves = inst.weights[old_v] // a + inv_floor + pad
+        if (inst.tmask >> old_v) & 1:
+            leaves += ell
+        masks[i] |= ((1 << leaves) - 1) << nxt
+        masks.extend([1 << i] * leaves)
+        origin.extend([-1] * leaves)
+        anchor.extend([i] * leaves)
+        nxt += leaves
+    new_t = inst.t + Fraction(a * (ell * inst.t_size + (inv_floor + pad) * inst.k), s)
+    plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MAX)
+    return Deannotation(plain=plain, kind="max-leaves", origin=tuple(origin), anchor=tuple(anchor), ell=ell)
+
+
+def deannotate_min_by_passes(inst: AnnotatedInstance) -> Deannotation:
+    """Reference for ``deannotate_min``, built as :func:`deannotate_max_by_passes` is."""
+    if inst.variant != MIN:
+        raise GuardViolation("deannotate_min needs the minimization variant")
+    s, a = inst.scale, inst.alpha_weight
+    if not a:
+        raise GuardViolation("de-annotation is impossible for alpha = 0")
+    gamma = inst.gamma()
+    if inst.n_alive < inst.k:
+        raise GuardViolation("de-annotation needs at least k alive vertices")
+    delta = max((inst.degree(v) for v in iter_mask(inst.alive)), default=0)
+    ell = ((delta + gamma) * s + abs(s - 3 * a) * inst.k) // a + 1
+    sub, keep = inst.graph.induced(inst.alive_vertices())
+    masks, base, csize = list(sub.masks), len(keep), 2 * ell + 1
+    wired = [0] * (csize + 1)
+    for i, old_v in enumerate(keep):
+        if (inst.tmask >> old_v) & 1:
+            continue
+        wires = ell + inst.weights[old_v] // a
+        if wires > csize:
+            raise RuleInternalError("clique too small for counter wiring")
+        masks[i] |= ((1 << wires) - 1) << base
+        wired[wires] |= 1 << i
+    whole = ((1 << csize) - 1) << base
+    clique = [0] * csize
+    reach = 0
+    for j in reversed(range(csize)):
+        reach |= wired[j + 1]
+        clique[j] = (whole ^ (1 << (base + j))) | reach
+    masks.extend(clique)
+    new_t = inst.t + Fraction(a * ell * inst.k_prime, s)
+    plain = AnnotatedInstance.plain(Graph.from_masks(masks), inst.k, new_t, inst.alpha, MIN)
+    origin = tuple(keep) + (-1,) * csize
+    return Deannotation(plain=plain, kind="min-clique", origin=origin, anchor=(-1,) * (base + csize), ell=ell)
 
 
 def max_degree_neighborhood_by_masks(inst: AnnotatedInstance, need: int):

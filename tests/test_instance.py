@@ -624,15 +624,16 @@ def test_snapshot_remaps_alive_vertices():
 
 
 def test_clique_wiring_check_survives_optimize():
-    # a gamma below the true counter ceiling makes the clique too small
+    # alpha = 6, past the checks of __post_init__, makes the clique too small
+    # for counter 10: ell = 5, so 15 wires against 11 clique vertices
     out = run_optimized(
         "from fractions import Fraction as F\n"
         "from fcgp.graph import Graph, RuleInternalError\n"
         "from fcgp.instance import MIN, AnnotatedInstance, deannotate_min\n"
         "class Lying(AnnotatedInstance):\n"
-        "    def gamma(self):\n"
-        "        return 1\n"
-        "inst = Lying(Graph.from_edges(1, []), 1, 0, (F(6),), 1, F(0), F(1), MIN)\n"
+        "    def __post_init__(self):\n"
+        "        self._set_scale(1, (60,))\n"
+        "inst = Lying(Graph.from_edges(1, []), 1, 0, (F(60),), 1, F(0), F(6), MIN)\n"
         "try:\n"
         "    deannotate_min(inst)\n"
         "except RuleInternalError as exc:\n"

@@ -610,7 +610,8 @@ def _candidate_list_rule(inst, profile) -> str:
         if vx >= inst.k:
             return "hindex"
         raise GuardViolation(
-            "pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover"
+            f"pipeline=auto: max with alpha<=1/3 needs the h-index case or an exact vertex cover: "
+            f"|V_x| = {vx} < k = {inst.k}, and no cover found within vc_budget={profile.vc_budget}"
         )
     if inst.alpha < third:
         candidates = [(profile.degeneracy, 0, "degeneracy")]
@@ -618,7 +619,10 @@ def _candidate_list_rule(inst, profile) -> str:
             candidates.append((profile.vc, 1, "vc"))
         return min(candidates)[2]
     if profile.vc is None:
-        raise GuardViolation("pipeline=auto: min with alpha>=1/3 needs an exact vertex cover")
+        raise GuardViolation(
+            f"pipeline=auto: min with alpha>=1/3 needs an exact vertex cover: "
+            f"no cover found within vc_budget={profile.vc_budget}"
+        )
     return "vc"
 
 
@@ -677,6 +681,45 @@ def test_alive_profile_with_every_vertex_alive_profiles_the_graph():
             got = alive_profile(cur)
             assert profile_values(got) == profile_values(masked)
             assert (got.graph is g) == (not dead)
+
+
+def _run_or_refusal(inst, name, profile):
+    try:
+        out = run_pipeline(inst, name, profile=profile)
+    except GuardViolation as exc:
+        return str(exc)
+    return out.status, out.trace.to_text(), out.plain, out.final, out.witness
+
+
+def test_runs_without_a_profile_share_the_graph_profile(monkeypatch):
+    # instances on one graph that differ in k, t, alpha, T and counters: every
+    # pipeline given no profile reads the one the graph keeps, so the cover is
+    # searched once, and each outcome is the one a fresh profile gives
+    import fcgp.graph as graph_mod
+
+    g = gen_gnp(9, 1, 2, 11)  # built here: no other test reads its profile
+    searched = []
+    search = graph_mod.minimum_vertex_cover
+
+    def counting(graph, budget=25):
+        searched.append(graph)
+        return search(graph, budget=budget)
+
+    monkeypatch.setattr(graph_mod, "minimum_vertex_cover", counting)
+    instances = [gen_annotated(g, 2 * i + allow_t, alpha, variant, (2, 3), (0, 2), allow_t=allow_t)
+                 for i, alpha in enumerate(ALPHAS) for variant in (MAX, MIN) for allow_t in (True, False)]
+    assert len({(i.k, i.t, i.alpha, i.variant, i.tmask, i.weights) for i in instances}) == len(instances)
+    assert any(i.tmask for i in instances) and any(any(i.weights) for i in instances)
+    runs = [(inst, name, _run_or_refusal(inst, name, None)) for inst in instances for name in PIPELINES]
+    assert searched == [g]
+    for inst, name, got in runs:
+        assert got == _run_or_refusal(inst, name, compute_profile(g)), (name, inst.to_text())
+    # a dead vertex: a profile of the alive part, built and searched anew
+    dead = instances[0].exclude(instances[0].free_vertices()[0])
+    profile = alive_profile(dead)
+    assert profile.graph is not g and alive_profile(dead) is not profile
+    searched.clear()
+    assert profile.vertex_cover is not None and searched == [profile.graph]
 
 
 @pytest.mark.parametrize("t", [1, 5, 10, 20])

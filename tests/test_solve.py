@@ -2,15 +2,16 @@ from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcgp.solve as solve_mod
-from fcgp.graph import Graph, compute_profile
+from fcgp.graph import Graph, RuleInternalError, compute_profile
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
-from fcgp.instance import MAX, MIN, GuardViolation, deannotate_max, deannotate_min
+from fcgp.instance import MAX, MIN, Deannotation, GuardViolation, deannotate_max, deannotate_min
 from fcgp.rules import KERNELIZED, KernelOutcome, alive_profile
 from fcgp.solve import (
     BudgetExceeded,
@@ -26,7 +27,19 @@ from fcgp.solve import (
     twin_oracle,
 )
 
-from conftest import annotated, complete_graph, path_graph, plain, scan_optimum, seeded_instances, star_graph
+from conftest import (
+    annotated,
+    best_subset_by_methods,
+    complete_graph,
+    deannotate_max_by_passes,
+    deannotate_min_by_passes,
+    path_graph,
+    plain,
+    scan_optimum,
+    seeded_instances,
+    star_graph,
+    twin_classes_by_buckets,
+)
 from test_acceptance import ALPHAS, RULE_MATRIX, _apply_rule, _instances
 
 
@@ -276,6 +289,57 @@ def test_twin_oracle_takes_at_most_k_prime_per_class(monkeypatch):
         res = twin_oracle(kernel)
         assert (res.decision, res.best_value, res.witness) == (ref.decision, ref.best_value, ref.witness)
     assert walked and all(walked)
+
+
+def _solved(solver, inst, budget):
+    try:
+        return solver(inst, budget=budget)
+    except BudgetExceeded as exc:
+        return repr(exc)
+
+
+def _classes_by_buckets(inst, cap):
+    return [c[:cap] for c in twin_classes_by_buckets(inst)]
+
+
+def _solved_by_references(solver, inst, budget):
+    """``solver`` run with the twin classes and the walk's scores set up by the references."""
+    with mock.patch.object(solve_mod, "_twin_classes", _classes_by_buckets), \
+            mock.patch.object(solve_mod, "_best_subset", best_subset_by_methods):
+        return _solved(solver, inst, budget)
+
+
+def _gadget(build, inst):
+    try:
+        return build(inst)
+    except (GuardViolation, RuleInternalError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.sampled_from(ALPHAS), variant=st.sampled_from((MAX, MIN)), seed=st.integers(0, 10**6), dead=st.integers(0, 2))
+def test_one_pass_setup_matches_the_references(alpha, variant, seed, dead):
+    # annotated instances with T and counters, some vertices excluded so the
+    # gadget relabels, and the gadgets built from them: every field of the
+    # three walk solvers' results, nodes included, and every gadget field
+    n = 4 + seed % 7
+    g = gen_gnp(n, 1, 2, seed) if seed % 2 else gen_degenerate(n, 1 + seed % 3, seed)
+    inst = gen_annotated(g, seed, alpha, variant, (1, 3), (0, 2))
+    for _ in range(dead):
+        free = inst.free_vertices()
+        if len(free) > inst.k_prime:
+            inst = inst.exclude(free[seed % len(free)])
+    if variant == MAX:
+        deann, want = _gadget(deannotate_max, inst), _gadget(deannotate_max_by_passes, inst)
+    else:
+        deann, want = _gadget(deannotate_min, inst), _gadget(deannotate_min_by_passes, inst)
+    assert deann == want
+    for cur in (inst, deann.plain) if isinstance(deann, Deannotation) else (inst,):
+        cap = max(cur.k_prime, 1)  # a class keeps its first member even at k' = 0
+        assert _twin_classes(cur, cap) == _classes_by_buckets(cur, cap)
+        for solver in (twin_oracle, brute_force, solve_bounded_degree):
+            got = _solved(solver, cur, 30_000)
+            assert got == _solved_by_references(solver, cur, 30_000), (solver.__name__, cur.to_text())
 
 
 # -- branch_degrading --------------------------------------------------------------
