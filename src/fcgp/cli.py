@@ -25,18 +25,7 @@ from .harness import AnswerMismatch, outcome_answer, parse_manifest, run_battery
 from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from .ramsey import ExtractionPreconditionError, WitnessVerificationError
 from .rules import DECIDED_NO, DECIDED_YES, PIPELINES, run_pipeline
-from .solve import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    UndecidedWithinBudget,
-    branch_degrading,
-    brute_force,
-    densest_vc,
-    hindex_fpt_max,
-    solve_auto,
-    solve_third,
-    twin_oracle,
-)
+from .solve import DEFAULT_BUDGET, SOLVERS, BudgetExceeded, UndecidedWithinBudget, solve_auto, twin_oracle
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -225,23 +214,7 @@ def cmd_kernelize(args) -> int:
 def cmd_solve(args) -> int:
     started = time.monotonic()
     inst, profile = _instance_from_args(args)
-    solver = args.solver
-    if solver == "auto":
-        res = solve_auto(inst, profile=profile, budget=args.budget)
-    elif solver == "brute":
-        res = brute_force(inst, budget=args.budget)
-    elif solver == "branch":
-        res = branch_degrading(inst, profile.degeneracy, budget=args.budget)
-    elif solver == "third":
-        res = solve_third(inst)
-    elif solver == "hindex":
-        res = hindex_fpt_max(inst, profile.h_index, budget=args.budget)
-    elif solver == "densest-vc":
-        if profile.vertex_cover is None:
-            raise GuardViolation("densest-vc needs an exact vertex cover within the vc budget")
-        res = densest_vc(inst, profile.vertex_cover, budget=args.budget)
-    else:
-        raise UsageError(f"unknown solver {solver!r}")
+    res = (solve_auto if args.solver == "auto" else SOLVERS[args.solver])(inst, profile, args.budget)
     decision = "YES" if res.decision else "NO"
     value = "-" if res.best_value is None else str(res.best_value)
     witness = ",".join(map(str, res.witness)) if res.witness else ""
@@ -256,7 +229,7 @@ def cmd_solve(args) -> int:
                 "k": inst.k,
                 "t": str(inst.t),
                 "variant": inst.variant,
-                "solver": solver,
+                "solver": args.solver,
             },
             "profile": profile,
             "result": {
@@ -376,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("graph")
     _value_flags(p)
-    p.add_argument("--solver", default="auto", choices=("auto", "brute", "branch", "third", "hindex", "densest-vc"))
+    p.add_argument("--solver", default="auto", choices=("auto", *SOLVERS))
     _budget_flag(p)
     p.add_argument("--vc-budget", type=int, default=25)
     _report_flags(p)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .graph import Graph, mask_of
-from .instance import AnnotatedInstance, GuardViolation, LiftError, lift_witness
-from .rules import DECIDED_YES, KERNELIZED, KernelOutcome, run_pipeline
+from .instance import AnnotatedInstance, GuardViolation, LiftError, check_alpha, check_variant, lift_witness
+from .rules import DECIDED_YES, KERNELIZED, PIPELINES, KernelOutcome, run_pipeline
 from .solve import DEFAULT_BUDGET, BudgetExceeded, brute_force, twin_oracle
 
 
@@ -225,7 +225,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def parse_manifest(text: str) -> list[ManifestRow]:
-    """One row per line: ``<generator> key=value ...``; ``#`` comments."""
+    """One row per line: ``<generator> key=value ...``; ``#`` comments.  A
+    :class:`ValueError` naming the line refuses a row that could run no
+    check (unknown pipeline, variant or alpha) and a number that does not parse."""
     rows = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -245,13 +247,17 @@ def parse_manifest(text: str) -> list[ManifestRow]:
                     params=params,
                     seed=int(params.get("seed", "0")),
                     count=int(params.get("count", "1")),
-                    alpha=Fraction(params["alpha"]),
-                    variant=params["variant"],
+                    alpha=check_alpha(params["alpha"]),
+                    variant=check_variant(params["variant"]),
                     pipeline=params.get("pipeline", "auto"),
                 )
             )
         except KeyError as exc:
             raise ValueError(f"manifest line {no}: missing field {exc}") from None
+        except ValueError as exc:  # a bad number, variant or alpha
+            raise ValueError(f"manifest line {no}: {exc}") from None
+        if rows[-1].pipeline not in PIPELINES:
+            raise ValueError(f"manifest line {no}: unknown pipeline {rows[-1].pipeline!r}")
     return rows
 
 

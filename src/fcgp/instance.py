@@ -44,6 +44,12 @@ def check_alpha(alpha: Fraction) -> Fraction:
     return alpha
 
 
+def check_variant(variant: str) -> str:
+    if variant not in (MAX, MIN):
+        raise GuardViolation(f"variant must be 'max' or 'min', got {variant!r}")
+    return variant
+
+
 @dataclass(frozen=True)
 class AnnotatedInstance:
     """An annotated instance and its scaled-integer form.
@@ -66,8 +72,7 @@ class AnnotatedInstance:
     variant: str
 
     def __post_init__(self):
-        if self.variant not in (MAX, MIN):
-            raise GuardViolation(f"variant must be 'max' or 'min', got {self.variant!r}")
+        check_variant(self.variant)
         check_alpha(self.alpha)
         if self.tmask & ~self.alive:
             raise GuardViolation("T contains deleted vertices")
@@ -100,8 +105,7 @@ class AnnotatedInstance:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         alpha = check_alpha(alpha)
-        if variant not in (MAX, MIN):
-            raise GuardViolation(f"variant must be 'max' or 'min', got {variant!r}")
+        check_variant(variant)
         inst = object.__new__(cls)
         t = t if isinstance(t, Fraction) else Fraction(t)
         inst.__dict__.update(graph=graph, alive=(1 << graph.n) - 1, tmask=0, k=k, t=t, alpha=alpha, variant=variant)

@@ -4,9 +4,11 @@ Every rule is an answer-preserving transformation of an annotated instance,
 applied in place to the pipeline run's one working state (:class:`_State`);
 pipelines string them together, short-circuit to a decision whenever
 |T| = k or fewer than k vertices remain, and finish by removing the
-annotations.  Every run ends in :func:`_pipeline`: a decision leaves the
-rules as :class:`_Decided`, a kernel de-annotates the run's final instance,
-and the outcome carries that instance.  Each move is logged in a :class:`RuleTrace`.
+annotations.  :data:`ROUTES` holds the pipelines by name.  Every run ends
+in :func:`_pipeline`, which makes the checks due before the first move: a
+decision leaves the rules as :class:`_Decided`, a kernel de-annotates the
+run's final instance, and the outcome carries that instance.  Each move is
+logged in a :class:`RuleTrace`.
 
 Tie-breaking is smallest vertex index everywhere, so identical inputs give
 identical traces.
@@ -130,12 +132,29 @@ class KernelOutcome:
     final: AnnotatedInstance  # the instance the run's moves lead to; kernels lift against it
 
 
-def _require_degrading(inst: AnnotatedInstance, rule: str, allow_alpha_zero: bool = False) -> None:
-    if not inst.degrading:
-        bar = "max needs alpha>1/3" if inst.variant == MAX else "min needs alpha<1/3"
-        raise GuardViolation(f"{rule} requires degrading variant: {bar}, got {inst.alpha}")
-    if not allow_alpha_zero and not inst.alpha_weight:
-        raise GuardViolation(f"{rule} requires alpha > 0")
+# The checks a run makes before its first move, in the order its pipeline
+# lists them: alpha on the degrading side of 1/3, alpha > 0, T empty, and a
+# vertex cover given.  A kernel for one variant checks the variant first.
+DEGRADING, POSITIVE, EMPTY_T, COVER = "degrading", "alpha>0", "empty T", "cover"
+
+
+def _require(label: str, checks: tuple[str, ...], inst: AnnotatedInstance, param=None, variant=None) -> None:
+    """Raise :class:`GuardViolation`, naming ``label``, at the first of the
+    checks that ``inst`` (and, for COVER, the parameter) fails."""
+    if variant is not None and inst.variant != variant:
+        raise GuardViolation(f"{label} requires the {'maximization' if variant == MAX else 'minimization'} variant")
+    for check in checks:
+        if check == DEGRADING and not inst.degrading:
+            if variant == MIN:  # the Min degeneracy kernel's wording
+                raise GuardViolation(f"{label} (min) needs alpha<1/3, got {inst.alpha}")
+            bar = "max needs alpha>1/3" if inst.variant == MAX else "min needs alpha<1/3"
+            raise GuardViolation(f"{label} requires degrading variant: {bar}, got {inst.alpha}")
+        if check == POSITIVE and not inst.alpha_weight:
+            raise GuardViolation(f"{label} requires alpha > 0")
+        if check == EMPTY_T and inst.tmask:
+            raise GuardViolation(f"{label} starts from an empty partial solution")
+        if check == COVER and param is None:
+            raise GuardViolation(f"{label} requires an exact vertex cover (within the vc budget)")
 
 
 def _shortcircuit(inst: AnnotatedInstance):
@@ -395,7 +414,7 @@ def rr_delta_better(st: _State, trace: RuleTrace | None = None) -> None:
     the lowest qualifying index is found by one scan in index order, which
     restarts only when the bound drops (at most Delta_Tbar times).
     """
-    _require_degrading(st.inst, "rr_delta_better")
+    _require("rr_delta_better", (DEGRADING, POSITIVE), st.inst)
     st.rank(wrt_t=True)
     free, where = st.free, st.where
     bound = (st.delta_tbar() + 1) * (st.k - 1) + 1
@@ -430,7 +449,7 @@ def rr_include_satisfactory(st: _State, trace: RuleTrace | None = None) -> None:
     (3a-1)(k-1) margin; settles once |T| reaches k (or too few vertices
     remain).
     """
-    _require_degrading(st.inst, "rr_include_satisfactory")
+    _require("rr_include_satisfactory", (DEGRADING, POSITIVE), st.inst)
     while True:
         st.settle()
         v = _satisfactory(st)
@@ -447,7 +466,7 @@ def rr_exclude_needless(st: _State, trace: RuleTrace | None = None) -> None:
     fixed: one pass in index order, stopping once fewer than k vertices
     remain.  No exclusion can create a satisfactory vertex; that is checked.
     """
-    _require_degrading(st.inst, "rr_exclude_needless")
+    _require("rr_exclude_needless", (DEGRADING, POSITIVE), st.inst)
     k_prime = st.k_prime
     if k_prime <= 0:
         return
@@ -517,7 +536,7 @@ def rr_closure_better(st: _State, c: int, trace: RuleTrace | None = None) -> Non
     the neighborhoods of w's T-neighbors; a heap yields the lowest
     qualifying index.
     """
-    _require_degrading(st.inst, "rr_closure_better", allow_alpha_zero=True)
+    _require("rr_closure_better", (DEGRADING,), st.inst)
     if c < 1:
         raise GuardViolation("c must be >= 1")
     thr = _closure_better_threshold(c, st.k)
@@ -694,20 +713,34 @@ def rr_bcfree_independent_set(
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _pipeline(name: str):
-    """Turn a kernel body ``body(st, trace, *params)`` into ``kernel(inst,
-    *params) -> KernelOutcome``; every run ends here.  The run's one working
-    state and its trace are built here, a decision the body raises as
-    :class:`_Decided` leaves here, and otherwise the state is settled, frozen
-    once and de-annotated: identity for alpha = 0, else by variant."""
+def _pipeline(name: str, *checks: str, variant: str | None = None, least: int | None = None):
+    """Turn a kernel body ``body(st, trace, *param)`` into ``kernel(inst,
+    *param) -> KernelOutcome`` for pipeline ``name``, on one ``variant`` if
+    given; every run ends here.
+
+    First the kernel makes the checks that must pass before the first move:
+    the variant, ``checks`` in order, a parameter of at least ``least``, and
+    for COVER that the cover covers the alive graph.  A refusal raises
+    :class:`GuardViolation` before the run's one working state and its trace
+    are built.  A decision the body raises as :class:`_Decided` leaves here,
+    and otherwise the state is settled, frozen once and de-annotated:
+    identity for alpha = 0, else by variant."""
+    label = f"pipeline={name}"
+    if variant is not None:
+        name = f"{name}-{variant}"
 
     def wrap(body):
         @functools.wraps(body)
-        def kernel(inst: AnnotatedInstance, *params) -> KernelOutcome:
+        def kernel(inst: AnnotatedInstance, *param) -> KernelOutcome:
+            _require(label, checks, inst, *param, variant=variant)
+            if least is not None and param[0] < least:
+                raise GuardViolation(f"{label} needs a parameter >= {least}, got {param[0]}")
+            if COVER in checks:
+                param = (inst.check_cover(*param),)
             st = _State(inst)
             trace = RuleTrace(pipeline=name, initial=summarize(st))
             try:
-                body(st, trace, *params)
+                body(st, trace, *param)
                 st.settle()
             except _Decided as got:
                 trace.log("pipeline", "decide", got.witness or (), ZERO, got.status)
@@ -744,19 +777,15 @@ def _finish_degrading(st: _State, trace: RuleTrace) -> None:
     rr_delta_better(st, trace)
 
 
-@_pipeline("delta")
+@_pipeline("delta", DEGRADING, POSITIVE)
 def kernel_delta(st: _State, trace: RuleTrace) -> None:
     """(Delta + k)-polynomial kernel for the degrading cases with alpha > 0."""
-    _require_degrading(st.inst, "pipeline=delta")
     _finish_degrading(st, trace)
 
 
-@_pipeline("closure")
+@_pipeline("closure", DEGRADING, POSITIVE, least=1)
 def kernel_closure(st: _State, trace: RuleTrace, c: int) -> None:
     """k^O(c) kernel: trim by the closure better rule and X/I extraction, then delta."""
-    _require_degrading(st.inst, "pipeline=closure")
-    if c < 1:
-        raise GuardViolation("pipeline=closure requires c >= 1")
     trace.audit("closure_c", c)
     while True:
         st.settle()
@@ -771,14 +800,9 @@ def kernel_closure(st: _State, trace: RuleTrace, c: int) -> None:
     _finish_degrading(st, trace)
 
 
-@_pipeline("degeneracy-max")
+@_pipeline("degeneracy", DEGRADING, variant=MAX, least=0)
 def kernel_degeneracy_max(st: _State, trace: RuleTrace, d: int) -> None:
     """k^O(d) kernel for degrading Max via the biclique-free extraction."""
-    if st.inst.variant != MAX:
-        raise GuardViolation("pipeline=degeneracy (max) requires the maximization variant")
-    _require_degrading(st.inst, "pipeline=degeneracy")
-    if d < 0:
-        raise GuardViolation("degeneracy must be >= 0")
     a = b = d + 1
     while d >= 1:
         st.settle()
@@ -791,19 +815,15 @@ def kernel_degeneracy_max(st: _State, trace: RuleTrace, d: int) -> None:
     _finish_degrading(st, trace)
 
 
-@_pipeline("degeneracy-min")
+@_pipeline("degeneracy", DEGRADING, variant=MIN)
 def kernel_degeneracy_min(st: _State, trace: RuleTrace, d: int) -> None:
     """(d + k)-polynomial kernel for Min with alpha < 1/3 (alpha = 0 included)."""
     inst = st.inst
-    if inst.variant != MIN:
-        raise GuardViolation("pipeline=degeneracy (min) requires the minimization variant")
-    if not inst.degrading:
-        raise GuardViolation(f"pipeline=degeneracy (min) needs alpha<1/3, got {inst.alpha}")
     st.settle()
 
     if inst.tmask == 0 and inst.t >= d * inst.k:
-        witness = _degeneracy_prefix(inst, inst.k)
-        if inst.val(witness) <= inst.t:
+        witness = min_trivial_witness(inst)
+        if witness is not None:
             trace.audit("min_trivial", f"t={inst.t} dk={d * inst.k}")
             raise _Decided(DECIDED_YES, witness)
 
@@ -848,10 +868,14 @@ def _exclude_high_degplus(st: _State, trace: RuleTrace | None) -> None:
             i = 0
 
 
-def _degeneracy_prefix(inst: AnnotatedInstance, k: int) -> tuple[int, ...]:
+def min_trivial_witness(inst: AnnotatedInstance) -> tuple[int, ...] | None:
+    """The first k alive vertices of a degeneracy ordering, Min's trivial
+    witness, when their value is at most t; else None.  Callers check
+    their own case first (Min, t >= degeneracy * k)."""
     sub, back = inst.graph.induced(inst.alive_vertices())
     order, _ = degeneracy_ordering(sub)
-    return tuple(sorted(back[i] for i in order[:k]))
+    witness = tuple(sorted(back[i] for i in order[:inst.k]))
+    return witness if inst.val(witness) <= inst.t else None
 
 
 def _margin_trim_counters(st: _State, trace: RuleTrace | None) -> None:
@@ -938,7 +962,7 @@ def _window_include_high(st: _State, cutoff: int, tag: str, trace: RuleTrace) ->
         _move(st, "include", target, f"{tag}:include-high", "above V_{x+M}", trace)
 
 
-@_pipeline("hindex-max")
+@_pipeline("hindex", POSITIVE, EMPTY_T, variant=MAX)
 def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> None:
     """Two-case h-index kernel for Max with alpha > 0.
 
@@ -947,12 +971,6 @@ def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> None:
     all very-high-deg+ vertices join T, then the degree-bounded tail runs.
     """
     inst = st.inst
-    if inst.variant != MAX:
-        raise GuardViolation("pipeline=hindex requires the maximization variant")
-    if not inst.alpha_weight:
-        raise GuardViolation("pipeline=hindex requires alpha > 0")
-    if inst.tmask != 0:
-        raise GuardViolation("pipeline=hindex starts from an empty partial solution")
     st.settle()
     margin, cut, case1 = _audit_window(st, h + 1, "hindex", trace)
     if case1:
@@ -966,17 +984,9 @@ def kernel_hindex_max(st: _State, trace: RuleTrace, h: int) -> None:
         _finish_degrading(st, trace)
 
 
-@_pipeline("vc-max")
+@_pipeline("vc", COVER, POSITIVE, EMPTY_T, variant=MAX)
 def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
     """Vertex-cover kernel for Max, all alpha > 0."""
-    inst = st.inst
-    if inst.variant != MAX:
-        raise GuardViolation("pipeline=vc (max) requires the maximization variant")
-    if not inst.alpha_weight:
-        raise GuardViolation("pipeline=vc (max) requires alpha > 0")
-    if inst.tmask != 0:
-        raise GuardViolation("pipeline=vc starts from an empty partial solution")
-    cover = inst.check_cover(cover)
     st.settle()
     margin, cut, case1 = _audit_window(st, len(cover), "vc", trace)
     if case1:
@@ -995,15 +1005,10 @@ def kernel_vc_max(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
             _move(st, "exclude", v, "vc:prune-fixed", "fixed contribution", trace)
 
 
-@_pipeline("vc-min")
+@_pipeline("vc", COVER, EMPTY_T, variant=MIN)
 def kernel_vc_min(st: _State, trace: RuleTrace, cover: tuple[int, ...]) -> None:
     """Vertex-cover kernel for Min; alpha = 0 is decided outright when possible."""
     inst = st.inst
-    if inst.variant != MIN:
-        raise GuardViolation("pipeline=vc (min) requires the minimization variant")
-    if inst.tmask != 0:
-        raise GuardViolation("pipeline=vc starts from an empty partial solution")
-    cover = inst.check_cover(cover)
     st.settle()
     cset = set(cover)
     iset = [v for v in inst.alive_vertices() if v not in cset]
@@ -1092,32 +1097,34 @@ def alive_profile(inst: AnnotatedInstance) -> ParameterProfile:
     ]))
 
 
+# The pipelines by name: the kernel for Max, the kernel for Min, and the
+# profile parameter they take (None: none).  The h-index kernel is for Max
+# only; it refuses Min.
+ROUTES = {
+    "delta": (kernel_delta, kernel_delta, None),
+    "closure": (kernel_closure, kernel_closure, "c_closure"),
+    "degeneracy": (kernel_degeneracy_max, kernel_degeneracy_min, "degeneracy"),
+    "hindex": (kernel_hindex_max, kernel_hindex_max, "h_index"),
+    "vc": (kernel_vc_max, kernel_vc_min, "vertex_cover"),
+}
+PIPELINES = ("auto", *ROUTES)
+
+
 def run_pipeline(inst: AnnotatedInstance, name: str, profile=None, param_override: int | None = None) -> KernelOutcome:
-    """Run one named pipeline; parameters come from the profile unless overridden."""
+    """Run one named pipeline: ``auto`` resolves through :func:`select_pipeline`,
+    the name's row of :data:`ROUTES` gives the kernel for the variant, and
+    the kernel takes the row's profile parameter, or ``param_override`` in
+    place of an integer one."""
     if profile is None:
         profile = alive_profile(inst)
     if name == "auto":
         name = select_pipeline(inst, profile)
-    if name == "delta":
-        return kernel_delta(inst)
-    if name == "closure":
-        c = param_override if param_override is not None else profile.c_closure
-        return kernel_closure(inst, c)
-    if name == "degeneracy":
-        d = param_override if param_override is not None else profile.degeneracy
-        if inst.variant == MAX:
-            return kernel_degeneracy_max(inst, d)
-        return kernel_degeneracy_min(inst, d)
-    if name == "hindex":
-        h = param_override if param_override is not None else profile.h_index
-        return kernel_hindex_max(inst, h)
-    if name == "vc":
-        if profile.vertex_cover is None:
-            raise GuardViolation("pipeline=vc requires an exact vertex cover (within the vc budget)")
-        if inst.variant == MAX:
-            return kernel_vc_max(inst, profile.vertex_cover)
-        return kernel_vc_min(inst, profile.vertex_cover)
-    raise GuardViolation(f"unknown pipeline {name!r}")
-
-
-PIPELINES = ("auto", "delta", "closure", "degeneracy", "hindex", "vc")
+    if name not in ROUTES:
+        raise GuardViolation(f"unknown pipeline {name!r}")
+    for_max, for_min, param = ROUTES[name]
+    kernel = for_max if inst.variant == MAX else for_min
+    if param is None:
+        return kernel(inst)
+    if param_override is None or param == "vertex_cover":  # a cover is read, never given
+        param_override = getattr(profile, param)
+    return kernel(inst, param_override)

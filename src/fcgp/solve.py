@@ -22,14 +22,14 @@ it starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 
 from .graph import iter_mask, mask_of
 from .instance import MAX, MIN, AnnotatedInstance, GuardViolation
 from .ramsey import peeling_independent_set
-from .rules import _degeneracy_prefix, alive_profile
+from .rules import alive_profile, min_trivial_witness
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -470,49 +470,58 @@ def densest_vc(inst: AnnotatedInstance, cover: tuple[int, ...], budget: int = DE
 # Routing
 # ---------------------------------------------------------------------------
 
-def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Dispatch on alpha/variant/parameters; falls back to brute force.
+def _densest_vc_entry(inst: AnnotatedInstance, profile, budget: int) -> SolveResult:
+    if profile.vertex_cover is None:
+        raise GuardViolation("densest-vc needs an exact vertex cover within the vc budget")
+    return densest_vc(inst, profile.vertex_cover, budget=budget)
 
-    Raises :class:`UndecidedWithinBudget` when every applicable route blows
-    its budget; a wrong answer is never returned.
+
+# The solvers by name, each called as (inst, profile, budget).  The entries
+# look their solver up by name at each call, so a wrapper put in its place
+# on this module is the one that runs.
+SOLVERS = {
+    "brute": lambda inst, profile, budget: brute_force(inst, budget=budget),
+    "branch": lambda inst, profile, budget: branch_degrading(inst, profile.degeneracy, budget),
+    "third": lambda inst, profile, budget: solve_third(inst),
+    "hindex": lambda inst, profile, budget: hindex_fpt_max(inst, profile.h_index, budget),
+    "densest-vc": _densest_vc_entry,
+}
+
+# solve_auto's cases in order, each a test of (inst, profile): the first
+# that holds names the solver to run
+_AUTO_CASES = (
+    ("third", lambda i, p: not i.pair_score),
+    ("branch", lambda i, p: i.degrading and i.alpha_weight),
+    ("densest-vc", lambda i, p: i.variant == MAX and i.alpha == 0 and i.is_plain and p.vertex_cover is not None),
+    ("hindex", lambda i, p: i.variant == MAX and i.pair_score > 0),
+)
+
+
+def solve_auto(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """Run the solver of the first of :data:`_AUTO_CASES` that holds, brute
+    force if none does, and tag the result ``auto:<name>``.
+
+    Min's trivial case comes first: a plain Min instance with alpha < 1/3
+    and t >= degeneracy * k is decided by :func:`min_trivial_witness` when
+    that finds a witness.  A route other than brute force that passes its
+    budget falls back to brute force, with the budget afresh.  Raises
+    :class:`UndecidedWithinBudget` when every route it tries passes its
+    budget; a wrong answer is never returned.
     """
     if profile is None:
         profile = alive_profile(inst)
-
-    route = "brute"
+    plain_min = inst.variant == MIN and inst.degrading and inst.is_plain and inst.n_alive >= inst.k
+    if plain_min and inst.t >= profile.degeneracy * inst.k:
+        witness = min_trivial_witness(inst)
+        if witness is not None:
+            return SolveResult(True, witness, inst.val(witness), "auto:min-trivial", 0)
+    route = next((name for name, holds in _AUTO_CASES if holds(inst, profile)), "brute")
     try:
-        if not inst.pair_score:
-            return _tag(solve_third(inst), "auto:third")
-        if (
-            inst.variant == MIN
-            and inst.degrading
-            and inst.is_plain
-            and inst.n_alive >= inst.k
-            and inst.t >= profile.degeneracy * inst.k
-        ):
-            witness = _degeneracy_prefix(inst, inst.k)
-            value = inst.val(witness)
-            if value <= inst.t:
-                return SolveResult(True, witness, value, "auto:min-trivial", 0)
-        if inst.degrading and inst.alpha_weight:
-            route = "branch"
-            return _tag(branch_degrading(inst, profile.degeneracy, budget), "auto:branch")
-        if inst.variant == MAX and inst.alpha == 0 and inst.is_plain and profile.vertex_cover is not None:
-            route = "densest-vc"
-            return _tag(densest_vc(inst, profile.vertex_cover, budget=budget), "auto:densest-vc")
-        if inst.variant == MAX and inst.pair_score > 0:
-            route = "hindex"
-            return _tag(hindex_fpt_max(inst, profile.h_index, budget), "auto:hindex")
-        route = "brute"
-        return _tag(brute_force(inst, budget=budget), "auto:brute")
+        return replace(SOLVERS[route](inst, profile, budget), solver_id=f"auto:{route}")
     except BudgetExceeded:
         if route == "brute":
             raise UndecidedWithinBudget("brute-force budget exceeded") from None
-        try:
-            return _tag(brute_force(inst, budget=budget), "auto:brute")
-        except BudgetExceeded as exc:
-            raise UndecidedWithinBudget(f"route {route} and brute force both exceeded budgets") from exc
-
-
-def _tag(res: SolveResult, solver_id: str) -> SolveResult:
-    return SolveResult(res.decision, res.witness, res.best_value, solver_id, res.nodes_explored)
+    try:
+        return replace(SOLVERS["brute"](inst, profile, budget), solver_id="auto:brute")
+    except BudgetExceeded as exc:
+        raise UndecidedWithinBudget(f"route {route} and brute force both exceeded budgets") from exc

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, combinations
@@ -19,12 +20,43 @@ from typing import Sequence
 import pytest
 
 import fcgp
-from fcgp.graph import Graph, ParameterProfile, RuleInternalError, compute_profile, iter_mask, mask_of
+from fcgp.graph import (
+    Graph,
+    ParameterProfile,
+    RuleInternalError,
+    compute_profile,
+    degeneracy_ordering,
+    iter_mask,
+    mask_of,
+)
 from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import MAX, MIN, AnnotatedInstance, Deannotation, GuardViolation
 from fcgp.ramsey import ExtractionPreconditionError
-from fcgp.rules import RuleTrace, _Decided, _State
-from fcgp.solve import BudgetExceeded
+from fcgp.rules import (
+    RuleTrace,
+    _Decided,
+    _State,
+    alive_profile,
+    kernel_closure,
+    kernel_degeneracy_max,
+    kernel_degeneracy_min,
+    kernel_delta,
+    kernel_hindex_max,
+    kernel_vc_max,
+    kernel_vc_min,
+    select_pipeline,
+)
+from fcgp.solve import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    SolveResult,
+    UndecidedWithinBudget,
+    branch_degrading,
+    brute_force,
+    densest_vc,
+    hindex_fpt_max,
+    solve_third,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -425,6 +457,154 @@ def scan_optimum(inst: AnnotatedInstance):
     best = (max if inst.variant == MAX else min)(values.values())
     decision = inst.better_cmp(best, inst.t)
     return decision, best, min(s for s, value in values.items() if value == best) if decision else None
+
+
+# ---------------------------------------------------------------------------
+# Routing by if-chains: the references for the route tables
+# ---------------------------------------------------------------------------
+
+def _require_degrading_by_chain(inst: AnnotatedInstance, rule: str) -> None:
+    if not inst.degrading:
+        bar = "max needs alpha>1/3" if inst.variant == MAX else "min needs alpha<1/3"
+        raise GuardViolation(f"{rule} requires degrading variant: {bar}, got {inst.alpha}")
+    if not inst.alpha_weight:
+        raise GuardViolation(f"{rule} requires alpha > 0")
+
+
+def run_pipeline_by_chain(inst: AnnotatedInstance, name: str, profile=None, param_override=None):
+    """``run_pipeline`` as it stood before the route table: a dispatch by
+    name and then by variant, with the guards each kernel body made before
+    its first move, in their order.  The kernels it calls check again and
+    pass.  Three texts the table reworded are given in their new form, the
+    old one beside them; the guards no run can reach (a kernel for one
+    variant given the other) are left out."""
+    if profile is None:
+        profile = alive_profile(inst)
+    if name == "auto":
+        name = select_pipeline(inst, profile)
+    if name == "delta":
+        _require_degrading_by_chain(inst, "pipeline=delta")
+        return kernel_delta(inst)
+    if name == "closure":
+        c = param_override if param_override is not None else profile.c_closure
+        _require_degrading_by_chain(inst, "pipeline=closure")
+        if c < 1:  # was "pipeline=closure requires c >= 1"
+            raise GuardViolation(f"pipeline=closure needs a parameter >= 1, got {c}")
+        return kernel_closure(inst, c)
+    if name == "degeneracy":
+        d = param_override if param_override is not None else profile.degeneracy
+        if inst.variant == MAX:
+            _require_degrading_by_chain(inst, "pipeline=degeneracy")
+            if d < 0:  # was "degeneracy must be >= 0"
+                raise GuardViolation(f"pipeline=degeneracy needs a parameter >= 0, got {d}")
+            return kernel_degeneracy_max(inst, d)
+        if not inst.degrading:
+            raise GuardViolation(f"pipeline=degeneracy (min) needs alpha<1/3, got {inst.alpha}")
+        return kernel_degeneracy_min(inst, d)
+    if name == "hindex":
+        h = param_override if param_override is not None else profile.h_index
+        if inst.variant != MAX:
+            raise GuardViolation("pipeline=hindex requires the maximization variant")
+        if not inst.alpha_weight:
+            raise GuardViolation("pipeline=hindex requires alpha > 0")
+        if inst.tmask != 0:
+            raise GuardViolation("pipeline=hindex starts from an empty partial solution")
+        return kernel_hindex_max(inst, h)
+    if name == "vc":
+        if profile.vertex_cover is None:
+            raise GuardViolation("pipeline=vc requires an exact vertex cover (within the vc budget)")
+        if inst.variant == MAX:
+            if not inst.alpha_weight:  # was "pipeline=vc (max) requires alpha > 0"
+                raise GuardViolation("pipeline=vc requires alpha > 0")
+            if inst.tmask != 0:
+                raise GuardViolation("pipeline=vc starts from an empty partial solution")
+            return kernel_vc_max(inst, profile.vertex_cover)
+        if inst.tmask != 0:
+            raise GuardViolation("pipeline=vc starts from an empty partial solution")
+        return kernel_vc_min(inst, profile.vertex_cover)
+    raise GuardViolation(f"unknown pipeline {name!r}")
+
+
+def solve_by_chain(solver: str, inst: AnnotatedInstance, profile, budget: int) -> SolveResult:
+    """``fcgp solve``'s if-chain over the solver names before the solver table."""
+    if solver == "brute":
+        return brute_force(inst, budget=budget)
+    if solver == "branch":
+        return branch_degrading(inst, profile.degeneracy, budget=budget)
+    if solver == "third":
+        return solve_third(inst)
+    if solver == "hindex":
+        return hindex_fpt_max(inst, profile.h_index, budget=budget)
+    if solver == "densest-vc":
+        if profile.vertex_cover is None:
+            raise GuardViolation("densest-vc needs an exact vertex cover within the vc budget")
+        return densest_vc(inst, profile.vertex_cover, budget=budget)
+    raise ValueError(f"unknown solver {solver!r}")
+
+
+def solve_auto_by_chain(inst: AnnotatedInstance, profile=None, budget: int = DEFAULT_BUDGET) -> SolveResult:
+    """``solve_auto`` as it stood before the solver table: one if-chain over
+    the cases, its min-trivial test inline."""
+    if profile is None:
+        profile = alive_profile(inst)
+
+    def tag(res: SolveResult, solver_id: str) -> SolveResult:
+        return SolveResult(res.decision, res.witness, res.best_value, solver_id, res.nodes_explored)
+
+    route = "brute"
+    try:
+        if not inst.pair_score:
+            return tag(solve_third(inst), "auto:third")
+        if (
+            inst.variant == MIN
+            and inst.degrading
+            and inst.is_plain
+            and inst.n_alive >= inst.k
+            and inst.t >= profile.degeneracy * inst.k
+        ):
+            sub, back = inst.graph.induced(inst.alive_vertices())
+            order, _ = degeneracy_ordering(sub)
+            witness = tuple(sorted(back[i] for i in order[:inst.k]))
+            value = inst.val(witness)
+            if value <= inst.t:
+                return SolveResult(True, witness, value, "auto:min-trivial", 0)
+        if inst.degrading and inst.alpha_weight:
+            route = "branch"
+            return tag(branch_degrading(inst, profile.degeneracy, budget), "auto:branch")
+        if inst.variant == MAX and inst.alpha == 0 and inst.is_plain and profile.vertex_cover is not None:
+            route = "densest-vc"
+            return tag(densest_vc(inst, profile.vertex_cover, budget=budget), "auto:densest-vc")
+        if inst.variant == MAX and inst.pair_score > 0:
+            route = "hindex"
+            return tag(hindex_fpt_max(inst, profile.h_index, budget), "auto:hindex")
+        route = "brute"
+        return tag(brute_force(inst, budget=budget), "auto:brute")
+    except BudgetExceeded:
+        if route == "brute":
+            raise UndecidedWithinBudget("brute-force budget exceeded") from None
+        try:
+            return tag(brute_force(inst, budget=budget), "auto:brute")
+        except BudgetExceeded as exc:
+            raise UndecidedWithinBudget(f"route {route} and brute force both exceeded budgets") from exc
+
+
+def routing_cases(alphas):
+    """(instance, profiles) for the differential routing tests: on seeded
+    small graphs, both variants and each of ``alphas``, a plain instance (and
+    a copy with t = 3n, above degeneracy * k), one with counters 0-2, and one
+    with counters and maybe T; each with a minimum cover, a greedy one, and
+    none within the budget."""
+    for seed in range(6):
+        n = 6 + seed % 4
+        g = gen_gnp(n, 1, 2, seed) if seed % 2 else gen_degenerate(n, 1 + seed % 3, seed)
+        profiles = (compute_profile(g), greedy_cover_profile(g), compute_profile(g, vc_budget=1))
+        for variant in (MAX, MIN):
+            for j, alpha in enumerate(alphas):
+                for counters, allow_t in (((0, 0), False), ((0, 2), False), ((0, 2), True)):
+                    inst = gen_annotated(g, 100 * seed + 10 * j + allow_t, alpha, variant, (2, 3), counters, allow_t)
+                    yield inst, profiles
+                    if counters == (0, 0):
+                        yield replace(inst, t=Fraction(3 * n)), profiles
 
 
 def run_optimized(code: str) -> str:

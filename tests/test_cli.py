@@ -30,6 +30,7 @@ from fcgp.harness import gen_degenerate, gen_gnp
 from fcgp.instance import AnnotatedInstance, LiftError
 from fcgp.ramsey import ExtractionPreconditionError, WitnessVerificationError
 from fcgp.rules import KERNELIZED, PIPELINES
+from fcgp.solve import SOLVERS
 
 from conftest import complete_graph, triangle_chain
 from test_rules import _pipeline_runs
@@ -347,7 +348,7 @@ def test_verify_parses_no_kernel_it_regenerated(tmp_path, monkeypatch, capsys):
 
 
 def test_kernel_files_read_back_as_the_kernels_they_were_written_from():
-    kernels = [out.plain for _, _, _, out in _pipeline_runs(12, 12_000) if out and out.status == KERNELIZED]
+    kernels = [out.plain for _, _, _, out in _pipeline_runs(12, 12_000) if getattr(out, "status", None) == KERNELIZED]
     assert len(kernels) > 100
     for plain in kernels:
         back = parse_kernel_file(kernel_file_text(plain))
@@ -411,6 +412,19 @@ def test_battery_guard_rows_skip(tmp_path, capsys):
     man.write_text("gnp n=6 p=1/2 seed=1 count=4 alpha=0 variant=max pipeline=delta k=1:2\n")
     assert main(["battery", str(man)]) == EXIT_OK
     assert "pass=0 fail=0 skip=4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row, refusal", [
+    ("alpha=1/2 variant=max pipeline=dleta", "unknown pipeline 'dleta'"),
+    ("alpha=1/2 variant=mx pipeline=delta", "variant must be 'max' or 'min', got 'mx'"),
+    ("alpha=3/2 variant=max pipeline=delta", "alpha must lie in [0,1], got 3/2"),
+])
+def test_battery_refuses_rows_that_run_no_check(tmp_path, capsys, row, refusal):
+    # such a row once gave pass=0 fail=0 and exit 0: each instance skipped, or none built
+    man = tmp_path / "man.txt"
+    man.write_text(f"# one row\ngnp n=6 p=1/2 seed=1 count=5 k=2 {row}\n")
+    assert main(["battery", str(man)]) == EXIT_USAGE
+    assert f"manifest line 2: {refusal}" in capsys.readouterr().err
 
 
 def test_json_report_shape(graph_file, capsys):
@@ -719,7 +733,7 @@ def _argv(draw, files: Path):
         "--variant", draw(st.sampled_from(["max", "min"])),
     ]
     if command == "solve":
-        argv += ["--solver", draw(st.sampled_from(["auto", "brute", "branch", "third", "hindex", "densest-vc"]))]
+        argv += ["--solver", draw(st.sampled_from(["auto", *SOLVERS]))]
     else:
         argv += ["--pipeline", draw(st.sampled_from(PIPELINES))]
         param = draw(st.none() | st.integers(0, 3))

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -58,6 +59,8 @@ from conftest import (
     plain,
     profile_values,
     replay,
+    routing_cases,
+    run_pipeline_by_chain,
     satisfactory_threshold,
     seeded_instances,
     star_graph,
@@ -492,9 +495,9 @@ RUN_ALPHAS = {MAX: (F(1, 4), F(1, 2), F(1)), MIN: (F(0), F(1, 4), F(1, 2))}
 
 
 def _pipeline_runs(count: int, base_seed: int):
-    """(pipeline, variant, instance, outcome or None on a guard) over seeded
-    instances, plus a path of k = 4 vertices, which every pipeline decides
-    before its first move."""
+    """(pipeline, variant, instance, outcome or the GuardViolation raised)
+    over seeded instances, plus a path of k = 4 vertices, which every
+    pipeline decides before its first move."""
     for variant, alphas in RUN_ALPHAS.items():
         for alpha in alphas:
             for name in PIPELINES:
@@ -507,16 +510,20 @@ def _pipeline_runs(count: int, base_seed: int):
                 for inst in (inst for stream in streams for inst in stream):
                     try:
                         yield name, variant, inst, run_pipeline(inst, name)
-                    except GuardViolation:
-                        yield name, variant, inst, None
+                    except GuardViolation as exc:
+                        yield name, variant, inst, exc
 
 
 def _kind(out) -> str:
-    if out is None:
+    if isinstance(out, GuardViolation):
         return "guard"
     if out.status == KERNELIZED:
         return "kernelized"
     return "decided at once" if len(out.trace.entries) == 1 else "decided after moves"
+
+
+# the refusals a kernel can only make once settle has not decided the instance
+AFTER_SETTLE = re.compile("case 2 requires|needs a plain instance|needs zero counters")
 
 
 def test_one_working_state_per_pipeline_run(monkeypatch):
@@ -529,12 +536,19 @@ def test_one_working_state_per_pipeline_run(monkeypatch):
 
     monkeypatch.setattr(_State, "__init__", counted)
     kinds = {}
+    refusals = set()
     for name, variant, inst, out in _pipeline_runs(12, 12_000):
-        # a guard of run_pipeline itself may refuse before any kernel runs
-        assert len(made) == 1 or (out is None and not made), (name, variant, _kind(out))
+        if isinstance(out, GuardViolation):
+            # a refusal before the first move builds no working state
+            late = bool(AFTER_SETTLE.search(str(out)))
+            assert len(made) == late, (name, variant, str(out))
+            refusals.add(late)
+        else:
+            assert len(made) == 1, (name, variant, _kind(out))
         assert all(m is inst for m in made)
         made.clear()
         kinds.setdefault((name, variant), set()).add(_kind(out))
+    assert refusals == {False, True}
     every = {"kernelized", "decided at once", "decided after moves"}
     for (name, variant), seen in kinds.items():
         if (name, variant) != ("hindex", MIN):  # the h-index kernel is for Max only
@@ -546,7 +560,7 @@ def test_trace_replay_reproduces_final_instance():
     # and the summary the pipeline logged were read off its one working state
     kinds = {}
     for name, variant, inst, out in _pipeline_runs(12, 12_000):
-        if out is None:
+        if isinstance(out, GuardViolation):
             continue
         kinds.setdefault((name, variant), set()).add(_kind(out))
         final = replay(out.trace, inst)
@@ -720,6 +734,33 @@ def test_runs_without_a_profile_share_the_graph_profile(monkeypatch):
     assert profile.graph is not g and alive_profile(dead) is not profile
     searched.clear()
     assert profile.vertex_cover is not None and searched == [profile.graph]
+
+
+def _routed(run, inst, name, profile, param):
+    try:
+        out = run(inst, name, profile=profile, param_override=param)
+    except (GuardViolation, ExtractionPreconditionError) as exc:  # the refusals must match too
+        return type(exc).__name__, str(exc)
+    return out.status, out.trace.to_text(), out.plain, out.final, out.witness
+
+
+def test_route_table_matches_the_if_chains():
+    # every pipeline, through the table and through the chain it replaced,
+    # on both variants, every alpha, T empty or not, counters 0-2, with and
+    # without a cover, and with each parameter override
+    seen = set()
+    for inst, profiles in routing_cases(ALPHAS):
+        seen.add((inst.variant, inst.alpha, bool(inst.tmask), inst.is_plain))
+        for profile in profiles:
+            for name in PIPELINES:
+                for param in (None, 0, 1):
+                    got = _routed(run_pipeline, inst, name, profile, param)
+                    assert got == _routed(run_pipeline_by_chain, inst, name, profile, param), (
+                        name, param, inst.to_text()
+                    )
+    for variant in (MAX, MIN):
+        for alpha in ALPHAS:
+            assert {(t, p) for v, a, t, p in seen if (v, a) == (variant, alpha)} >= {(False, True), (True, False)}
 
 
 @pytest.mark.parametrize("t", [1, 5, 10, 20])

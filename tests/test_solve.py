@@ -14,7 +14,10 @@ from fcgp.harness import gen_annotated, gen_degenerate, gen_gnp
 from fcgp.instance import MAX, MIN, Deannotation, GuardViolation, deannotate_max, deannotate_min
 from fcgp.rules import KERNELIZED, KernelOutcome, alive_profile
 from fcgp.solve import (
+    DEFAULT_BUDGET,
+    SOLVERS,
     BudgetExceeded,
+    SolveResult,
     UndecidedWithinBudget,
     _twin_classes,
     branch_degrading,
@@ -35,8 +38,11 @@ from conftest import (
     deannotate_min_by_passes,
     path_graph,
     plain,
+    routing_cases,
     scan_optimum,
     seeded_instances,
+    solve_auto_by_chain,
+    solve_by_chain,
     star_graph,
     twin_classes_by_buckets,
 )
@@ -612,6 +618,31 @@ def test_auto_min_trivial_route():
     res = solve_auto(inst)
     assert res.decision and res.solver_id == "auto:min-trivial"
     assert inst.val(res.witness) <= inst.t
+
+
+def _solved(solve, *args):
+    try:
+        return solve(*args)
+    except (GuardViolation, BudgetExceeded) as exc:  # the refusals and budget failures must match too
+        return type(exc).__name__, str(exc)
+
+
+def test_solver_table_matches_the_if_chains():
+    # solve_auto and every SOLVERS entry against the chains they replaced,
+    # on both variants, every alpha, T empty or not, counters 0-2, with and
+    # without a cover; a budget of 20 nodes sends routes to the fallback
+    routes = set()
+    for inst, profiles in routing_cases(ALPHAS):
+        for profile in profiles:
+            for budget in (20, DEFAULT_BUDGET):
+                got = _solved(solve_auto, inst, profile, budget)
+                assert got == _solved(solve_auto_by_chain, inst, profile, budget), inst.to_text()
+                routes.add(got.solver_id if isinstance(got, SolveResult) else got[0])
+                for name, solve in SOLVERS.items():
+                    got = _solved(solve, inst, profile, budget)
+                    assert got == _solved(solve_by_chain, name, inst, profile, budget), (name, inst.to_text())
+    assert routes >= {"auto:third", "auto:min-trivial", "auto:branch", "auto:densest-vc", "auto:hindex",
+                      "auto:brute", "UndecidedWithinBudget"}
 
 
 def test_auto_undecided_within_budget():
